@@ -29,13 +29,11 @@ from __future__ import annotations
 
 import itertools
 import re
-import warnings
 from typing import Dict, Optional
 
 from ..ckpt import from_bytes
 from ..errors import AppVMError
 from ..hardware.machine import MachineConfig
-from .model import StructureModel
 from .scheduler import (
     CKPT_SCHEMA,
     LINT_MODES,
@@ -54,20 +52,15 @@ class MachineService:
     """Batches user solve requests onto one simulated FEM-2 machine."""
 
     def __init__(self, config: Optional[MachineConfig] = None, tracer=None,
-                 checkpointing: bool = False, plan_cache=None) -> None:
+                 checkpointing: bool = False) -> None:
         self.config = config or MachineConfig(memory_words_per_cluster=16_000_000)
         #: checkpointing turns on runtime journaling so the service's
         #: program can be snapshotted (see :meth:`checkpoint`)
         self.checkpointing = checkpointing
-        #: plan_cache shares compiled plans across services in one
-        #: process (see :class:`ServicePool`); campaign workers use it
-        #: so each point's fresh service skips recompilation when the
-        #: registry shape repeats
         self.pool = ServicePool(
             n_machines=1, config=self.config, tracer=tracer,
             quantum=None, machine_slots=None,
             checkpointing=checkpointing, persistent=True,
-            plan_cache=plan_cache,
         )
 
     @property
@@ -82,9 +75,7 @@ class MachineService:
     def completed_batches(self) -> int:
         return self.pool.completed_batches
 
-    def submit(self, spec: JobSpec = None, model: StructureModel = None,
-               load_set: str = None, *, workers: int = 2, tol: float = 1e-9,
-               lint: str = "off") -> JobHandle:
+    def submit(self, spec: JobSpec) -> JobHandle:
         """Queue one solve described by a :class:`JobSpec`; nothing runs
         until :meth:`run`.
 
@@ -93,26 +84,8 @@ class MachineService:
         on the service's program: ``"error"`` rejects a program with
         error-severity findings before any task is spawned, ``"warn"``
         emits warnings instead, ``"off"`` (the default) skips the check.
-
-        .. deprecated:: the positional form
-           ``submit(user, model, load_set, workers=..., tol=..., lint=...)``
-           still works but warns; build a :class:`JobSpec` instead.
         """
-        if isinstance(spec, JobSpec):
-            if model is not None or load_set is not None:
-                raise AppVMError(
-                    "submit(spec) takes only the JobSpec; put model and "
-                    "load_set inside it")
-            return self.pool.submit(spec)
-        warnings.warn(
-            "MachineService.submit(user, model, load_set, ...) is "
-            "deprecated; pass a JobSpec instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.pool.submit(JobSpec(
-            user=spec, model=model, load_set=load_set,
-            workers=workers, tol=tol, lint=lint,
-        ))
+        return self.pool.submit(spec)
 
     def run(self):
         """Run every submitted job concurrently; resolves their handles."""

@@ -26,6 +26,7 @@ from typing import Any, List
 
 from ..appvm import render_table
 from ..errors import CampaignError, Fem2Error
+from ..hardware import ENGINES
 from .campaign import Campaign
 from .report import CampaignReport
 from .space import ParamSpace
@@ -73,8 +74,7 @@ def main(argv=None) -> int:
     ap.add_argument("--points-file", type=pathlib.Path,
                     help="JSON file with an explicit point list")
     ap.add_argument("--name", default="campaign")
-    ap.add_argument("--engine", default="compiled",
-                    choices=("default", "reference", "fast", "compiled"))
+    ap.add_argument("--engine", default="default", choices=ENGINES)
     ap.add_argument("--campaign-workers", type=int, default=0, metavar="N",
                     help="worker processes (0 = serial in-process)")
     ap.add_argument("--waves", type=int, default=1)

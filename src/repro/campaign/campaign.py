@@ -66,7 +66,7 @@ class Campaign:
         *,
         name: str = "campaign",
         base_config: Union[MachineConfig, Dict[str, Any], None] = None,
-        engine: str = "compiled",
+        engine: str = "default",
         workers: int = 0,
         waves: int = 1,
         refine_per_wave: int = 0,
@@ -116,8 +116,6 @@ class Campaign:
         self.restart_blobs: Dict[Tuple, bytes] = {}
         #: host wall-clock of the last run() (volatile; never reported)
         self.host_seconds = 0.0
-        #: in-process compiled-plan cache for the serial path
-        self._plans: Dict = {}
         if runner is None:
             validate_axes(space)
             for axis in self.defaults:
@@ -149,8 +147,7 @@ class Campaign:
             if self.runner is not None:
                 payload, blob = dict(self.runner(point, options)), None
             else:
-                payload, blob = run_point(point, options,
-                                          plan_cache=self._plans)
+                payload, blob = run_point(point, options)
             out.append((index, payload, blob))
         return out
 

@@ -11,9 +11,7 @@ and (when tracing) the obs span aggregate.
 
 Everything here is picklable and importable at module level because
 points fan out across OS processes: :func:`pool_worker` is the
-``multiprocessing`` entry point, and :data:`_WORKER_PLANS` is the
-per-process compiled-plan cache — every point a worker runs with the
-same registry shape reuses one submit-time compilation.
+``multiprocessing`` entry point.
 
 Warm restarts: with ``restart_events`` set, the run checkpoints after
 that many engine events into a ``fem2-ckpt/1`` blob and *resumes from
@@ -24,6 +22,7 @@ cold run of the same point (``tests/test_campaign_determinism.py``).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -63,9 +62,9 @@ class RunOptions:
 
     #: MachineConfig fields the point does not override (engine excluded)
     base_config: Dict[str, Any] = field(default_factory=dict)
-    #: simulation engine every point runs on ("compiled" by default —
-    #: each campaign point is exactly the cheap-replay case PR 8 built)
-    engine: str = "compiled"
+    #: simulation engine every point runs on (resolved per machine by
+    #: :func:`repro.hardware.resolve_engine`, like every entry point)
+    engine: str = "default"
     #: mesh/solver defaults overriding :data:`DEFAULTS`
     defaults: Dict[str, Any] = field(default_factory=dict)
     #: collect obs span aggregates (cold runs only)
@@ -99,7 +98,10 @@ def build_config(point: Point, options: RunOptions) -> MachineConfig:
     """The machine configuration a point runs on."""
     fields = dict(options.base_config)
     fields.update({k: v for k, v in point.items() if k in MACHINE_AXES})
-    fields["engine"] = options.engine
+    # interned: options reach a worker process pickled, and restart
+    # blob bytes record whether this string is the same object as an
+    # equal literal elsewhere in the snapshot (pickle memoizes by id)
+    fields["engine"] = sys.intern(options.engine)
     return MachineConfig(**fields)
 
 
@@ -130,8 +132,7 @@ def _point_experiment(point: Point, metrics: Dict[str, Any]) -> Experiment:
     return exp
 
 
-def run_point(point: Point, options: RunOptions,
-              plan_cache: Optional[Dict] = None,
+def run_point(point: Point, options: RunOptions
               ) -> Tuple[Dict[str, Any], Optional[bytes]]:
     """Run one point to completion; returns ``(payload, restart_blob)``.
 
@@ -150,8 +151,7 @@ def run_point(point: Point, options: RunOptions,
     spec = JobSpec(user="campaign", model=model, load_set="case",
                    workers=int(p["workers"]), tol=float(p["tol"]))
 
-    service = MachineService(config, tracer=tracer, checkpointing=journal,
-                             plan_cache=plan_cache)
+    service = MachineService(config, tracer=tracer, checkpointing=journal)
     handle = service.submit(spec)
     restart = None
     blob = None
@@ -210,15 +210,10 @@ def run_point(point: Point, options: RunOptions,
     return payload, blob
 
 
-#: per-process compiled-plan cache shared by every point this worker
-#: runs (fork or spawn: each OS process grows its own)
-_WORKER_PLANS: Dict = {}
-
-
 def pool_worker(job: Tuple[int, Point, RunOptions]
                 ) -> Tuple[int, Dict[str, Any], Optional[bytes]]:
     """``multiprocessing`` entry point: one point, one simulated
     machine, in whatever OS process the pool scheduled it on."""
     index, point, options = job
-    payload, blob = run_point(point, options, plan_cache=_WORKER_PLANS)
+    payload, blob = run_point(point, options)
     return index, payload, blob

@@ -1,15 +1,14 @@
-"""Submit-time analysis: turn the flow IR into a :class:`CompiledPlan`.
+"""Plan analysis: turn the flow IR into a :class:`CompiledPlan`.
 
-:func:`compile_program` is the front end of the compiled engine: it
-recovers the registered task bodies' AST facts through
-:func:`repro.lint.registry_tasks`, partitions the types with the P1
-compilability analysis (:mod:`repro.lint.flow.compilable`), and packs
-the resolved spawn routes and burst chains from the ``fem2-flow/1``
-summary into a plan the executor replays.
+:func:`compile_program` recovers the registered task bodies' AST facts
+through :func:`repro.lint.registry_tasks`, partitions the types with
+the P1 analysis (:mod:`repro.lint.flow.compilable`), and packs the
+resolved spawn routes and burst chains from the ``fem2-flow/1`` summary
+into a plan.
 
 Task types whose source cannot be recovered (REPL/generated bodies) are
-TOP by definition and fall back to the interpreter — the compiler never
-guesses about code it cannot read.
+TOP by definition and count as blocked — the analysis never guesses
+about code it cannot read.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ __all__ = ["compile_program"]
 
 
 def compile_program(program) -> CompiledPlan:
-    """Specialize a built program's task graph into a compiled plan.
+    """Classify a built program's task graph into a compiled plan.
 
     *program* is any object with a ``runtime.registry``
     (:class:`~repro.langvm.Fem2Program` in practice).  Pure analysis:
-    nothing is installed on the runtime — see
-    :class:`~repro.compile.executor.CompiledExecutor` for that half.
+    nothing is installed on the runtime.
     """
     source = tuple(program.runtime.registry.types())
     tasks = registry_tasks(program)

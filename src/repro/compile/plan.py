@@ -1,19 +1,15 @@
-"""The compiled plan: what submit-time specialization decided.
+"""The compiled plan: what the static plan analysis decided.
 
 A :class:`CompiledPlan` is the ``fem2-plan/1`` artifact produced by
 :func:`repro.compile.compile_program`: per registered task type, whether
-the backend may specialize it (fuse its fixed-length burst chains into
-single engine events) or must leave it on the interpreter, with the
-blocking constructs recorded as :class:`~repro.lint.flow.Blocker`
+every spawn target and replication count is statically resolved, with
+the blocking constructs recorded as :class:`~repro.lint.flow.Blocker`
 values.  The plan also carries the flow IR's resolved artifacts — the
-static spawn/message routes and the fixed-length burst chains — which
-is what the executor replays instead of re-deriving dispatch facts per
-event.
+static spawn/message routes and the fixed-length burst chains.  It is
+analysis only; nothing executes from it.
 
-Plans are keyed by their *source*: the registry's type tuple at compile
-time.  Registering another task invalidates the plan, and the service
-pool's plan cache (:class:`repro.appvm.scheduler.ServicePool`) uses the
-same key to share one plan across a model's whole job stream.
+Plans record their *source*: the registry's type tuple at analysis
+time.  Registering another task makes the plan stale.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Tuple
 
-from ..lint import Finding
 from ..lint.flow import Blocker
 
 SCHEMA = "fem2-plan/1"
@@ -31,7 +26,7 @@ __all__ = ["SCHEMA", "CompiledPlan", "TaskPlan"]
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """One task type's compilation outcome."""
+    """One task type's analysis outcome."""
 
     name: str
     file: str
@@ -51,21 +46,19 @@ class TaskPlan:
 
 @dataclass
 class CompiledPlan:
-    """The whole program's specialization decision set."""
+    """The whole program's resolved/blocked split."""
 
-    #: registry type tuple the plan was compiled from — the cache key;
-    #: a registry whose types() differ needs recompilation
+    #: registry type tuple the plan was analyzed from
     source: Tuple[str, ...]
     task_plans: Dict[str, TaskPlan] = field(default_factory=dict)
     #: static spawn routes (``fem2-flow/1`` rows; dst "*" = dynamic)
     routes: List[Dict[str, Any]] = field(default_factory=list)
-    #: statically discovered fixed-length burst chains per task — the
-    #: fusion units the executor collapses into single engine events
+    #: statically discovered fixed-length burst chains per task
     burst_chains: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def fused_types(self) -> FrozenSet[str]:
-        """Task types the fast-path executor may fuse."""
+        """Task types with every spawn fact statically resolved."""
         return frozenset(
             name for name, tp in self.task_plans.items() if tp.compilable
         )
@@ -78,26 +71,10 @@ class CompiledPlan:
 
     @property
     def coverage(self) -> float:
-        """Fraction of task types fully compiled (1.0 = whole program)."""
+        """Fraction of task types fully resolved (1.0 = whole program)."""
         if not self.task_plans:
             return 1.0
         return len(self.fused_types) / len(self.task_plans)
-
-    def findings(self) -> List[Finding]:
-        """P1 warnings for every blocking construct (why a task type is
-        interpreted), in canonical (file, line) order."""
-        out: List[Finding] = []
-        for name in sorted(self.task_plans):
-            tp = self.task_plans[name]
-            for b in tp.blockers:
-                out.append(Finding(
-                    "P1",
-                    f"not fully compilable — {b.detail}; this task type "
-                    f"falls back to the interpreter under the compiled "
-                    f"engine",
-                    tp.file, b.line, severity="warning", task=name,
-                ))
-        return sorted(out, key=lambda f: (f.file, f.line, f.task or ""))
 
     def to_record(self) -> Dict[str, Any]:
         return {

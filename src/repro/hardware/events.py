@@ -22,17 +22,15 @@ from ..errors import ConfigurationError, SimulationError
 
 #: recognised engine kinds; "default" resolves through
 #: :func:`resolve_engine` (module override, then environment, then fast)
-ENGINES = ("default", "reference", "fast", "compiled")
+ENGINES = ("default", "reference", "fast")
 
 #: the kinds a config/env/override may name directly (everything but
 #: the "default" placeholder)
-CONCRETE_ENGINES = ("reference", "fast", "compiled")
+CONCRETE_ENGINES = ("reference", "fast")
 
 #: what ``engine="default"`` means when nothing overrides it.  The fast
 #: calendar-queue engine (:mod:`repro.hardware.calqueue`) is the
-#: production path; the reference heapq engine below stays the oracle,
-#: and the compiled engine (:mod:`repro.hardware.compiled`) is the
-#: opt-in burst-fusing specialization backend.
+#: production path; the reference heapq engine below stays the oracle.
 DEFAULT_ENGINE = "fast"
 
 #: process-wide override installed by :func:`forced_engine`; None means
@@ -44,11 +42,11 @@ _FORCED: Optional[str] = None
 def resolve_engine(kind: str) -> str:
     """Resolve a :class:`MachineConfig` engine field to a concrete kind.
 
-    Override order, strongest first (documented in DESIGN.md §13):
+    Override order, strongest first (documented in DESIGN.md §11):
 
     1. a :func:`forced_engine` override — wins over everything,
        including explicit configs (that is the point of the harness);
-    2. an explicit ``"reference"``/``"fast"``/``"compiled"`` config;
+    2. an explicit ``"reference"``/``"fast"`` config;
     3. the ``FEM2_ENGINE`` environment variable;
     4. :data:`DEFAULT_ENGINE`.
 
@@ -79,9 +77,9 @@ def forced_engine(kind: str) -> Iterator[None]:
     """Force every machine built inside the block onto one engine.
 
     The A/B half of the equivalence harness: the same workload code,
-    run under ``forced_engine("reference")``, ``forced_engine("fast")``,
-    and ``forced_engine("compiled")``, must produce identical final
-    metrics, clocks, and checkpoint blobs.
+    run under ``forced_engine("reference")`` and
+    ``forced_engine("fast")``, must produce identical final metrics,
+    clocks, and checkpoint blobs.
     """
     if kind not in CONCRETE_ENGINES:
         raise ConfigurationError(

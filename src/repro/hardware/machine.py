@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..errors import ConfigurationError, FaultError, RoutingError
 from .calqueue import FastEventEngine
 from .cluster import Cluster
-from .compiled import CompiledEventEngine
 from .events import ENGINES, EventEngine, resolve_engine
 from .metrics import MetricsRegistry
 from .network import TOPOLOGIES, Network
@@ -45,10 +44,9 @@ class MachineConfig:
     flop_cycles: int = 1            # cycles per floating-point operation
     word_touch_cycles: int = 1      # cycles per word moved within a cluster
     #: simulation engine: "reference" (heapq oracle), "fast" (calendar
-    #: queue), "compiled" (calendar queue + burst fusion driven by the
-    #: repro.compile submit-time specializer), or "default" (FEM2_ENGINE
-    #: env var, then fast).  All engines are observationally identical;
-    #: see repro.perf and DESIGN.md §13.
+    #: queue), or "default" (FEM2_ENGINE env var, then fast).  The two
+    #: engines are observationally identical; see repro.perf and
+    #: DESIGN.md §11.
     engine: str = "default"
 
     def validate(self) -> None:
@@ -97,14 +95,8 @@ class Machine:
     def __init__(self, config: MachineConfig, tracer=None) -> None:
         config.validate()
         self.config = config
-        kind = resolve_engine(config.engine)
-        #: the concrete engine kind actually running (after override
-        #: resolution) — the langvm program keys plan compilation on it
-        self.engine_kind = kind
-        if kind == "fast":
+        if resolve_engine(config.engine) == "fast":
             self.engine = FastEventEngine()
-        elif kind == "compiled":
-            self.engine = CompiledEventEngine()
         else:
             self.engine = EventEngine()
         self.metrics = MetricsRegistry()

@@ -113,37 +113,6 @@ class ProcessingElement:
         self._burst_event = None
         on_done(*args)
 
-    def finish_fused(self, cycles: int, start: int) -> None:
-        """Account a burst whose completion the compiled engine fused.
-
-        The fast-path executor (:mod:`repro.compile`) has already moved
-        the clock to the burst's end via
-        :meth:`CompiledEventEngine.try_advance
-        <repro.hardware.compiled.CompiledEventEngine.try_advance>`;
-        this applies both halves of the :meth:`execute`/:meth:`_finish`
-        accounting in one go — busy window ``[start, now]``, burst and
-        cycle counters, ``cycles_executed`` — with the state never
-        leaving IDLE (no event exists for a fault to cancel, and the
-        caller proved nothing can observe the BUSY window).
-        """
-        if self.state is not PEState.IDLE:
-            raise SchedulingError(
-                f"{self.name}: fused burst on a {self.state.value} PE"
-            )
-        self.busy.begin(start)
-        if self._cells_version != self.metrics.version:
-            self._refresh_cells()
-        cell = self._bursts_cell
-        if cell is None:
-            cell = self._bursts_cell = self.metrics.counter("proc.bursts")
-        cell.value += 1
-        self.cycles_executed += cycles
-        cell = self._cycles_cell
-        if cell is None:
-            cell = self._cycles_cell = self.metrics.counter("proc.cycles")
-        cell.value += cycles
-        self.busy.end(self.engine.now)
-
     def resume_burst(self, total_cycles: int, end_time: int,
                      on_done: Callable[..., None], *args: Any) -> None:
         """Re-issue the completion event of a burst restored mid-flight.

@@ -14,8 +14,7 @@ Program findings carry stable codes (W1 write-write race, W2 unwaited
 read-write race, D1 missing wait / initiate cycle, O1 raw storage on a
 non-owned handle); architecture findings use A1 (layering), A2 (span
 balance), A3 (public-API drift), S1 (snapshot/restore completeness for
-the :mod:`repro.ckpt` spine), U1 (deprecated flat submit form instead
-of a :class:`~repro.appvm.JobSpec`).  Every finding has file:line and a
+the :mod:`repro.ckpt` spine).  Every finding has file:line and a
 severity, and the report exports to the same plain-record form as the
 :mod:`repro.obs` spine.
 """
@@ -42,7 +41,6 @@ from .cost import (
     check_cost,
     machine_env,
 )
-from .deprecated import check_deprecated_api
 from .findings import CODES, SCHEMA, Finding, LintReport
 from .flow import (
     FLOW_SCHEMA,
@@ -56,7 +54,6 @@ from .flow import (
     check_soundness,
     check_w3,
     check_x1,
-    compilable_split,
     observed_edges,
     summarize,
     task_blockers,
@@ -147,7 +144,6 @@ __all__ = [
     "check_cost",
     "check_d1",
     "check_d2",
-    "check_deprecated_api",
     "check_layering",
     "check_o1",
     "check_package_api",
@@ -161,7 +157,6 @@ __all__ = [
     "check_w3",
     "check_x1",
     "collect_tasks",
-    "compilable_split",
     "cost_report",
     "flow_summary",
     "layering_violations",

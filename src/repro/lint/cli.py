@@ -34,7 +34,6 @@ from typing import Iterable, List, Optional, Sequence
 from .api import check_public_api
 from .astutil import TaskInfo, collect_tasks
 from .cache import LintCache, content_digest, selection_salt
-from .deprecated import check_deprecated_api
 from .findings import CODES, Finding, LintReport
 from .layering import check_layering
 from .program import check_tasks
@@ -88,7 +87,6 @@ def _analyze_file(f: pathlib.Path, source: str):
     tasks = collect_tasks(tree, str(f))
     findings.extend(check_span_balance(tree, str(f)))
     findings.extend(check_snapshots(tree, str(f)))
-    findings.extend(check_deprecated_api(tree, str(f)))
     if f.name == "__init__.py":
         findings.extend(check_public_api(tree, str(f)))
     return findings, tasks
@@ -159,7 +157,6 @@ def lint_source(source: str, filename: str = "<string>") -> LintReport:
     report.extend(check_tasks(tasks))
     report.extend(check_span_balance(tree, filename))
     report.extend(check_snapshots(tree, filename))
-    report.extend(check_deprecated_api(tree, filename))
     return report
 
 

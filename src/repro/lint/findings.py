@@ -31,13 +31,12 @@ CODES: Dict[str, str] = {
     "A2": "obs_begin without obs_end on some code path",
     "A3": "public-API drift: __all__ name does not resolve",
     "S1": "incomplete snapshot/restore pair (checkpoint contract)",
-    "U1": "deprecated submit(user, model, load_set) form; use JobSpec",
     "X1": "task registered but unreachable from any entry task",
     "C1": "statically unbounded cost: unresolvable replication in an "
           "unresolvable loop",
     "C2": "predicted window fan-in exceeds its declared capacity",
-    "P1": "program not fully compilable: a construct forces this task "
-          "back onto the interpreter under the compiled engine",
+    "P1": "task type has a statically unresolved spawn target or "
+          "replication count",
 }
 
 SEVERITIES = ("error", "warning")

@@ -20,8 +20,7 @@ per-task syntactic scans; this subpackage gives them a real middle end:
   message routes, per-window fan-in/out, fixed-length burst chains.
 * :mod:`~repro.lint.flow.soundness` — runs a program under the
   :mod:`repro.obs` tracer and asserts every observed message edge was
-  statically predicted (the validated front half of the compiled
-  dispatch planned in ROADMAP item 1).
+  statically predicted.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .checks import check_d2, check_flow, check_w2_flow, check_w3, check_x1
 from .compilable import (
     Blocker,
     check_compilable,
-    compilable_split,
     task_blockers,
 )
 from .dataflow import TaskSummary, interpret_task, summarize_tasks
@@ -51,7 +49,6 @@ __all__ = [
     "check_compilable",
     "check_d2",
     "check_flow",
-    "compilable_split",
     "task_blockers",
     "check_soundness",
     "check_w2_flow",

@@ -1,9 +1,9 @@
-"""P1 — which task types the submit-time compiler can specialize.
+"""P1 — which task types have every spawn fact statically resolved.
 
-The :mod:`repro.compile` backend replays a task only when every fact it
-needs is statically resolved; anything the flow analysis returns as TOP
-forces that task type back onto the interpreter.  Exactly two constructs
-are blocking, and each maps to one :class:`Blocker`:
+A task type's dispatch shape is known ahead of time only when the flow
+analysis resolves every spawn it makes; anything it returns as TOP is
+reported.  Exactly two constructs are blocking, and each maps to one
+:class:`Blocker`:
 
 * a **dynamic spawn target** — ``ctx.initiate(task_type_var, ...)``
   where the type is a runtime value, so no static route exists for the
@@ -12,21 +12,21 @@ are blocking, and each maps to one :class:`Blocker`:
   literal nor a single unclobbered local bound to a literal int, so the
   fan-out shape (and the burst-chain length behind it) is TOP.
 
-:func:`check_compilable` renders the blockers as P1 *warnings*: an
-interpreted task is slower, never wrong, so P1 is advisory — surfaced
-by the compile pipeline and the service pool when a compiled-engine job
-falls back, not by the default lint rule set.
+:func:`check_compilable` renders the blockers as P1 *warnings*: a
+blocked task runs exactly like any other, so P1 is advisory and not in
+the default lint rule set.  :func:`task_blockers` also feeds the
+coverage figure of :func:`repro.compile.compile_program`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..astutil import TaskInfo
 from ..findings import Finding
 
-__all__ = ["Blocker", "check_compilable", "compilable_split", "task_blockers"]
+__all__ = ["Blocker", "check_compilable", "task_blockers"]
 
 #: event kinds that (re)bind local names — a count binding is trusted
 #: only when every def touching it is a ``const`` with one value
@@ -36,7 +36,7 @@ _DEF_KINDS = ("initiate", "subcall", "assign", "assign_empty", "const",
 
 @dataclass(frozen=True)
 class Blocker:
-    """One construct that keeps a task type on the interpreter."""
+    """One construct the flow analysis cannot resolve statically."""
 
     line: int
     kind: str       # "dynamic_target" | "top_count"
@@ -67,7 +67,7 @@ def _const_binding(task: TaskInfo, name: str) -> Tuple[bool, object]:
 
 
 def task_blockers(task: TaskInfo) -> List[Blocker]:
-    """Every construct in *task* the compiler cannot specialize."""
+    """Every statically unresolved spawn construct in *task*."""
     out: List[Blocker] = []
     for site in task.initiates:
         if site.task_type is None:
@@ -99,26 +99,6 @@ def task_blockers(task: TaskInfo) -> List[Blocker]:
     return out
 
 
-def compilable_split(tasks: List[TaskInfo]) \
-        -> Tuple[List[str], Dict[str, List[Blocker]]]:
-    """Partition a task set for the compiler.
-
-    Returns ``(compilable, blocked)``: the task-type names the backend
-    may specialize, and a name → blockers map for the rest (the P1
-    evidence).  Names follow the registered type, falling back to the
-    function name for unregistered helpers.
-    """
-    compilable: List[str] = []
-    blocked: Dict[str, List[Blocker]] = {}
-    for task in tasks:
-        blockers = task_blockers(task)
-        if blockers:
-            blocked[task.name] = blockers
-        else:
-            compilable.append(task.name)
-    return compilable, blocked
-
-
 def check_compilable(tasks: List[TaskInfo]) -> List[Finding]:
     """P1 findings: one warning per blocking construct, anchored to it."""
     findings: List[Finding] = []
@@ -126,8 +106,7 @@ def check_compilable(tasks: List[TaskInfo]) -> List[Finding]:
         for b in task_blockers(task):
             findings.append(Finding(
                 "P1",
-                f"not fully compilable — {b.detail}; this task type "
-                f"falls back to the interpreter under the compiled engine",
+                f"statically unresolved — {b.detail}",
                 task.file, b.line, severity="warning", task=task.name,
             ))
     return findings

@@ -31,11 +31,10 @@ ALLOWED: Dict[str, Set[str]] = {
     "langvm": {"sysvm", "hardware", "obs", "compile"},
     "fem": {"langvm", "sysvm", "hardware", "obs"},
     "appvm": {"fem", "langvm", "sysvm", "hardware", "hgraph", "obs", "lint",
-              "ckpt", "compile"},
-    # compile is the submit-time specializer: it reads lint's flow facts
-    # and installs a fast-path executor over sysvm/hardware, so it sits
-    # between lint and the language layer (langvm hooks it at start())
-    "compile": {"lint", "sysvm", "hardware", "obs"},
+              "ckpt"},
+    # compile is pure plan analysis over lint's flow facts; langvm
+    # reaches it from Fem2Program.compile_plan()
+    "compile": {"lint"},
     "core": {"hgraph"},
     "ckpt": set(),
     "analysis": {"fem", "hardware", "sysvm", "obs"},

@@ -15,9 +15,8 @@ engine must preserve:
   and the caller may require it via ``require_ckpt``).
 
 The engine matrix defaults to every concrete engine
-(:data:`repro.hardware.events.CONCRETE_ENGINES` — reference, fast,
-compiled); each engine is diffed against the first, which serves as the
-baseline.
+(:data:`repro.hardware.events.CONCRETE_ENGINES` — reference, fast);
+each engine is diffed against the first, which serves as the baseline.
 
 :func:`compare_callable` is the coarser instrument for benchmark
 records: it runs any function under each engine and diffs the

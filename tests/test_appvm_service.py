@@ -147,34 +147,15 @@ class TestJobLifecycle:
         assert not JobState.REJECTED.in_flight
 
 
-class TestDeprecatedSubmitShim:
-    def test_positional_form_warns_and_works(self):
-        service = make_service()
-        with pytest.warns(DeprecationWarning, match="JobSpec"):
-            handle = service.submit("u", make_model("m"), "case", workers=2)
-        service.run()
-        assert handle.done
-
-    def test_shim_matches_jobspec_form(self):
-        new = make_service()
-        h_new = new.submit(spec_for("alice", make_model("m_alice")))
-        new.run()
-
-        old = make_service()
-        with pytest.warns(DeprecationWarning):
-            h_old = old.submit("alice", make_model("m_alice"), "case")
-        old.run()
-        assert np.allclose(h_old.result().u, h_new.result().u)
-        assert h_old.result().model_name == h_new.result().model_name
-
-    def test_spec_plus_positionals_rejected(self):
-        service = make_service()
-        spec = spec_for("u", make_model("m"))
-        with pytest.raises(AppVMError, match="JobSpec"):
-            service.submit(spec, make_model("m2"), "case")
-
-
 class TestRemovedAPI:
+    def test_positional_submit_form_is_gone(self):
+        service = make_service()
+        with pytest.raises(TypeError):
+            service.submit("u", make_model("m"), "case")
+        with pytest.raises(AppVMError, match="JobSpec"):
+            service.submit("u")
+        assert service.pending_count == 0
+
     def test_run_batch_is_gone(self):
         assert not hasattr(MachineService, "run_batch")
 

@@ -349,7 +349,7 @@ class TestRunPoint:
         options = RunOptions(base_config={"n_clusters": 2})
         cfg = build_config({"n_clusters": 4, "hop_latency": 9}, options)
         assert cfg.n_clusters == 4 and cfg.hop_latency == 9
-        assert cfg.engine == "compiled"
+        assert cfg.engine == "default"
 
     def test_mesh_axes_change_the_model(self):
         options = RunOptions()

@@ -21,7 +21,7 @@ SPACE_AXES = {"nx": [2, 4], "workers": [1, 2]}
 
 
 def small_campaign(workers, **overrides):
-    kwargs = dict(name="det", engine="compiled", workers=workers,
+    kwargs = dict(name="det", workers=workers,
                   waves=2, refine_per_wave=1, restart_events=40)
     kwargs.update(overrides)
     return Campaign(ParamSpace(SPACE_AXES), **kwargs)
@@ -148,12 +148,12 @@ class TestWarmRestart:
 
 class TestEngineIndependence:
     @pytest.mark.parametrize("engine", CONCRETE_ENGINES)
-    def test_metrics_agree_with_compiled(self, engine):
+    def test_metrics_agree_across_engines(self, engine):
         """A campaign's simulated observables are engine-invariant —
         the campaign layer inherits the perf layer's equivalence
         guarantee (spans excluded: tracing granularity may differ)."""
         space = ParamSpace({"nx": [2, 3]})
-        baseline = Campaign(space, engine="compiled", trace=False).run()
+        baseline = Campaign(space, engine="reference", trace=False).run()
         other = Campaign(ParamSpace({"nx": [2, 3]}), engine=engine,
                          trace=False).run()
         for a, b in zip(baseline.points, other.points):

@@ -1,34 +1,9 @@
-"""Tests for repro.compile: submit-time specialization of the task
-graph into a flattened dispatch program.
-
-Covers the plan analysis (P1 compilability split and blocker
-evidence), the fused-burst executor (equivalence against the reference
-and fast engines, install/uninstall hygiene), the engine-resolution
-precedence chain with its strict validation, the compiled engine's
-``replay`` primitive, and the service pool's shared plan cache.
+"""Tests for repro.compile: the static plan analysis of a program's
+registered task graph (resolved/blocked split, blocker evidence, and
+the P1 findings lint renders from the same blockers).
 """
 
-import numpy as np
-import pytest
-
-from repro.appvm import JobSpec, ServicePool, StructureModel
-from repro.ckpt.codec import to_bytes
-from repro.compile import (
-    SCHEMA,
-    CompiledExecutor,
-    CompiledPlan,
-    compile_program,
-)
-from repro.errors import ConfigurationError, SimulationError
-from repro.fem import LoadSet, Material, rect_grid
-from repro.hardware.calqueue import FastEventEngine
-from repro.hardware.compiled import CompiledEventEngine
-from repro.hardware.events import (
-    CONCRETE_ENGINES,
-    EventEngine,
-    forced_engine,
-    resolve_engine,
-)
+from repro.compile import SCHEMA, CompiledPlan, compile_program
 from repro.hardware.machine import MachineConfig
 from repro.langvm.program import Fem2Program
 from repro.lint import check_compilable, registry_tasks
@@ -36,10 +11,10 @@ from repro.lint import check_compilable, registry_tasks
 # -- program builders (module-level so task source is recoverable) ---------
 
 
-def build_chain(engine="compiled"):
+def build_chain():
     """A single task running a fixed-length burst chain — the fully
-    compilable case where fusion should cover nearly every burst."""
-    prog = Fem2Program(MachineConfig(engine=engine), journal=True)
+    resolved case."""
+    prog = Fem2Program(MachineConfig())
 
     @prog.task()
     def chain(ctx):
@@ -52,34 +27,10 @@ def build_chain(engine="compiled"):
     return prog
 
 
-def build_fanout(engine="compiled"):
-    """Static spawn targets and literal replication counts: compilable,
-    with concurrency exercising fusion's pending-event refusals."""
-    prog = Fem2Program(
-        MachineConfig(engine=engine, n_clusters=2, pes_per_cluster=3),
-        journal=True,
-    )
-
-    @prog.task()
-    def leaf(ctx, index):
-        yield ctx.compute(cycles=20 + index)
-        return index
-
-    @prog.task()
-    def main(ctx):
-        n = 4
-        tids = yield ctx.initiate("leaf", count=n)
-        results = yield ctx.wait(tids)
-        return sum(results.values())
-
-    return prog
-
-
-def build_dynamic(engine="compiled"):
+def build_dynamic():
     """A dynamic spawn target and a TOP replication count: both tasks
-    must fall back to the interpreter, with P1 evidence, and the
-    program must still run."""
-    prog = Fem2Program(MachineConfig(engine=engine), journal=True)
+    are blocked, with P1 evidence."""
+    prog = Fem2Program(MachineConfig())
 
     @prog.task()
     def leaf(ctx, index):
@@ -115,11 +66,12 @@ def build_dynamic(engine="compiled"):
 
 class TestPlanAnalysis:
     def test_fully_compilable_program(self):
-        plan = compile_program(build_chain())
+        prog = build_chain()
+        plan = compile_program(prog)
         assert isinstance(plan, CompiledPlan)
         assert plan.coverage == 1.0
         assert plan.fused_types == {"chain"}
-        assert not plan.findings()
+        assert not check_compilable(registry_tasks(prog))
         record = plan.to_record()
         assert record["schema"] == SCHEMA
         assert record["counts"] == {"types": 1, "fused": 1, "fallback": 0}
@@ -145,15 +97,16 @@ class TestPlanAnalysis:
 
     def test_p1_findings_surface_the_blockers(self):
         prog = build_dynamic()
-        findings = compile_program(prog).findings()
+        findings = check_compilable(registry_tasks(prog))
         assert [f.code for f in findings] == ["P1", "P1"]
         assert all(f.severity == "warning" for f in findings)
         assert {f.task for f in findings} == {"spawn_by_name",
                                               "spawn_counted"}
-        # the standalone lint entry point reports the same facts
-        lint_findings = check_compilable(registry_tasks(prog))
-        assert [(f.code, f.task) for f in lint_findings] \
-            == [(f.code, f.task) for f in findings]
+        # one finding per blocker the plan recorded, at the same line
+        plan = compile_program(prog)
+        assert sorted((f.task, f.line) for f in findings) == sorted(
+            (name, b.line)
+            for name, tp in plan.task_plans.items() for b in tp.blockers)
 
     def test_unrecoverable_source_is_top(self):
         prog = build_chain()
@@ -169,205 +122,5 @@ class TestPlanAnalysis:
         assert "gen" in plan.fallback_types
         (blocker,) = plan.task_plans["gen"].blockers
         assert blocker.kind == "no_source"
-        # the fallback is per-task: the program still runs compiled
+        # the analysis never touches execution
         assert prog.run("gen") == 1
-
-
-# -- the fused executor ----------------------------------------------------
-
-
-class TestFusedExecution:
-    def test_chain_fuses_and_matches_reference(self):
-        ref = build_chain("reference")
-        comp = build_chain("compiled")
-        assert ref.run("chain") == comp.run("chain") == 420
-        ex = comp.runtime.compiled_executor
-        assert ex.fused_bursts > 50  # nearly every chain burst fused
-        assert ref.now == comp.now
-        assert ref.machine.engine.events_processed \
-            == comp.machine.engine.events_processed
-        assert dict(ref.metrics.flat()) == dict(comp.metrics.flat())
-        assert to_bytes(ref.snapshot()) == to_bytes(comp.snapshot())
-
-    def test_fallback_program_matches_reference(self):
-        ref = build_dynamic("reference")
-        comp = build_dynamic("compiled")
-        assert ref.run("main") == comp.run("main")
-        assert ref.now == comp.now
-        assert dict(ref.metrics.flat()) == dict(comp.metrics.flat())
-        assert to_bytes(ref.snapshot()) == to_bytes(comp.snapshot())
-
-    def test_fanout_matches_reference(self):
-        ref = build_fanout("reference")
-        comp = build_fanout("compiled")
-        assert ref.run("main") == comp.run("main")
-        assert ref.now == comp.now
-        assert dict(ref.metrics.flat()) == dict(comp.metrics.flat())
-        assert to_bytes(ref.snapshot()) == to_bytes(comp.snapshot())
-
-    def test_plan_installed_at_submit_time(self):
-        prog = build_chain()
-        assert prog.plan is None  # nothing compiled before submission
-        prog.run("chain")
-        assert prog.plan is not None
-        assert prog.plan.source == tuple(prog.runtime.registry.types())
-
-    def test_plan_recompiled_when_registry_changes(self):
-        prog = build_fanout()
-        prog.run("main")
-        first = prog.plan
-
-        @prog.task()
-        def extra(ctx):
-            yield ctx.compute(cycles=1)
-            return 0
-
-        prog.run("extra")
-        assert prog.plan is not first
-        assert "extra" in prog.plan.fused_types
-
-    def test_executor_requires_compiled_engine(self):
-        prog = build_chain("fast")
-        plan = compile_program(prog)  # analysis works on any engine
-        with pytest.raises(ConfigurationError, match="compiled engine"):
-            CompiledExecutor(prog.runtime, plan)
-
-    def test_install_uninstall_restores_interpreter(self):
-        prog = build_chain()
-        plan = prog.compile_plan()
-        prog.install_plan(plan)
-        runtime = prog.runtime
-        assert runtime.compiled_executor.plan is plan
-        assert "_burst" in runtime.__dict__
-        runtime.compiled_executor.uninstall()
-        for name in ("_burst", "_continue", "compiled_executor"):
-            assert name not in runtime.__dict__
-
-
-# -- engine resolution -----------------------------------------------------
-
-
-class TestEngineResolution:
-    def test_default_resolves_to_fast(self, monkeypatch):
-        monkeypatch.delenv("FEM2_ENGINE", raising=False)
-        assert resolve_engine("default") == "fast"
-
-    def test_env_overrides_default_only(self, monkeypatch):
-        monkeypatch.setenv("FEM2_ENGINE", "compiled")
-        assert resolve_engine("default") == "compiled"
-        # an explicit config beats the environment
-        assert resolve_engine("reference") == "reference"
-
-    def test_forced_overrides_explicit_config(self, monkeypatch):
-        monkeypatch.setenv("FEM2_ENGINE", "reference")
-        with forced_engine("compiled"):
-            assert resolve_engine("reference") == "compiled"
-            machine_engine = Fem2Program(
-                MachineConfig(engine="fast")).machine.engine
-        assert isinstance(machine_engine, CompiledEventEngine)
-
-    def test_unknown_env_value_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("FEM2_ENGINE", "ref")
-        with pytest.raises(ConfigurationError, match="FEM2_ENGINE"):
-            resolve_engine("default")
-        # explicit configs never consult the (broken) environment
-        assert resolve_engine("fast") == "fast"
-
-    def test_unknown_config_and_forced_values_are_errors(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine("calendar")
-        with pytest.raises(ConfigurationError, match="forced_engine"):
-            with forced_engine("default"):
-                pass  # pragma: no cover - forced_engine raises first
-
-    def test_machine_engine_classes(self, monkeypatch):
-        monkeypatch.delenv("FEM2_ENGINE", raising=False)
-        for kind, cls in (("reference", EventEngine),
-                          ("fast", FastEventEngine),
-                          ("compiled", CompiledEventEngine)):
-            machine = Fem2Program(MachineConfig(engine=kind)).machine
-            assert type(machine.engine) is cls
-            assert machine.engine_kind == kind
-        assert tuple(CONCRETE_ENGINES) == ("reference", "fast", "compiled")
-
-
-# -- the replay primitive --------------------------------------------------
-
-
-class TestReplay:
-    CHAINS = [(0, 3, 5), (2, 2, 7), (2, 0, 1), (9, 4, 0)]
-
-    def interpret(self, chains):
-        eng = FastEventEngine()
-        for start, period, count in chains:
-            for i in range(count):
-                eng.schedule_at(start + i * period, lambda: None)
-        eng.run()
-        return eng.events_processed, eng.now
-
-    def test_replay_matches_interpreted_chains(self):
-        eng = CompiledEventEngine()
-        n = eng.replay(self.CHAINS)
-        events, clock = self.interpret(self.CHAINS)
-        assert (n, eng.events_processed, eng.now) == (events, events, clock)
-
-    def test_replay_needs_idle_engine(self):
-        eng = CompiledEventEngine()
-        eng.schedule(5, lambda: None)
-        with pytest.raises(SimulationError, match="idle"):
-            eng.replay([(0, 1, 3)])
-
-    def test_replay_rejects_negative_fields(self):
-        eng = CompiledEventEngine()
-        with pytest.raises(SimulationError, match="non-negative"):
-            eng.replay([(0, 1, -3)])
-
-    def test_replay_is_relative_to_now(self):
-        eng = CompiledEventEngine()
-        eng.schedule(10, lambda: None)
-        eng.run()
-        assert eng.replay([(5, 2, 3)]) == 3
-        assert eng.now == 19  # 10 + 5 + 2*2
-        assert eng.events_processed == 4
-
-
-# -- the service pool's plan cache -----------------------------------------
-
-
-def make_model(name):
-    model = StructureModel(name, material=Material(e=70e9, nu=0.3,
-                                                   thickness=0.01))
-    model.set_mesh(rect_grid(3, 2, 2.0, 1.0))
-    model.constraints.fix_nodes(model.mesh.nodes_on(x=0.0))
-    ls = LoadSet("case")
-    ls.add_nodal_many(model.mesh.nodes_on(x=2.0), 1, -1e4)
-    model.load_sets["case"] = ls
-    return model
-
-
-def test_pool_caches_compiled_plans():
-    with forced_engine("compiled"):
-        pool = ServicePool(
-            n_machines=1,
-            config=MachineConfig(n_clusters=2, pes_per_cluster=3,
-                                 memory_words_per_cluster=8_000_000),
-        )
-        handle = pool.submit(JobSpec(user="a", model=make_model("m1"),
-                                     load_set="case", workers=1, tol=1e-6))
-        pool.run()
-        assert handle.done
-        assert pool._plan_cache  # submit() compiled and cached a plan
-        plan = next(iter(pool._plan_cache.values()))
-        assert isinstance(plan, CompiledPlan)
-    # the same jobs under the fast engine agree on the displacement field
-    with forced_engine("fast"):
-        pool2 = ServicePool(
-            n_machines=1,
-            config=MachineConfig(n_clusters=2, pes_per_cluster=3,
-                                 memory_words_per_cluster=8_000_000),
-        )
-        handle2 = pool2.submit(JobSpec(user="a", model=make_model("m1"),
-                                       load_set="case", workers=1, tol=1e-6))
-        pool2.run()
-        assert not pool2._plan_cache  # fast engine never compiles
-    np.testing.assert_array_equal(handle.result().u, handle2.result().u)

@@ -1,16 +1,16 @@
-"""Engine equivalence: the fast calendar-queue engine and the compiled
-engine must be observationally identical to the reference heapq engine.
+"""Engine equivalence: the fast calendar-queue engine must be
+observationally identical to the reference heapq engine.
 
 Three layers of evidence, all with pinned hypothesis seeds
 (``derandomize=True``) so CI failures reproduce exactly:
 
 * raw-engine scripts — generated schedule/cancel/halt programs
-  interpreted on every engine must produce the same dispatch order,
+  interpreted on both engines must produce the same dispatch order,
   clock, processed count, pending count, and snapshot;
 * full-stack programs — generated :class:`~repro.langvm.Fem2Program`
   runs compared through :func:`repro.perf.assert_equivalent`
   (result, clock, events, flat metrics, byte-identical fem2-ckpt/1)
-  across the whole three-engine matrix, compiled fast path included;
+  across the two-engine matrix;
 * the canned :data:`repro.perf.WORKLOADS` suite, which covers fault
   cancellation and message storms the generators keep small.
 """
@@ -21,13 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.calqueue import FastEventEngine
-from repro.hardware.compiled import CompiledEventEngine
 from repro.hardware.events import EventEngine
 from repro.hardware.machine import MachineConfig
 from repro.langvm.program import Fem2Program
 from repro.perf import WORKLOADS, assert_equivalent
 
-ENGINES = (EventEngine, FastEventEngine, CompiledEventEngine)
+ENGINES = (EventEngine, FastEventEngine)
 
 SCRIPTS = settings(max_examples=60, deadline=None, derandomize=True,
                    suppress_health_check=[HealthCheck.too_slow])

@@ -7,9 +7,8 @@ final clock, events processed, every flat metric, and the entire
 ordering, cycle accounting, metric naming, or tracing shows up as a
 one-line diff here before it can silently shift published benchmarks.
 
-All three engines — reference, fast, compiled — are asserted against
-the *same* fixture: the golden bytes are also an engine-equivalence
-statement, fused-burst fast path included.
+Both engines — reference and fast — are asserted against the *same*
+fixture: the golden bytes are also an engine-equivalence statement.
 
 To regenerate after an intentional semantic change::
 
@@ -114,7 +113,7 @@ def golden_bytes(build):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-@pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_golden_trace(name, engine):
     path = FIXTURES / f"golden_{name}.json"
     with forced_engine(engine):

@@ -606,46 +606,3 @@ class TestSubmitGate:
             svc.submit(JobSpec(user="eve", model=make_model(),
                                load_set="case", lint="error"))
         assert len(tracer.spans("lint.W1")) == 1
-
-
-class TestU1DeprecatedSubmit:
-    def lint(self, src):
-        from repro.lint import check_deprecated_api
-        import ast
-        return check_deprecated_api(ast.parse(textwrap.dedent(src)), "x.py")
-
-    def test_flat_positional_form_flagged(self):
-        (f,) = self.lint("""
-            def go(service, model):
-                service.submit("alice", model, "case")
-        """)
-        assert f.code == "U1" and f.severity == "warning"
-        assert "JobSpec" in f.message
-
-    def test_old_keywords_flagged(self):
-        (f,) = self.lint("""
-            def go(service, spec):
-                service.submit(spec, workers=4, lint="error")
-        """)
-        assert "workers" in f.message and "lint" in f.message
-
-    def test_string_first_arg_flagged(self):
-        assert len(self.lint("""
-            def go(service, model):
-                service.submit("bob", model=model, load_set="case")
-        """)) == 1
-
-    def test_jobspec_form_clean(self):
-        assert self.lint("""
-            def go(service, spec, specs):
-                service.submit(spec)
-                pool.submit(specs[0])
-                service.submit(make_spec(user="u"))
-        """) == []
-
-    def test_rides_lint_source(self):
-        report = lint_source(textwrap.dedent("""
-            def go(service, model):
-                service.submit("alice", model, "case", workers=2)
-        """))
-        assert [f.code for f in report.findings] == ["U1"]

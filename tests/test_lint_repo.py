@@ -12,8 +12,8 @@ from repro.lint import LintCache, lint_paths
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: one cache for the whole module: the U1 sweep re-walks the same trees
-#: the green gates already analyzed, so per-file work is paid once
+#: one cache for the whole module: the gates re-walk the same trees,
+#: so per-file work is paid once
 CACHE = LintCache()
 
 
@@ -70,13 +70,3 @@ def test_calqueue_snapshot_exemptions_are_tight():
     assert eng.pending() == 0 and eng.idle()  # exempt queue state rebuilt
     assert eng.snapshot() == {"now": 5, "events_processed": 1,
                               "halted": False}
-
-
-def test_no_deprecated_submit_form_in_tree():
-    """U1 gate: nothing shipped may still use the pre-JobSpec submit
-    form (the DeprecationWarning shim exists for downstream users only;
-    deprecation *tests* live in tests/, which is not linted)."""
-    report = lint_paths([ROOT / "src", ROOT / "examples",
-                         ROOT / "benchmarks"], arch=False, cache=CACHE)
-    stale = [f for f in report.findings if f.code == "U1"]
-    assert not stale, "\n".join(f.render() for f in stale)
