@@ -8,7 +8,8 @@ checkpoint-based preemption via :mod:`repro.ckpt`.
 
 from .dispatch import FairShareQueue
 from .handle import JobHandle
-from .pool import CKPT_SCHEMA, PoolMachine, ServicePool, rebuild_program
+from .machine import CKPT_SCHEMA, PoolMachine, rebuild_program
+from .pool import ServicePool
 from .quota import (
     TenantLedger,
     TenantTable,

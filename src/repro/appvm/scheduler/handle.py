@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...errors import AppVMError
-from ..model import AnalysisResult, StructureModel
+from ..model import AnalysisResult
 from .spec import JobSpec, JobState
 
 
@@ -42,28 +42,6 @@ class JobHandle:
         self._owner = owner
         self._resume_image: Optional[bytes] = None  # fem2-ckpt/1 blob
         self._enqueued_at: Optional[int] = None
-
-    # -- JobSpec convenience views (kept from the old flat handle) ---------
-
-    @property
-    def user(self) -> str:
-        return self.spec.user
-
-    @property
-    def model(self) -> StructureModel:
-        return self.spec.model
-
-    @property
-    def load_set(self) -> str:
-        return self.spec.load_set
-
-    @property
-    def workers(self) -> int:
-        return self.spec.workers
-
-    @property
-    def tol(self) -> float:
-        return self.spec.tol
 
     # -- lifecycle ----------------------------------------------------------
 

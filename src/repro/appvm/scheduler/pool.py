@@ -2,13 +2,12 @@
 
 Submissions (:class:`~repro.appvm.scheduler.spec.JobSpec`) pass through
 admission control (quota + the lint gate), wait in per-tenant queues,
-and are dispatched by stride fair-share onto pool machines.  A running
-job can be *preempted* for a higher-priority one: its machine is
-checkpointed through :mod:`repro.ckpt` into a ``fem2-ckpt/1`` blob, the
-machine is handed to the urgent job, and the preempted job later
-resumes — on the same or a spare machine — bit-identically, because
-checkpoint restore replays the journal to the exact event it stopped
-at.
+and are dispatched by stride fair-share onto pool machines
+(:class:`~repro.appvm.scheduler.machine.PoolMachine`), one job per
+machine and a fresh program per assignment.  A running job can be
+*preempted* for a higher-priority one: its machine is checkpointed into
+a ``fem2-ckpt/1`` blob, the machine is handed to the urgent job, and
+the preempted job later resumes on whichever machine comes free.
 
 Two clock domains exist.  Each machine's program keeps its own
 simulated cycle clock; the pool keeps a *global service clock* that
@@ -16,240 +15,23 @@ advances in ``quantum``-cycle scheduling rounds, with every busy
 machine running its slice of each round concurrently.  Queue-wait
 latency, quota windows, and fair-share accounting are all measured in
 global service cycles.
-
-:class:`~repro.appvm.MachineService` is a thin single-machine
-compatibility wrapper: a one-machine pool in *persistent* mode (one
-program reused across batches, unbounded job slots, drain-style
-``run()``), which reproduces the pre-pool service exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import asdict
 from typing import Any, Dict, Iterable, List, Optional
 
-from ...ckpt import from_bytes, to_bytes
 from ...errors import AppVMError
-from ...fem import (
-    collect_parallel_cg,
-    recover_stresses,
-    register_parallel_cg,
-)
 from ...hardware.machine import MachineConfig
 from ...langvm import Fem2Program
-from ...lint import (
-    COST_SCHEMA,
-    FLOW_SCHEMA,
-    cost_report,
-    flow_summary,
-    lint_program,
-    machine_env,
-)
-from ..model import AnalysisResult
+from ...lint import cost_report, machine_env
 from .dispatch import FairShareQueue
 from .handle import JobHandle
+from .machine import PoolMachine, _lint_gate, _register_solve
 from .quota import TenantTable, admission_reason, fairness_index, jain_index
 from .spec import JobSpec, JobState, Tenant
-
-#: schema tag of machine/service checkpoint blobs (unchanged since PR 3)
-CKPT_SCHEMA = "fem2-ckpt/1"
-
-
-def rebuild_program(config: MachineConfig, state: Dict[str, Any],
-                    tracer=None) -> Fem2Program:
-    """A fresh journaled program with *state*'s jobs re-registered and
-    the captured machine state restored into it (the spare-hardware
-    model shared by :meth:`MachineService.resume` and pool preemption)."""
-    program = Fem2Program(config, tracer=tracer, journal=True)
-    for job in state["jobs"]:
-        model = job["model"]
-        root_name = job["root_name"]
-        register_parallel_cg(
-            program,
-            model.require_mesh(),
-            model.material,
-            model.require_constraints(),
-            model.load_set(job["load_set"]),
-            n_workers=job["workers"],
-            tol=job["tol"],
-            worker_name=root_name.replace("cg_root", "cg_worker"),
-            root_name=root_name,
-        )
-    program.restore(state["program"])
-    return program
-
-
-class PoolMachine:
-    """One simulated machine of the pool and the jobs resident on it."""
-
-    def __init__(self, index: int, config: MachineConfig, journal: bool,
-                 tracer=None) -> None:
-        self.index = index
-        self.config = config
-        self.journal = journal
-        self.tracer = tracer
-        self.jobs: List[JobHandle] = []
-        #: global service cycle at which this program's local clock was 0
-        self.offset = 0
-        #: local cycles accumulated across all assignments (utilization)
-        self.busy_cycles = 0
-        #: True once a job has run here since the last fresh program
-        self.dirty = False
-        self.program = self._fresh()
-
-    def _fresh(self) -> Fem2Program:
-        return Fem2Program(self.config, tracer=self.tracer,
-                           journal=self.journal)
-
-    def reset(self, global_now: int) -> None:
-        """Swap in a fresh program (job isolation between assignments)."""
-        self.busy_cycles += self.program.now
-        self.program = self._fresh()
-        self.offset = global_now
-        self.jobs = []
-        self.dirty = False
-
-    @property
-    def global_now(self) -> int:
-        return self.offset + self.program.now
-
-    # -- job execution ------------------------------------------------------
-
-    def spawn(self, handle: JobHandle) -> None:
-        """Register and start *handle*'s solve as a root task here."""
-        spec = handle.spec
-        model = spec.model
-        worker_name, root_name = handle.task_names()
-        register_parallel_cg(
-            self.program,
-            model.require_mesh(),
-            model.material,
-            model.require_constraints(),
-            model.load_set(spec.load_set),
-            n_workers=spec.workers,
-            tol=spec.tol,
-            worker_name=worker_name,
-            root_name=root_name,
-        )
-        runtime = self.program.runtime
-        obs = runtime.obs
-        if obs is not None and obs.enabled:
-            handle.span = obs.begin(
-                "appvm.job", f"{spec.user}/{model.name}", self.program.now,
-                user=spec.user, model=model.name, load_set=spec.load_set,
-                workers=spec.workers,
-            )
-        # parent the job's root task under the job span (restored after
-        # spawn so unrelated root tasks stay unparented)
-        runtime.obs_root_parent = handle.span
-        try:
-            handle.tid = self.program.start(root_name)
-        finally:
-            runtime.obs_root_parent = None
-        self.jobs.append(handle)
-        self.dirty = True
-
-    def run_slice(self, global_until: Optional[int] = None) -> int:
-        """Advance this machine's event loop; returns local cycles used.
-
-        With a bound, events run while they fall inside the slice (the
-        machine stops *between* events, a checkpoint-safe point); with
-        ``None`` the machine drains to quiescence through the runtime,
-        which also performs its stuck-task diagnosis.
-        """
-        engine = self.program.machine.engine
-        before = engine.now
-        if global_until is None:
-            self.program.runtime.run()
-        else:
-            until = global_until - self.offset
-            while not engine.halted:
-                nxt = engine._peek()
-                if nxt is None or nxt.time > until:
-                    break
-                engine.step()
-        return engine.now - before
-
-    def collect_finished(self) -> List[JobHandle]:
-        """Resolve every resident job whose root task has completed."""
-        runtime = self.program.runtime
-        done = [h for h in self.jobs if h.tid in runtime.root_results]
-        obs = runtime.obs
-        for handle in done:
-            info = collect_parallel_cg(self.program, handle.tid)
-            stresses = recover_stresses(handle.spec.model.require_mesh(),
-                                        handle.spec.model.material, info.u)
-            handle._result = AnalysisResult(
-                handle.spec.model.name, handle.spec.load_set, info.u, stresses,
-                f"fem2-service[{handle.spec.workers}]",
-                iterations=info.iterations,
-                elapsed_cycles=info.elapsed_cycles,
-            )
-            if obs is not None and obs.enabled and handle.span is not None:
-                obs.end(handle.span, self.program.now,
-                        iterations=info.iterations)
-        if done:
-            self.jobs = [h for h in self.jobs if h not in done]
-            if not self.jobs:
-                self.busy_cycles += self.program.now
-        if self.jobs and self.program.machine.engine.idle():
-            # no events left yet jobs are unfinished: let the runtime
-            # raise its stuck-task (deadlock / lost wakeup) diagnosis
-            runtime.run()
-        return done
-
-    # -- checkpoint / restore ----------------------------------------------
-
-    def checkpoint(self, completed_batches: int = 0) -> bytes:
-        """This machine — config, resident jobs, program state — as one
-        ``fem2-ckpt/1`` blob, restorable by
-        :meth:`MachineService.resume` or by the pool's preemption path."""
-        if not self.journal:
-            raise AppVMError(
-                "service was not built with checkpointing=True"
-            )
-        jobs = []
-        for handle in self.jobs:
-            spec = handle.spec
-            jobs.append({
-                "user": spec.user,
-                "model": spec.model,
-                "load_set": spec.load_set,
-                "workers": spec.workers,
-                "tol": spec.tol,
-                "priority": spec.priority,
-                "tenant": spec.tenant,
-                "tid": handle.tid,
-                "root_name": self.program.runtime.tasks[handle.tid].task_type,
-            })
-        return to_bytes({
-            "schema": CKPT_SCHEMA,
-            "config": asdict(self.config),
-            "completed_batches": completed_batches,
-            "jobs": jobs,
-            "program": self.program.snapshot(),
-        })
-
-    def restore_blob(self, blob: bytes, handles: List[JobHandle],
-                     global_now: int) -> None:
-        """Restore a checkpointed machine image here and re-attach the
-        surviving *handles* (their tids are preserved by the blob)."""
-        state = from_bytes(blob)
-        if state.get("schema") != CKPT_SCHEMA:
-            raise AppVMError(
-                f"not a machine checkpoint (schema={state.get('schema')!r})")
-        if len(state["jobs"]) != len(handles):
-            raise AppVMError(
-                f"checkpoint carries {len(state['jobs'])} jobs but "
-                f"{len(handles)} handles were re-attached")
-        self.busy_cycles += self.program.now
-        self.program = rebuild_program(MachineConfig(**state["config"]),
-                                       state, tracer=self.tracer)
-        self.offset = global_now - self.program.now
-        self.jobs = list(handles)
-        self.dirty = True
 
 
 class ServicePool:
@@ -262,41 +44,27 @@ class ServicePool:
         tenants: Iterable[Tenant] = (),
         *,
         tracer=None,
-        quantum: Optional[int] = 2000,
-        machine_slots: Optional[int] = 1,
+        quantum: int = 2000,
         checkpointing: bool = True,
-        persistent: bool = False,
     ) -> None:
         if n_machines < 1:
             raise AppVMError("a pool needs at least one machine")
-        if quantum is not None and quantum < 1:
-            raise AppVMError("quantum must be >= 1 cycles (or None to drain)")
-        if machine_slots is not None and machine_slots < 1:
-            raise AppVMError("machine_slots must be >= 1 (or None for unbounded)")
+        if not isinstance(quantum, int) or quantum < 1:
+            raise AppVMError(
+                f"quantum must be an int >= 1 cycles, got {quantum!r}")
         self.config = config or MachineConfig(
             n_clusters=2, pes_per_cluster=3,
             memory_words_per_cluster=8_000_000,
         )
-        #: drain mode (quantum=None) runs each machine to quiescence —
-        #: the single-machine compatibility behaviour
         self.quantum = quantum
-        self.machine_slots = machine_slots
+        #: journaled machines can be checkpointed, which is what
+        #: preemption needs
         self.checkpointing = checkpointing
-        #: persistent machines reuse one program across batches and are
-        #: never reset (the pre-pool MachineService contract); fresh
-        #: machines get a new program per assignment (job isolation)
-        self.persistent = persistent
-        # pool-level sched.* spans exist only in quantum mode; drain mode
-        # is the single-machine compatibility path, which must produce
-        # byte-identical traces to the pre-pool service (no sched spans)
-        self.tracer = tracer if quantum is not None else None
-        # machine-level tracing shares the pool tracer only when the two
-        # clock domains coincide (one persistent machine, global clock =
-        # machine clock); multi-machine pools trace at the sched.* level
-        machine_tracer = tracer if (persistent and n_machines == 1) else None
+        # the tracer records sched.* spans on the global service clock;
+        # machines keep their own clocks and are not traced
+        self.tracer = tracer
         self.machines = [
-            PoolMachine(i, self.config, journal=checkpointing,
-                        tracer=machine_tracer)
+            PoolMachine(i, self.config, journal=checkpointing)
             for i in range(n_machines)
         ]
         self.tenants = TenantTable()
@@ -305,7 +73,6 @@ class ServicePool:
         self.queue = FairShareQueue(self.tenants)
         #: the global service clock, in cycles
         self.now = 0
-        self.completed_batches = 0
         self.handles: List[JobHandle] = []
         self.stats: Dict[str, int] = {
             "submitted": 0, "rejected": 0, "dispatched": 0, "completed": 0,
@@ -331,8 +98,8 @@ class ServicePool:
             raise AppVMError(
                 f"submit() takes a JobSpec, got {type(spec).__name__}")
         spec.validate_model()
-        if spec.lint != "off":
-            self._lint_gate(spec.lint)
+        # the gate reads the front machine's registry
+        _lint_gate(self.machines[0].program, spec.lint, self._lint_cache)
         cost = self._cost_units(spec)
         handle = JobHandle(spec, owner=self, job_id=next(self._ids))
         handle.submit_time = self.now
@@ -365,40 +132,6 @@ class ServicePool:
             )
         self.queue.push(handle)
 
-    def _lint_gate(self, mode: str) -> None:
-        """Run :func:`repro.lint.lint_program` over the task types
-        registered on the pool's front machine (cached per registry
-        state) and enforce its findings before admission.  The gate also
-        extracts the program's static route summary (``fem2-flow/1``)
-        and cost bounds (``fem2-cost/1``), posting both on the tracer as
-        ``lint.flow`` / ``lint.cost`` points, so every admitted job
-        carries its predicted communication structure and cost."""
-        program = self.machines[0].program
-        key = tuple(program.runtime.registry.types())
-        cached = self._lint_cache.get(key)
-        if cached is None:
-            cached = (lint_program(program), flow_summary(program),
-                      cost_report(program))
-            self._lint_cache[key] = cached
-        report, flow, cost = cached
-        report.emit(program.runtime.obs, program.now)
-        tr = program.runtime.obs
-        if tr is not None and getattr(tr, "enabled", False):
-            tr.point("lint.flow", "static routes", program.now,
-                     schema=FLOW_SCHEMA, tasks=len(flow.tasks),
-                     routes=len(flow.routes),
-                     msg_routes=len(flow.msg_routes))
-            tr.point("lint.cost", "static cost bounds", program.now,
-                     schema=COST_SCHEMA, tasks=len(cost.tasks),
-                     edges=len(cost.edges), bounded=cost.bounded)
-        if report.clean:
-            return
-        rendered = "; ".join(f.render() for f in report.findings)
-        if mode == "error" and report.errors:
-            raise AppVMError(f"program rejected by static analysis: {rendered}")
-        warnings.warn(f"static analysis findings: {rendered}",
-                      UserWarning, stacklevel=4)
-
     # -- predicted cost ------------------------------------------------------
 
     def _cost_units(self, spec: JobSpec) -> int:
@@ -430,17 +163,8 @@ class ServicePool:
         cached = self._cost_cache.get(key)
         if cached is None:
             scratch = Fem2Program(self.config)
-            register_parallel_cg(
-                scratch,
-                spec.model.require_mesh(),
-                spec.model.material,
-                spec.model.require_constraints(),
-                spec.model.load_set(spec.load_set),
-                n_workers=spec.workers,
-                tol=spec.tol,
-                worker_name="cost.cg_worker",
-                root_name="cost.cg_root",
-            )
+            _register_solve(scratch, spec.model, spec.load_set, spec.workers,
+                            spec.tol, "cost.cg_worker", "cost.cg_root")
             lo, _hi = cost_report(scratch).cycles.evaluate(
                 machine_env(self.config), default=0.0)
             cached = max(1, int(lo))
@@ -451,8 +175,7 @@ class ServicePool:
 
     def _free_machine(self) -> Optional[PoolMachine]:
         for machine in self.machines:
-            if self.machine_slots is None \
-                    or len(machine.jobs) < self.machine_slots:
+            if not machine.jobs:
                 return machine
         return None
 
@@ -480,13 +203,12 @@ class ServicePool:
         if tr is not None and tr.enabled and handle.queue_span is not None:
             tr.end(handle.queue_span, self.now, wait=wait)
             handle.queue_span = None
-        if not self.persistent and not machine.jobs:
-            # sync the machine's clock domain to the global clock: a
-            # fresh assignment starts "now", not at the machine's epoch
-            if machine.dirty:
-                machine.reset(self.now)
-            else:
-                machine.offset = self.now - machine.program.now
+        # sync the machine's clock domain to the global clock: a fresh
+        # assignment starts "now", not at the machine's epoch
+        if machine.dirty:
+            machine.reset(self.now)
+        else:
+            machine.offset = self.now - machine.program.now
         if handle._resume_image is not None:
             machine.restore_blob(handle._resume_image, [handle], self.now)
             handle._resume_image = None
@@ -499,28 +221,22 @@ class ServicePool:
                         machine=machine.index, wait=wait)
         handle.state = JobState.RUNNING
         handle.machine = machine
-        if self.quantum is not None:
-            self.tenants.get(handle.spec.tenant).bump(self.quantum)
+        self.tenants.get(handle.spec.tenant).bump(self.quantum)
         self.stats["dispatched"] += 1
 
     # -- preemption ---------------------------------------------------------
 
-    @property
-    def preemption_enabled(self) -> bool:
-        return self.checkpointing and not self.persistent \
-            and self.quantum is not None
-
     def _preemption_victim(self) -> Optional[PoolMachine]:
         """The machine to checkpoint away for the best queued job, or
         None when nothing queued outranks every running job."""
-        if not self.preemption_enabled:
+        if not self.checkpointing:
             return None
         best = self.queue.best_priority()
         if best is None:
             return None
         victims = [
             m for m in self.machines
-            if len(m.jobs) == 1
+            if m.jobs
             and m.jobs[0].state is JobState.RUNNING
             and m.jobs[0].spec.priority < best
         ]
@@ -553,8 +269,6 @@ class ServicePool:
         """Run scheduling rounds until the global clock has moved
         *cycles* forward (idle time included); jobs may be submitted
         between calls, which is how arrivals-over-time are modelled."""
-        if self.quantum is None:
-            raise AppVMError("advance() needs a quantum (drain-mode pool)")
         end = self.now + cycles
         while self.now < end:
             if not self.queue and not any(m.jobs for m in self.machines):
@@ -566,18 +280,8 @@ class ServicePool:
     def run(self) -> List[JobHandle]:
         """Run every admitted job to completion; returns the handles
         finished since the last call, in completion order."""
-        if self.quantum is None:
-            self._dispatch()
-            for machine in self.machines:
-                if machine.jobs:
-                    delta = machine.run_slice(None)
-                    self.now = max(self.now, machine.global_now)
-                    self._charge(machine, delta)
-                    self._resolve(machine)
-        else:
-            while self.queue or any(m.jobs for m in self.machines):
-                self._round(self.now + self.quantum)
-        self.completed_batches += 1
+        while self.queue or any(m.jobs for m in self.machines):
+            self._round(self.now + self.quantum)
         finished = self._finished_unclaimed
         self._finished_unclaimed = []
         return finished
@@ -596,14 +300,10 @@ class ServicePool:
             self._resolve(machine)
 
     def _charge(self, machine: PoolMachine, delta: int) -> None:
-        """Account a slice's cycles to the resident jobs' tenants."""
-        if delta <= 0 or not machine.jobs:
-            return
-        share, remainder = divmod(delta, len(machine.jobs))
-        for i, handle in enumerate(machine.jobs):
-            cycles = share + (remainder if i == 0 else 0)
-            if cycles:
-                self.tenants.get(handle.spec.tenant).charge(cycles, self.now)
+        """Account a slice's cycles to the resident job's tenant."""
+        if delta > 0 and machine.jobs:
+            (handle,) = machine.jobs
+            self.tenants.get(handle.spec.tenant).charge(delta, self.now)
 
     def _resolve(self, machine: PoolMachine) -> None:
         for handle in machine.collect_finished():
@@ -627,7 +327,7 @@ class ServicePool:
             raise AppVMError(
                 f"job for {handle.spec.user!r} is not resident on a machine "
                 f"(state={handle.state.value})")
-        return machine.checkpoint(completed_batches=self.completed_batches)
+        return machine.checkpoint()
 
     # -- reporting ----------------------------------------------------------
 

@@ -67,11 +67,10 @@ class JobSpec:
     priority: int = 0
     tenant: str = "default"
     lint: str = "off"
-    #: declared cost in machine cycles, overriding the static cost
-    #: model's prediction for window-quota admission.  The lint gate
-    #: cross-checks a declaration against the predicted lower bound —
-    #: a declaration below what the job provably consumes is rejected
-    #: (``lint="error"``) or warned about, never silently trusted.
+    #: ServicePool admission only: declared cost in machine cycles,
+    #: overriding the cost model's prediction for window quotas.  Under
+    #: the lint gate a declaration below the predicted lower bound is
+    #: rejected (``lint="error"``) or warned about, never trusted.
     cost_units: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -13,12 +13,9 @@ result from their handle:
     service.run()
     result = handle.result()
 
-Since the pool rework, :class:`MachineService` is a thin compatibility
-wrapper over a one-machine :class:`~repro.appvm.scheduler.ServicePool`
-in *persistent* drain mode: one program reused across batches, no job
-slots, no quantum slicing — exactly the pre-pool behaviour, traces
-included.  Multi-machine scheduling (tenants, quotas, fair share,
-preemption) lives on :class:`ServicePool` itself.
+The service owns one :class:`~repro.appvm.scheduler.machine.PoolMachine`
+and nothing else: no queue, no tenants, no quotas, no cost prediction.
+Those belong to the multi-machine :class:`~repro.appvm.ServicePool`.
 
 When the service's machine carries a :mod:`repro.obs` tracer, every job
 opens an ``appvm.job`` span that parents the job's root-task span, so a
@@ -29,20 +26,19 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from ..ckpt import from_bytes
 from ..errors import AppVMError
 from ..hardware.machine import MachineConfig
-from .scheduler import (
+from .scheduler.handle import JobHandle
+from .scheduler.machine import (
     CKPT_SCHEMA,
-    LINT_MODES,
-    JobHandle,
-    JobSpec,
-    JobState,
-    ServicePool,
+    PoolMachine,
+    _decode_blob,
+    _lint_gate,
     rebuild_program,
 )
+from .scheduler.spec import LINT_MODES, JobSpec, JobState
 
 __all__ = ["CKPT_SCHEMA", "LINT_MODES", "JobHandle", "JobSpec",
            "MachineService"]
@@ -57,27 +53,24 @@ class MachineService:
         #: checkpointing turns on runtime journaling so the service's
         #: program can be snapshotted (see :meth:`checkpoint`)
         self.checkpointing = checkpointing
-        self.pool = ServicePool(
-            n_machines=1, config=self.config, tracer=tracer,
-            quantum=None, machine_slots=None,
-            checkpointing=checkpointing, persistent=True,
-        )
+        #: one program, reused across batches and traced on its own clock
+        self.machine = PoolMachine(0, self.config, journal=checkpointing,
+                                   tracer=tracer)
+        self.completed_batches = 0
+        self._ids = itertools.count(1)
+        self._lint_cache: Dict[tuple, tuple] = {}
 
     @property
     def program(self):
-        return self.pool.machines[0].program
+        return self.machine.program
 
     @property
     def tracer(self):
         return self.program.tracer
 
-    @property
-    def completed_batches(self) -> int:
-        return self.pool.completed_batches
-
     def submit(self, spec: JobSpec) -> JobHandle:
-        """Queue one solve described by a :class:`JobSpec`; nothing runs
-        until :meth:`run`.
+        """Start one solve described by a :class:`JobSpec` as a root task;
+        no simulated time passes until :meth:`run`.
 
         ``spec.lint`` gates the submission on
         :func:`repro.lint.lint_program` over every task type registered
@@ -85,13 +78,31 @@ class MachineService:
         error-severity findings before any task is spawned, ``"warn"``
         emits warnings instead, ``"off"`` (the default) skips the check.
         """
-        return self.pool.submit(spec)
+        if not isinstance(spec, JobSpec):
+            raise AppVMError(
+                f"submit() takes a JobSpec, got {type(spec).__name__}")
+        spec.validate_model()
+        _lint_gate(self.program, spec.lint, self._lint_cache)
+        handle = JobHandle(spec, owner=self, job_id=next(self._ids))
+        handle.submit_time = handle.dispatch_time = self.program.now
+        self.machine.spawn(handle)
+        handle.state = JobState.RUNNING
+        handle.machine = self.machine
+        return handle
 
-    def run(self):
-        """Run every submitted job concurrently; resolves their handles."""
-        if self.pool.pending_count == 0:
+    def run(self) -> List[JobHandle]:
+        """Run every submitted job concurrently; resolves their handles
+        and returns them."""
+        if not self.machine.jobs:
             raise AppVMError("no jobs submitted")
-        return self.pool.run()
+        self.machine.run_slice(None)
+        finished = self.machine.collect_finished()
+        for handle in finished:
+            handle.state = JobState.DONE
+            handle.finish_time = self.program.now
+            handle.machine = None
+        self.completed_batches += 1
+        return finished
 
     # -- checkpoint/resume ---------------------------------------------------
 
@@ -103,8 +114,17 @@ class MachineService:
         re-registers each job's solve from its model via
         :func:`repro.fem.register_parallel_cg` before restoring.
         """
-        return self.pool.machines[0].checkpoint(
+        return self.machine.checkpoint(
             completed_batches=self.completed_batches)
+
+    def checkpoint_job(self, handle: JobHandle) -> bytes:
+        """What :meth:`JobHandle.checkpoint` calls: the job's machine is
+        the service's only machine, so this is :meth:`checkpoint`."""
+        if handle.machine is None:
+            raise AppVMError(
+                f"job for {handle.spec.user!r} is not resident on a machine "
+                f"(state={handle.state.value})")
+        return self.checkpoint()
 
     @classmethod
     def resume(cls, blob: bytes, tracer=None) -> "MachineService":
@@ -120,18 +140,10 @@ class MachineService:
         produced by :meth:`JobHandle.checkpoint` or pool preemption —
         they share the ``fem2-ckpt/1`` format.
         """
-        state = from_bytes(blob)
-        if state.get("schema") != CKPT_SCHEMA:
-            raise AppVMError(
-                f"not a MachineService checkpoint (schema={state.get('schema')!r})"
-            )
-        config = MachineConfig(**state["config"])
+        state, config = _decode_blob(blob)
         service = cls(config=config, tracer=tracer, checkpointing=True)
-        pool = service.pool
-        machine = pool.machines[0]
+        machine = service.machine
         machine.program = rebuild_program(config, state, tracer=tracer)
-        machine.dirty = True
-        handles = []
         for job in state["jobs"]:
             spec = JobSpec(
                 user=job["user"], model=job["model"],
@@ -139,27 +151,25 @@ class MachineService:
                 tol=job["tol"], priority=job.get("priority", 0),
                 tenant=job.get("tenant", "default"),
             )
-            handle = JobHandle(spec, owner=pool, job_id=next(pool._ids))
+            handle = JobHandle(spec, owner=service,
+                               job_id=next(service._ids))
             handle.tid = job["tid"]
             handle.state = JobState.RUNNING
             handle.machine = machine
-            pool.handles.append(handle)
-            pool.tenants.get(spec.tenant).in_flight += 1
-            handles.append(handle)
-        machine.jobs = handles
-        pool.completed_batches = state["completed_batches"]
+            machine.jobs.append(handle)
+        service.completed_batches = state["completed_batches"]
         # keep post-resume submissions clear of the restored task names
-        max_id = len(handles)
+        max_id = len(machine.jobs)
         for job in state["jobs"]:
             tagged = re.search(r"\.j(\d+)$", job["root_name"])
             if tagged:
                 max_id = max(max_id, int(tagged.group(1)))
-        pool._ids = itertools.count(max_id + 1)
+        service._ids = itertools.count(max_id + 1)
         return service
 
     @property
     def pending_count(self) -> int:
-        return self.pool.pending_count
+        return len(self.machine.jobs)
 
     def machine_report(self) -> Dict[str, float]:
         m = self.program.metrics

@@ -94,6 +94,48 @@ class TestMachineService:
         assert finished == submitted
 
 
+class TestNoCostPrediction:
+    """The one-machine service has no quota to charge, so it never runs
+    the cost model on a job's behalf; only the lint gate's own
+    ``lint.cost`` report remains."""
+
+    @pytest.fixture
+    def cost_calls(self, monkeypatch):
+        import repro.lint
+        from repro.appvm.scheduler import machine, pool
+        calls = []
+
+        def counting(program, *args, **kwargs):
+            calls.append(program)
+            return repro.lint.cost_report(program, *args, **kwargs)
+
+        # every appvm module that imports cost_report
+        for module in (machine, pool):
+            monkeypatch.setattr(module, "cost_report", counting)
+        return calls
+
+    def test_lint_off_submit_runs_no_cost_report(self, cost_calls):
+        make_service().submit(spec_for("u", make_model("m")))
+        assert cost_calls == []
+
+    def test_lint_warn_submit_runs_only_the_gates_report(self, cost_calls):
+        service = make_service()
+        service.submit(spec_for("u", make_model("m"), lint="warn"))
+        assert cost_calls == [service.program]
+
+    def test_declared_cost_is_not_cross_checked(self):
+        """cost_units is a ServicePool admission field (see
+        tests/test_scheduler.py for the cross-check there)."""
+        service = make_service()
+        handle = service.submit(
+            spec_for("u", make_model("m"), cost_units=1, lint="error"))
+        assert handle.state is JobState.RUNNING
+
+    def test_service_module_does_not_import_the_pool(self):
+        from repro.appvm import service as service_mod
+        assert "ServicePool" not in vars(service_mod)
+
+
 class TestJobSpec:
     def test_validation(self):
         model = make_model("m")
@@ -123,7 +165,7 @@ class TestJobLifecycle:
         spec = spec_for("u", make_model("m"))
         assert JobSpec is type(spec)
         handle = service.submit(spec)
-        # single persistent machine, unbounded slots: dispatched eagerly
+        # one machine, no queue: submit spawns the root task at once
         assert handle.state is JobState.RUNNING
         assert not handle.done
         with pytest.raises(AppVMError, match="not finished"):
@@ -132,14 +174,6 @@ class TestJobLifecycle:
         assert handle.state is JobState.DONE
         assert handle.done
         assert handle.result().iterations > 0
-
-    def test_handle_keeps_flat_views(self):
-        service = make_service()
-        handle = service.submit(spec_for("alice", make_model("m"), workers=3))
-        assert handle.user == "alice"
-        assert handle.model.name == "m"
-        assert handle.load_set == "case"
-        assert handle.workers == 3
 
     def test_terminal_and_in_flight(self):
         assert JobState.DONE.terminal and JobState.REJECTED.terminal
@@ -158,6 +192,16 @@ class TestRemovedAPI:
 
     def test_run_batch_is_gone(self):
         assert not hasattr(MachineService, "run_batch")
+
+    def test_flat_handle_views_are_gone(self):
+        service = make_service()
+        handle = service.submit(spec_for("alice", make_model("m"), workers=3))
+        for name in ("user", "model", "load_set", "workers", "tol"):
+            assert not hasattr(handle, name)
+        assert handle.spec.user == "alice"
+        assert handle.spec.model.name == "m"
+        assert handle.spec.load_set == "case"
+        assert handle.spec.workers == 3
 
     def test_solvejob_alias_is_gone(self):
         assert not hasattr(appvm, "SolveJob")

@@ -298,6 +298,27 @@ class TestServiceCheckpoint:
         with pytest.raises(AppVMError):
             MachineService.resume(to_bytes({"schema": "something-else"}))
 
+    @pytest.mark.parametrize("entry", ["resume", "restore_blob"])
+    @pytest.mark.parametrize("state, complaint", [
+        ([1, 2], "list"),
+        ({"schema": "fem2-ckpt/1"}, "missing config"),
+        ({"schema": "fem2-ckpt/1", "jobs": [], "program": {},
+          "completed_batches": 0, "config": {"n_warp_cores": 9}},
+         "n_warp_cores"),
+    ])
+    def test_wrong_shape_blob_fails_typed(self, entry, state, complaint):
+        """A well-formed blob that is not a machine image names what is
+        wrong in an AppVMError, never AttributeError/KeyError/TypeError."""
+        from repro.appvm import MachineService
+        from repro.appvm.scheduler import PoolMachine
+        blob = to_bytes(state)
+        with pytest.raises(AppVMError, match=complaint):
+            if entry == "resume":
+                MachineService.resume(blob)
+            else:
+                PoolMachine(0, MachineConfig(), journal=True).restore_blob(
+                    blob, [], 0)
+
     def test_checkpoint_resume_identical_results(self):
         service = self.make_service()
         from repro.appvm import JobSpec

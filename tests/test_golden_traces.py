@@ -1,5 +1,6 @@
-"""Golden-trace regression tests: two fully-traced example programs
-must reproduce their committed span/metrics fixtures **byte for byte**.
+"""Golden-trace regression tests: two fully-traced example programs and
+one traced :class:`~repro.appvm.MachineService` run must reproduce their
+committed span/metrics fixtures **byte for byte**.
 
 The fixtures pin the simulation's complete observable surface — result,
 final clock, events processed, every flat metric, and the entire
@@ -17,6 +18,7 @@ To regenerate after an intentional semantic change::
 then review the fixture diff like any other code change.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -27,7 +29,10 @@ import pytest
 from repro.hardware.events import forced_engine
 from repro.hardware.machine import MachineConfig
 from repro.langvm.program import Fem2Program
-from repro.obs import Tracer, to_record
+from repro.appvm import MachineService
+from repro.obs import Tracer, to_json, to_record
+
+from .test_appvm_service import make_model, make_service, spec_for
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 REGEN = bool(os.environ.get("FEM2_REGEN_GOLDEN"))
@@ -149,3 +154,68 @@ def test_fixtures_are_committed_and_canonical():
         doc = json.loads(text)
         assert doc["schema"] == "fem2-golden/1"
         assert text == json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# MachineService: one traced two-job batch plus a mid-run checkpoint
+
+
+def service_payload():
+    """Everything a two-job ``MachineService(checkpointing=True)`` run
+    shows from outside: the ``to_json`` trace, flat metrics, final
+    clock, the handles' timelines, the sha256 of a mid-run
+    ``checkpoint()`` blob (a digest of pickled, zlib-compressed bytes:
+    stable for one python/numpy/zlib, like the campaign fingerprints)
+    and what ``resume(blob).run()`` reports."""
+    config = make_service().config
+
+    def submit_pair(service):
+        return [
+            service.submit(spec_for("alice", make_model("a", 2, 1),
+                                    lint="warn")),
+            service.submit(spec_for("bob", make_model("b", 2, 1, load=-2e4),
+                                    workers=3, lint="warn")),
+        ]
+
+    tracer = Tracer()
+    service = MachineService(config, tracer=tracer, checkpointing=True)
+    handles = submit_pair(service)
+    service.run()
+
+    interrupted = MachineService(config, checkpointing=True)
+    submit_pair(interrupted)
+    interrupted.program.machine.engine.run(max_events=200)
+    blob = interrupted.checkpoint()
+    resumed = MachineService.resume(blob)
+    resumed.run()
+
+    return to_json(tracer), {
+        "schema": "fem2-golden/1",
+        "clock": service.program.now,
+        "metrics": dict(service.program.metrics.flat()),
+        "handles": [[h.job_id, h.state.value, h.finish_time,
+                     h.result().iterations] for h in handles],
+        "completed_batches": service.completed_batches,
+        "ckpt_sha256": hashlib.sha256(blob).hexdigest(),
+        "resumed_completed_batches": resumed.completed_batches,
+        "resumed_clock": resumed.program.now,
+        "trace": to_record(tracer),
+    }
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_golden_service(engine):
+    path = FIXTURES / "golden_service.json"
+    with forced_engine(engine):
+        trace_json, got = service_payload()
+    if REGEN:
+        path.write_text(json.dumps(got, indent=1) + "\n")
+        pytest.skip(f"regenerated {path.name}")
+    want = json.loads(path.read_text())
+    # the exporter's own bytes, not just an equal tree
+    assert trace_json == json.dumps(want["trace"]), (
+        f"MachineService trace drifted under the {engine} engine")
+    diffs = [k for k in want if got[k] != want[k]]
+    assert not diffs and got.keys() == want.keys(), (
+        f"golden service run drifted under the {engine} engine "
+        f"(changed sections: {diffs})")

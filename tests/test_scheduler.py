@@ -356,7 +356,7 @@ class TestCheckpointScope:
         resumed = MachineService.resume(blob)
         assert resumed.pending_count == 1  # only alice's machine was captured
         (r1,) = resumed.run()
-        assert r1.user == "alice"
+        assert r1.spec.user == "alice"
         assert np.array_equal(r1.result().u, h1.result().u)
 
     def test_detached_job_cannot_checkpoint(self):
@@ -374,9 +374,19 @@ class TestPoolValidation:
         with pytest.raises(AppVMError):
             ServicePool(quantum=0)
         with pytest.raises(AppVMError):
-            ServicePool(machine_slots=0)
-        with pytest.raises(AppVMError):
             Tenant("t", share=0)
+
+    def test_single_machine_options_are_gone(self):
+        """The pool has one mode: the switches that made it double as
+        MachineService (PR 13) are removed, not defaulted."""
+        with pytest.raises(TypeError):
+            ServicePool(persistent=True)
+        with pytest.raises(TypeError):
+            ServicePool(machine_slots=None)
+        with pytest.raises(AppVMError, match="quantum"):
+            ServicePool(quantum=None)
+        assert not hasattr(ServicePool, "completed_batches")
+        assert not hasattr(ServicePool, "preemption_enabled")
 
     def test_submit_requires_jobspec(self):
         pool = ServicePool(n_machines=1, config=small_config())
