@@ -8,7 +8,7 @@ machine above it (sysvm, langvm, appvm) runs on.
 
 from .calqueue import FastEventEngine
 from .events import DEFAULT_ENGINE, ENGINES, Event, EventEngine, forced_engine, resolve_engine
-from .metrics import BusyTracker, Counter, Histogram, MetricsRegistry
+from .metrics import BusyTracker, Cells, Counter, Histogram, MetricsRegistry
 from .pe import PEState, ProcessingElement
 from .memory import SharedMemory
 from .network import TOPOLOGIES, Network, build_topology
@@ -26,6 +26,7 @@ __all__ = [
     "forced_engine",
     "resolve_engine",
     "BusyTracker",
+    "Cells",
     "Counter",
     "Histogram",
     "MetricsRegistry",

@@ -85,7 +85,16 @@ class FastEventEngine:
         """Schedule ``fn(*args)`` to run *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + int(delay), fn, *args)
+        time = self.now + int(delay)
+        ev = Event(time, self._seq, fn, args)
+        self._seq += 1
+        buckets = self._buckets
+        if time in buckets:
+            buckets[time].append(ev)
+        else:
+            buckets[time] = deque((ev,))
+            heapq.heappush(self._times, time)
+        return ev
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute cycle count."""
@@ -93,16 +102,8 @@ class FastEventEngine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
-        time = int(time)
-        ev = Event(time, self._seq, fn, args)
-        self._seq += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = deque((ev,))
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(ev)
-        return ev
+        # the hop is on this side: bursts (schedule) outnumber arrivals
+        return self.schedule(int(time) - self.now, fn, *args)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -115,11 +116,10 @@ class FastEventEngine:
         times = self._times
         buckets = self._buckets
         while times:
-            bucket = buckets.get(times[0])
+            bucket = buckets[times[0]]
             if bucket:
                 return bucket
-            del buckets[times[0]]
-            heapq.heappop(times)
+            del buckets[heapq.heappop(times)]
         return None
 
     def step(self) -> bool:

@@ -20,7 +20,7 @@ from typing import Any, Callable, Deque, List, Optional
 from ..errors import ConfigurationError, FaultError
 from .events import EventEngine
 from .memory import SharedMemory
-from .metrics import MetricsRegistry
+from .metrics import Cells, MetricsRegistry
 from .pe import PEState, ProcessingElement
 
 
@@ -46,23 +46,17 @@ class Cluster:
             ProcessingElement(engine, metrics, cluster_id, i, is_kernel=(i == 0))
             for i in range(n_pes)
         ]
+        #: PE 0 runs the kernel, the rest run tasks; fixed for the
+        #: cluster's life (restore() updates the PEs in place)
+        self.kernel_pe: ProcessingElement = self.pes[0]
+        self.worker_pes: List[ProcessingElement] = self.pes[1:]
         self.memory = SharedMemory(metrics, cluster_id, memory_words)
         self.input_queue: Deque[Any] = deque()
         self.queue_high_water = 0
-        # the queue-depth metric name is fixed for the cluster's life;
-        # building it once keeps enqueue() free of per-message formatting
-        self._queue_metric = f"queue.cluster{cluster_id}"
+        self._queue_depth = Cells(metrics, {}, hists=(f"queue.cluster{cluster_id}",))
         #: installed by the sysvm kernel; called after a message is enqueued
         self.on_message: Optional[Callable[["Cluster"], None]] = None
         self.failed = False
-
-    @property
-    def kernel_pe(self) -> ProcessingElement:
-        return self.pes[0]
-
-    @property
-    def worker_pes(self) -> List[ProcessingElement]:
-        return self.pes[1:]
 
     def available_workers(self) -> List[ProcessingElement]:
         """Worker PEs idle right now (the kernel PE never runs tasks)."""
@@ -76,7 +70,10 @@ class Cluster:
         qlen = len(self.input_queue)
         if qlen > self.queue_high_water:
             self.queue_high_water = qlen
-        self.metrics.observe(self._queue_metric, qlen)
+        cells = self._queue_depth
+        if cells.version != self.metrics.version:
+            cells.fetch()
+        cells.items[0].observe(qlen)
         if self.on_message is not None:
             self.on_message(self)
 

@@ -145,7 +145,10 @@ class EventEngine:
         """Schedule ``fn(*args)`` to run *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + int(delay), fn, *args)
+        ev = Event(self.now + int(delay), self._seq, fn, args)
+        self._seq += 1
+        heapq.heappush(self._queue, ev)
+        return ev
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute cycle count."""
@@ -153,10 +156,8 @@ class EventEngine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
-        ev = Event(int(time), self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
-        return ev
+        # the hop is on this side: bursts (schedule) outnumber arrivals
+        return self.schedule(int(time) - self.now, fn, *args)
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False if none remain."""

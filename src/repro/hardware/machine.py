@@ -20,7 +20,7 @@ from ..errors import ConfigurationError, FaultError, RoutingError
 from .calqueue import FastEventEngine
 from .cluster import Cluster
 from .events import ENGINES, EventEngine, resolve_engine
-from .metrics import MetricsRegistry
+from .metrics import Cells, MetricsRegistry
 from .network import TOPOLOGIES, Network
 
 
@@ -127,6 +127,8 @@ class Machine:
         #: and fault recovery can enumerate messages doomed to be dropped.
         self._in_flight: Dict[int, Tuple[Any, int, Any]] = {}
         self._flight_key = 0
+        self._cells = Cells(self.metrics, {"comm.messages": 0.0, "comm.words": 0},
+                            hists=("comm.message_size",))
 
     # -- access --------------------------------------------------------------
 
@@ -164,9 +166,13 @@ class Machine:
         if self.clusters[dst].failed or not self.network.is_cluster_up(dst):
             raise RoutingError(f"destination cluster {dst} is down")
         latency = self.network.record_transfer(src, dst, size_words)
-        self.metrics.incr("comm.messages")
-        self.metrics.incr("comm.words", size_words)
-        self.metrics.observe("comm.message_size", size_words)
+        cells = self._cells
+        if cells.version != self.metrics.version:
+            cells.fetch()
+        messages, words, sizes = cells.items
+        messages.value += 1
+        words.value += size_words
+        sizes.observe(size_words)
         self._schedule_arrival(self.engine.now + latency + extra_delay, dst, payload)
 
     def _schedule_arrival(self, at: int, dst: int, payload: Any) -> None:

@@ -35,8 +35,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
@@ -110,28 +112,30 @@ class BusyTracker:
     """Tracks utilization of a resource (a PE) over simulated time."""
 
     busy_cycles: int = 0
-    _busy_since: Optional[int] = None
+    #: start of the current busy interval (public: a PE does begin/end
+    #: in line on its burst path, same checks, to save two frames a burst)
+    busy_since: Optional[int] = None
 
     def begin(self, now: int) -> None:
-        if self._busy_since is not None:
+        if self.busy_since is not None:
             raise ValueError("resource already busy")
-        self._busy_since = now
+        self.busy_since = now
 
     def end(self, now: int) -> None:
-        if self._busy_since is None:
+        if self.busy_since is None:
             raise ValueError("resource not busy")
-        self.busy_cycles += now - self._busy_since
-        self._busy_since = None
+        self.busy_cycles += now - self.busy_since
+        self.busy_since = None
 
     def is_busy(self) -> bool:
-        return self._busy_since is not None
+        return self.busy_since is not None
 
     def snapshot(self) -> Dict[str, Optional[int]]:
-        return {"busy_cycles": self.busy_cycles, "busy_since": self._busy_since}
+        return {"busy_cycles": self.busy_cycles, "busy_since": self.busy_since}
 
     def restore(self, state: Dict[str, Optional[int]]) -> None:
         self.busy_cycles = state["busy_cycles"]
-        self._busy_since = state["busy_since"]
+        self.busy_since = state["busy_since"]
 
     def utilization(self, elapsed: int) -> float:
         return self.busy_cycles / elapsed if elapsed else 0.0
@@ -140,8 +144,8 @@ class BusyTracker:
 class Counter:
     """One slab cell: a mutable float the registry hands out by name.
 
-    Hot call sites (PE burst completion, runtime message send) fetch
-    their cell once via :meth:`MetricsRegistry.counter` and then bump
+    Hot call sites (PE bursts, message send and delivery) fetch their
+    cells once through a :class:`Cells` group and then bump
     ``cell.value`` directly — one attribute store per event instead of a
     dict hash + method call.  A cell stays registered for the life of
     the registry generation; see :attr:`MetricsRegistry.version`.
@@ -156,6 +160,36 @@ class Counter:
         return f"Counter({self.value})"
 
 
+class Cells:
+    """The cells one hot call site records into on every call.  The site
+    does ``if cells.version != metrics.version: cells.fetch()``, unpacks
+    ``cells.items`` (counters, then histograms) and bumps ``cell.value``
+    / calls ``hist.observe`` itself.  The version starts behind the
+    registry's, so the names register at the site's first record — when
+    and in the order ``incr``/``observe`` would have — and again after
+    restore()/reset() moved it: no increment lands in an orphaned cell,
+    no dropped name comes back early.  *counters* maps each name to the
+    zero it registers at: a counter keeps the type of what it first
+    recorded and snapshots show it (``0.0`` where ``incr`` would add its
+    default 1.0, ``0`` for integer word counts)."""
+
+    __slots__ = ("metrics", "counters", "hists", "version", "items")
+
+    def __init__(self, metrics: "MetricsRegistry", counters: Dict[str, float],
+                 hists: Tuple[str, ...] = ()) -> None:
+        self.metrics = metrics
+        self.counters = counters
+        self.hists = hists
+        self.version = -1
+        self.items: Tuple[Any, ...] = ()
+
+    def fetch(self) -> None:
+        m = self.metrics
+        self.items = (*(m.counter(n, zero) for n, zero in self.counters.items()),
+                      *(m.hist(n) for n in self.hists))
+        self.version = m.version
+
+
 class MetricsRegistry:
     """Dotted-name counters and histograms shared by all components.
 
@@ -167,10 +201,10 @@ class MetricsRegistry:
     created lazily on first increment, so a counter appears in
     :meth:`counters` exactly when it first records something (same
     observable behavior as the old ``defaultdict`` form, minus the
-    per-event churn).  Components may cache cells via :meth:`counter`
-    and histograms via :meth:`hist`; cached references must be
-    revalidated against :attr:`version`, which moves whenever
-    :meth:`restore` or :meth:`reset` rebuilds the slab.
+    per-event churn).  Components cache cells from :meth:`counter` and
+    :meth:`hist` in :class:`Cells` groups, which revalidate them
+    against :attr:`version`; it moves whenever :meth:`restore` or
+    :meth:`reset` rebuilds the slab.
     """
 
     def __init__(self) -> None:
@@ -184,11 +218,11 @@ class MetricsRegistry:
 
     # -- cells -------------------------------------------------------------
 
-    def counter(self, name: str) -> Counter:
-        """Get-or-create the cell for *name* (registers it at 0.0)."""
+    def counter(self, name: str, zero: float = 0.0) -> Counter:
+        """Get-or-create the cell for *name* (registers it at *zero*)."""
         c = self._counters.get(name)
         if c is None:
-            c = self._counters[name] = Counter()
+            c = self._counters[name] = Counter(zero)
         return c
 
     def hist(self, name: str) -> Histogram:

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import networkx as nx
 
 from ..errors import ConfigurationError, RoutingError
-from .metrics import MetricsRegistry
+from .metrics import Cells, MetricsRegistry
 
 TOPOLOGIES = ("complete", "ring", "mesh2d", "hypercube", "star")
 
@@ -76,6 +76,8 @@ class Network:
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
         self._link_traffic: Dict[Tuple[int, int], int] = {}
         self._down_clusters: set = set()
+        self._cells = Cells(metrics, {"comm.network_transfers": 0.0,
+                                      "comm.network_words": 0}, hists=("comm.hops",))
 
     # -- fault handling --------------------------------------------------
 
@@ -154,20 +156,28 @@ class Network:
         Intra-cluster transfers (src == dst) pay only the size term with
         no hop latency — shared memory, not the network.
         """
-        h = self.hops(src, dst)
+        return self._latency(self.hops(src, dst), size_words)
+
+    def _latency(self, hops: int, size_words: int) -> int:
         size_cycles = math.ceil(size_words / self.bandwidth) if size_words else 0
-        return h * self.hop_latency + size_cycles
+        return hops * self.hop_latency + size_cycles
 
     def record_transfer(self, src: int, dst: int, size_words: int) -> int:
-        """Route, account traffic on every link, return the latency."""
+        """Route, account traffic on every link, return :meth:`transfer_cost`."""
         path = self.route(src, dst)
+        traffic = self._link_traffic
         for a, b in zip(path, path[1:]):
-            link = (min(a, b), max(a, b))
-            self._link_traffic[link] = self._link_traffic.get(link, 0) + size_words
-        self.metrics.incr("comm.network_transfers")
-        self.metrics.incr("comm.network_words", size_words)
-        self.metrics.observe("comm.hops", len(path) - 1)
-        return self.transfer_cost(src, dst, size_words)
+            link = (a, b) if a < b else (b, a)
+            traffic[link] = traffic.get(link, 0) + size_words
+        hops = len(path) - 1
+        cells = self._cells
+        if cells.version != self.metrics.version:
+            cells.fetch()
+        transfers, words, hop_hist = cells.items
+        transfers.value += 1
+        words.value += size_words
+        hop_hist.observe(hops)
+        return self._latency(hops, size_words)
 
     def link_traffic(self) -> Dict[Tuple[int, int], int]:
         """Words carried per link, for the E3 network-load table."""

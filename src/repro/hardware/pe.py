@@ -18,7 +18,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from ..errors import FaultError, SchedulingError
 from .events import EventEngine
-from .metrics import BusyTracker, MetricsRegistry
+from .metrics import BusyTracker, Cells, MetricsRegistry
 
 
 class PEState(enum.Enum):
@@ -47,12 +47,10 @@ class ProcessingElement:
         self.busy = BusyTracker()
         self.cycles_executed = 0
         self._burst_event = None
-        # cached metrics cells (see MetricsRegistry.counter); fetched on
-        # first use so counters still register at first increment, and
-        # revalidated against metrics.version across restore()/reset()
-        self._cells_version = -1
-        self._bursts_cell = None
-        self._cycles_cell = None
+        # two groups: proc.bursts registers when the first burst starts,
+        # proc.cycles when it ends
+        self._bursts = Cells(metrics, {"proc.bursts": 0.0})
+        self._cycles = Cells(metrics, {"proc.cycles": 0.0})
 
     @property
     def pe_id(self) -> Tuple[int, int]:
@@ -61,12 +59,6 @@ class ProcessingElement:
     @property
     def name(self) -> str:
         return f"pe{self.cluster_id}.{self.index}"
-
-    def _refresh_cells(self) -> None:
-        """Drop cached metrics cells after a registry restore()/reset()."""
-        self._bursts_cell = None
-        self._cycles_cell = None
-        self._cells_version = self.metrics.version
 
     def execute(
         self, cycles: int, on_done: Callable[..., None], *args: Any
@@ -87,13 +79,14 @@ class ProcessingElement:
         if cycles < 0:
             raise SchedulingError(f"negative burst length {cycles}")
         self.state = PEState.BUSY
-        self.busy.begin(self.engine.now)
-        if self._cells_version != self.metrics.version:
-            self._refresh_cells()
-        cell = self._bursts_cell
-        if cell is None:
-            cell = self._bursts_cell = self.metrics.counter("proc.bursts")
-        cell.value += 1
+        busy = self.busy  # BusyTracker.begin, in line
+        if busy.busy_since is not None:
+            raise ValueError("resource already busy")
+        busy.busy_since = self.engine.now
+        cells = self._bursts
+        if cells.version != self.metrics.version:
+            cells.fetch()
+        cells.items[0].value += 1
         self._burst_event = self.engine.schedule(
             cycles, self._finish, cycles, on_done, *args
         )
@@ -102,13 +95,15 @@ class ProcessingElement:
         if self.state is PEState.FAULTY:
             return  # burst was lost to a fault
         self.cycles_executed += cycles
-        if self._cells_version != self.metrics.version:
-            self._refresh_cells()
-        cell = self._cycles_cell
-        if cell is None:
-            cell = self._cycles_cell = self.metrics.counter("proc.cycles")
-        cell.value += cycles
-        self.busy.end(self.engine.now)
+        cells = self._cycles
+        if cells.version != self.metrics.version:
+            cells.fetch()
+        cells.items[0].value += cycles
+        busy = self.busy  # BusyTracker.end, in line
+        if busy.busy_since is None:
+            raise ValueError("resource not busy")
+        busy.busy_cycles += self.engine.now - busy.busy_since
+        busy.busy_since = None
         self.state = PEState.IDLE
         self._burst_event = None
         on_done(*args)

@@ -13,17 +13,30 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..errors import MessageError
-from .messages import Message, MsgKind, REQUIRED_FIELDS
+from .messages import Message, MsgKind
 from .storage import MESSAGE_HEADER_WORDS, words_of
 
+
+#: sizes of the payload field names seen so far (the same few ride every
+#: message).  Exact ``str`` keys only: equal keys of other types can differ.
+_KEY_WORDS: Dict[str, int] = {}
 
 def encode(msg: Message, src_cluster: int, dst_cluster: int) -> Message:
     """Validate, route-stamp, and size a message for transmission."""
     msg.validate()
     msg.src_cluster = src_cluster
     msg.dst_cluster = dst_cluster
-    payload_words = sum(words_of(k) + words_of(v) for k, v in msg.payload.items())
-    msg.size_words = MESSAGE_HEADER_WORDS + payload_words
+    size = MESSAGE_HEADER_WORDS
+    for key, value in msg.payload.items():
+        try:
+            size += _KEY_WORDS[key]
+        except KeyError:
+            key_words = words_of(key)
+            if type(key) is str:
+                _KEY_WORDS[key] = key_words
+            size += key_words
+        size += words_of(value)
+    msg.size_words = size
     return msg
 
 

@@ -30,43 +30,33 @@ class Kernel:
         #: the unit of work occupying the kernel PE right now, kept as a
         #: descriptor (not a closure) so checkpoints can serialize it
         self._work: Optional[Tuple] = None
-        cluster.on_message = lambda _c: self.kick()
+        cluster.on_message = self.kick
 
-    def kick(self) -> None:
-        """Wake the kernel loop if it has work and is not already busy."""
-        if self._active or self.cluster.failed:
+    def kick(self, _cluster: Optional[Cluster] = None) -> None:
+        """Wake the kernel loop if it has work and is not already busy.
+        Also the cluster's ``on_message`` hook (hence the argument).
+        Bound method + payload ride the completion event directly (no
+        per-burst closure; see ProcessingElement.execute)."""
+        cluster = self.cluster
+        if self._active or cluster.failed:
             return
-        if self.cluster.kernel_pe.state is PEState.FAULTY:
+        kpe = cluster.kernel_pe
+        if kpe.state is PEState.FAULTY:
             return
-        work = self._next_work()
-        if work is None:
-            return
-        self._active = True
-        self._start(work)
-
-    def _next_work(self) -> Optional[Tuple]:
-        if self.cluster.input_queue:
-            return ("msg", self.cluster.dequeue())
-        ready = self.runtime.ready[self.cluster.cluster_id]
-        pick = ready.pick(self.cluster, self.runtime.dispatch_policy)
-        if pick is not None:
-            return ("dispatch", pick)
-        return None
-
-    def _start(self, work: Tuple) -> None:
-        cfg = self.runtime.machine.config
-        self._work = work
-        # bound method + payload ride the completion event directly
-        # (no per-burst closure; see ProcessingElement.execute)
-        if work[0] == "msg":
-            self.cluster.kernel_pe.execute(
-                cfg.message_fixed_cycles, self._finish_msg, work[1]
-            )
+        runtime = self.runtime
+        cfg = runtime.machine.config
+        if cluster.input_queue:
+            msg = cluster.dequeue()
+            self._active = True
+            self._work = ("msg", msg)
+            kpe.execute(cfg.message_fixed_cycles, self._finish_msg, msg)
         else:
-            tcb, pe = work[1]
-            self.cluster.kernel_pe.execute(
-                cfg.dispatch_cycles, self._finish_dispatch, tcb, pe
-            )
+            ready = runtime.ready[cluster.cluster_id]
+            pick = ready.pick(cluster, runtime.dispatch_policy)
+            if pick is not None:
+                self._active = True
+                self._work = ("dispatch", pick)
+                kpe.execute(cfg.dispatch_cycles, self._finish_dispatch, *pick)
 
     def _finish_msg(self, msg) -> None:
         self._active = False

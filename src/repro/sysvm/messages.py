@@ -22,7 +22,6 @@ window" prescribes).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -40,8 +39,12 @@ class MsgKind(enum.Enum):
     REMOTE_RETURN = "remote_return"
     LOAD_CODE = "load_code"
 
+    # members are singletons, so they can hash by identity at C level;
+    # Enum.__hash__ is a Python frame on every dict probe of the send path
+    __hash__ = object.__hash__
 
-#: Required payload fields per message kind; decode validates these.
+
+#: Required payload fields per message kind; encode and decode validate these.
 REQUIRED_FIELDS: Dict[MsgKind, tuple] = {
     MsgKind.INITIATE_TASK: ("task_type", "count", "args"),
     MsgKind.PAUSE_NOTIFY: ("child",),
@@ -51,8 +54,6 @@ REQUIRED_FIELDS: Dict[MsgKind, tuple] = {
     MsgKind.REMOTE_RETURN: ("call_id", "result"),
     MsgKind.LOAD_CODE: ("task_type", "code_words"),
 }
-
-_msg_seq = itertools.count(1)
 
 
 @dataclass
@@ -72,19 +73,20 @@ class Message:
     src_cluster: int = 0
     dst_cluster: int = 0
     size_words: int = 0
-    #: construction-time placeholder; the OS re-stamps this from its own
-    #: snapshotted counter when the message is sent, so wire ids depend
-    #: only on the run's history (never on host-process history)
-    msg_id: int = field(default_factory=lambda: next(_msg_seq))
+    #: 0 until sent: the OS stamps the wire id from its own snapshotted
+    #: counter in ``_send``, so ids depend only on the run's history
+    #: (never on host-process history)
+    msg_id: int = 0
 
     def validate(self) -> None:
-        if not isinstance(self.kind, MsgKind):
-            raise MessageError(f"unknown message kind {self.kind!r}")
-        missing = [f for f in REQUIRED_FIELDS[self.kind] if f not in self.payload]
-        if missing:
-            raise MessageError(
-                f"{self.kind.value} message missing fields {missing}"
-            )
+        kind = self.kind
+        if type(kind) is not MsgKind:
+            raise MessageError(f"unknown message kind {kind!r}")
+        payload = self.payload
+        for name in REQUIRED_FIELDS[kind]:
+            if name not in payload:
+                missing = [f for f in REQUIRED_FIELDS[kind] if f not in payload]
+                raise MessageError(f"{kind.value} message missing fields {missing}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -29,6 +29,7 @@ from ..errors import (
     SysVMError,
 )
 from ..hardware.machine import Machine
+from ..hardware.metrics import Cells
 from ..hardware.pe import ProcessingElement
 from . import effects as fx
 from .activation import ActivationRecord, allocate_record, release_record
@@ -51,6 +52,12 @@ from .scheduler import AnyPEDispatch, DispatchPolicy, ReadyQueue, TaskState, TCB
 from .storage import DataStore, words_of
 
 PLACEMENTS = ("round_robin", "least_loaded", "local")
+
+#: the two counters _send bumps per message, by kind (names built once)
+_MSG_COUNTERS = {
+    kind: {f"comm.messages.{kind.value}": 0.0, f"comm.message_words.{kind.value}": 0.0}
+    for kind in MsgKind
+}
 
 
 class RemoteFault:
@@ -140,9 +147,10 @@ class Runtime:
         self.trace = trace
         self.data = DataStore(machine)
         self.metrics = machine.metrics
-        # cached per-MsgKind counter cells for _send (see MetricsRegistry)
-        self._msg_cells: Dict = {}
-        self._msg_cells_version = -1
+        # per-kind message/word counter cells for _send
+        self._msg_cells = {
+            kind: Cells(self.metrics, counters) for kind, counters in _MSG_COUNTERS.items()
+        }
         #: the machine's span tracer (duck-typed; see repro.obs), or None.
         #: Tracing is observational only — it never charges cycles.
         self.obs = machine.tracer
@@ -537,21 +545,12 @@ class Runtime:
         msg.msg_id = self._msg_id
         self._msg_id += 1
         encode(msg, src, dst)
-        # per-kind counter cells, cached so the hot path does one dict
-        # probe on the enum instead of building two f-strings per message
-        m = self.metrics
-        if self._msg_cells_version != m.version:
-            self._msg_cells = {}
-            self._msg_cells_version = m.version
-        cells = self._msg_cells.get(msg.kind)
-        if cells is None:
-            kind = msg.kind.value
-            cells = self._msg_cells[msg.kind] = (
-                m.counter(f"comm.messages.{kind}"),
-                m.counter(f"comm.message_words.{kind}"),
-            )
-        cells[0].value += 1
-        cells[1].value += msg.size_words
+        cells = self._msg_cells[msg.kind]
+        if cells.version != self.metrics.version:
+            cells.fetch()
+        messages, words = cells.items
+        messages.value += 1
+        words.value += msg.size_words
         if self.obs is not None and self.obs.enabled:
             self.obs.point(
                 f"sysvm.msg.{msg.kind.value}", msg.kind.value, self.machine.now,
@@ -741,16 +740,17 @@ class Runtime:
 
     def _interpret(self, tcb: TCB, effect: Any) -> None:
         cfg = self.machine.config
-        if isinstance(effect, fx.Compute):
+        kind = type(effect)  # exact match: no effect class is subclassed
+        if kind is fx.Compute:
             if effect.flops:
                 self.metrics.incr("proc.flops", effect.flops)
             self._burst(tcb, effect.cycles, ("step", None))
-        elif isinstance(effect, fx.CreateArray):
+        elif kind is fx.CreateArray:
             arr = np.array(effect.data, copy=True)
             handle = self.data.register(arr, tcb.cluster, owner_task=tcb.tid)
             cost = cfg.word_touch_cycles * int(arr.size)
             self._burst(tcb, cost, ("step", handle))
-        elif isinstance(effect, fx.FreeArray):
+        elif kind is fx.FreeArray:
             if effect.handle.owner_task != tcb.tid:
                 raise SysVMError(
                     f"task {tcb.tid} freeing array owned by task "
@@ -758,37 +758,37 @@ class Runtime:
                 )
             self.data.drop(effect.handle)
             self._burst(tcb, 1, ("step", None))
-        elif isinstance(effect, fx.ReadWindow):
+        elif kind is fx.ReadWindow:
             self._do_window_read(tcb, effect.window)
-        elif isinstance(effect, fx.WriteWindow):
+        elif kind is fx.WriteWindow:
             self._do_window_write(tcb, effect.window, effect.data, effect.accumulate)
-        elif isinstance(effect, fx.Initiate):
+        elif kind is fx.Initiate:
             self._do_initiate(tcb, effect)
-        elif isinstance(effect, fx.WaitChildren):
+        elif kind is fx.WaitChildren:
             self._do_wait_children(tcb, tuple(effect.tids))
-        elif isinstance(effect, fx.WaitPause):
+        elif kind is fx.WaitPause:
             if effect.tid in tcb.pause_events:
                 tcb.pause_events.discard(effect.tid)
                 self._burst(tcb, 1, ("step", None))
             else:
                 self._block(tcb, ("pause_of", effect.tid))
-        elif isinstance(effect, fx.Pause):
+        elif kind is fx.Pause:
             self._do_pause(tcb)
-        elif isinstance(effect, fx.ResumeChild):
+        elif kind is fx.ResumeChild:
             home = self._task_home.get(effect.tid)
             if home is None:
                 raise SysVMError(f"resume of unknown task {effect.tid}")
             msg = resume_task(effect.tid, tcb.tid)
             self._burst(tcb, cfg.message_fixed_cycles, ("send_resume", home, msg))
-        elif isinstance(effect, fx.Broadcast):
+        elif kind is fx.Broadcast:
             self._do_broadcast(tcb, tuple(effect.tids), effect.value)
-        elif isinstance(effect, fx.Receive):
+        elif kind is fx.Receive:
             if tcb.mailbox:
                 value = tcb.mailbox.popleft()
                 self._burst(tcb, 1, ("step", value))
             else:
                 self._block(tcb, ("receive",))
-        elif isinstance(effect, fx.RemoteCall):
+        elif kind is fx.RemoteCall:
             self._do_remote_call(tcb, effect)
         else:
             raise SysVMError(

@@ -28,6 +28,9 @@ class TaskState(enum.Enum):
     DONE = "done"
     FAILED = "failed"
 
+    # identity hash at C level (see MsgKind): transition() probes with these
+    __hash__ = object.__hash__
+
 
 #: Legal state transitions; the runtime asserts every move against this.
 _TRANSITIONS: Dict[TaskState, Set[TaskState]] = {

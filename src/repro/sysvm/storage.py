@@ -34,8 +34,15 @@ def words_of(value: Any) -> int:
     arrays cost their element count plus a descriptor; containers cost
     the sum of their parts plus one length word.
     """
-    if value is None:
+    # exact types first (what messages mostly carry); subclasses and the
+    # rest walk the isinstance ladder below
+    kind = type(value)
+    if value is None or kind is int or kind is float or kind is bool:
         return 1
+    if kind is str:
+        return 1 + (len(value) + 3) // 4
+    if kind is np.ndarray:
+        return ARRAY_DESCRIPTOR_WORDS + int(value.size)
     if isinstance(value, (bool, int, float, complex)):
         return 2 if isinstance(value, complex) else 1
     if isinstance(value, str):

@@ -342,6 +342,35 @@ class TestServiceCheckpoint:
         assert resumed.program.now == cycles
         assert resumed.completed_batches == 1
 
+    def test_mid_run_blob_ignores_host_process_history(self):
+        """A checkpoint taken while an *unsent* message rides a task's
+        continuation must not depend on how many messages this process
+        built earlier (their ids were once drawn from a process-global
+        counter and pickled into the blob)."""
+        from repro.appvm import JobSpec
+        from repro.sysvm import Message, pause_notify
+
+        def blobs():
+            service = self.make_service()
+            service.submit(JobSpec(user="alice", model=make_model("a"),
+                                   load_set="case", workers=2))
+            engine, out, unsent = service.program.machine.engine, [], 0
+            while engine.run(max_events=37) == 37:
+                out.append(service.checkpoint())
+                unsent += sum(
+                    isinstance(part, Message) and part.msg_id == 0
+                    for tcb in service.program.runtime.tasks.values()
+                    for part in (tcb.cont or ())
+                )
+            return out, unsent
+
+        first, unsent = blobs()
+        assert unsent > 0  # the case under test does occur in this run
+        for _ in range(100):
+            pause_notify(1, 2)
+        again, _ = blobs()
+        assert [fingerprint(b) for b in again] == [fingerprint(b) for b in first]
+
     def test_detached_handle_cannot_checkpoint(self):
         from repro.appvm import JobHandle, JobSpec
         handle = JobHandle(JobSpec(user="u", model=make_model("m"),

@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from repro.hardware import BusyTracker, Histogram, MetricsRegistry
+from repro.hardware import (
+    BusyTracker,
+    Cells,
+    Histogram,
+    Machine,
+    MachineConfig,
+    MetricsRegistry,
+)
 
 
 class TestHistogram:
@@ -202,3 +209,112 @@ class TestCounterCells:
         m2.restore(m.snapshot())
         m2.incr("b")  # new counter appears at first increment, after "a"
         assert list(m2.counters()) == ["a", "b"]
+
+
+class TestCells:
+    """The one helper hot call sites cache their cells through."""
+
+    def test_registers_at_first_fetch_in_the_order_given(self):
+        m = MetricsRegistry()
+        cells = Cells(m, {"b.count": 0.0, "a.words": 0}, hists=("h.size",))
+        assert m.counters() == {} and m.histograms() == {}
+        assert cells.version != m.version  # the site's first record fetches
+        m.incr("first")
+        cells.fetch()
+        assert list(m.counters()) == ["first", "b.count", "a.words"]
+        assert list(m.histograms()) == ["h.size"]
+        count, words, size = cells.items
+        count.value += 1
+        words.value += 12
+        size.observe(12)
+        snap = m.snapshot()["counters"]
+        assert (snap["b.count"], snap["a.words"]) == (1.0, 12)
+        # the declared zero decides the type, as incr's first amount does
+        assert type(snap["b.count"]) is float and type(snap["a.words"]) is int
+        assert m.histogram("h.size").count == 1
+
+    def test_same_cells_as_incr_and_observe(self):
+        m = MetricsRegistry()
+        m.incr("a.words", 5)
+        m.observe("h.size", 5)
+        cells = Cells(m, {"a.words": 0}, hists=("h.size",))
+        cells.fetch()
+        cells.items[0].value += 2
+        cells.items[1].observe(2)
+        assert m.get("a.words") == 7 and m.histogram("h.size").total == 7
+
+    def test_revalidates_across_restore_and_reset(self):
+        m = MetricsRegistry()
+        cells = Cells(m, {"kept": 0.0, "dropped": 0.0})
+
+        def record():
+            if cells.version != m.version:
+                cells.fetch()
+            for cell in cells.items:
+                cell.value += 1
+
+        record()
+        record()
+        saved = MetricsRegistry()
+        saved.incr("kept", 40)
+        m.restore(saved.snapshot())
+        # nothing comes back until the site records again ...
+        assert m.counters() == {"kept": 40}
+        record()
+        # ... then no increment is lost and the dropped name restarts at 1
+        assert m.counters() == {"kept": 41, "dropped": 1.0}
+        m.reset()
+        assert m.counters() == {}
+        record()
+        assert m.counters() == {"kept": 1.0, "dropped": 1.0}
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+class TestHardwareCellSites:
+    """PE bursts and message delivery record through cached cells."""
+
+    def machine(self, engine):
+        return Machine(MachineConfig(n_clusters=2, pes_per_cluster=3, engine=engine))
+
+    def test_names_appear_when_first_recorded(self, engine):
+        mc = self.machine(engine)
+        assert mc.metrics.counters() == {} and mc.metrics.histograms() == {}
+        pe = mc.cluster(0).worker_pes[0]
+        pe.execute(5, lambda: None)
+        assert list(mc.metrics.counters()) == ["proc.bursts"]
+        mc.run()
+        assert list(mc.metrics.counters()) == ["proc.bursts", "proc.cycles"]
+        mc.deliver(0, 1, 9, "payload")
+        assert list(mc.metrics.counters())[2:] == [
+            "comm.network_transfers", "comm.network_words", "comm.messages", "comm.words",
+        ]
+        assert list(mc.metrics.histograms()) == ["comm.hops", "comm.message_size"]
+        mc.run()  # the arrival records the queue depth
+        assert list(mc.metrics.histograms())[2:] == ["queue.cluster1"]
+
+    def test_no_increment_lost_across_restore_and_reset(self, engine):
+        mc = self.machine(engine)
+        pe = mc.cluster(0).worker_pes[0]
+
+        def round_trip():
+            pe.execute(5, lambda: None)
+            mc.deliver(0, 1, 9, "payload")
+            mc.run()
+            mc.cluster(1).dequeue()
+
+        round_trip()
+        state = mc.metrics.snapshot()
+        round_trip()
+        assert mc.metrics.get("proc.bursts") == 2
+        mc.metrics.restore(state)
+        round_trip()
+        counters = mc.metrics.counters()
+        assert counters["proc.bursts"] == 2 and counters["proc.cycles"] == 10
+        assert counters["comm.messages"] == 2 and counters["comm.words"] == 18
+        assert type(counters["comm.words"]) is int
+        assert mc.metrics.histogram("comm.hops").count == 2
+        assert mc.metrics.histogram("queue.cluster1").count == 2
+        mc.metrics.reset()
+        assert mc.metrics.counters() == {} and mc.metrics.histograms() == {}
+        pe.execute(1, lambda: None)
+        assert mc.metrics.counters() == {"proc.bursts": 1.0}  # nothing resurrected

@@ -92,6 +92,26 @@ class TestRouting:
         assert m.histogram("comm.hops").mean == 1
 
 
+    @pytest.mark.parametrize("topology,n", [
+        ("complete", 1), ("complete", 5), ("ring", 2), ("ring", 7),
+        ("mesh2d", 9), ("hypercube", 8), ("star", 6),
+    ])
+    def test_record_transfer_returns_transfer_cost(self, topology, n):
+        """record_transfer takes its latency from the path it already
+        holds; it must stay the number transfer_cost gives, same-cluster
+        and zero-word transfers included, before and after a re-route."""
+        net = make(n, topology, hop_latency=7, bandwidth_words_per_cycle=3)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        for size in (0, 1, 3, 4, 1000):
+            for a, b in pairs:
+                assert net.record_transfer(a, b, size) == net.transfer_cost(a, b, size)
+        if topology == "ring" and n > 2:
+            net.fail_link(0, 1)
+            assert net.record_transfer(0, 1, 5) == net.transfer_cost(0, 1, 5) == 6 * 7 + 2
+        assert net.metrics.get("comm.network_transfers") >= 5 * n * n
+        assert net.metrics.histogram("comm.hops").count == net.metrics.get("comm.network_transfers")
+
+
 class TestFaults:
     def test_link_failure_reroutes(self):
         net = make(4, "ring")

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import MessageError, SysVMError
+from repro.hardware import Machine, MachineConfig
 from repro.sysvm import (
     MESSAGE_HEADER_WORDS,
     Message,
     MsgKind,
+    Runtime,
     decode,
     encode,
     initiate_task,
@@ -50,9 +52,18 @@ class TestSevenKinds:
         with pytest.raises(MessageError, match="missing"):
             msg.validate()
 
-    def test_msg_ids_unique(self):
+    def test_msg_ids_stamped_at_send(self):
+        """An unsent message carries the "unstamped" id 0 whatever the
+        host process built before it; the OS stamps wire ids from its
+        own counter, so they count up from 1 in every run."""
         a, b = pause_notify(1, 2), pause_notify(1, 2)
-        assert a.msg_id != b.msg_id
+        assert a.msg_id == b.msg_id == 0
+        for _ in range(2):  # a second runtime in the same process
+            rt = Runtime(Machine(MachineConfig.small()))
+            first, second = resume_task(1, None), resume_task(1, None)
+            rt._send(0, 1, first)
+            rt._send(0, 0, second)
+            assert (first.msg_id, second.msg_id) == (1, 2)
 
 
 class TestWordsOf:
