@@ -72,8 +72,21 @@ class JobHandle:
         too; jobs on *other* pool machines are not.
         """
         if self._owner is None:
-            raise AppVMError("job handle is not attached to a service")
+            raise self._not_resident()
         return self._owner.checkpoint_job(self)
+
+    def _not_resident(self) -> AppVMError:
+        return AppVMError(
+            f"job for {self.spec.user!r} is not resident on a machine "
+            f"(state={self.state.value})")
+
+    def _finish(self, state: JobState) -> None:
+        """Enter a final state.  A finished handle is a result, not a
+        lease on its service: it lets go of the owner (and with it the
+        pool, its machines and their finished programs)."""
+        self.state = state
+        self.machine = None
+        self._owner = None
 
     # -- naming -------------------------------------------------------------
 

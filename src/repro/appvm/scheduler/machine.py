@@ -61,25 +61,21 @@ def _register_solve(program: Fem2Program, model: StructureModel,
     )
 
 
-def _lint_gate(program: Fem2Program, mode: str,
-               cache: Dict[tuple, tuple]) -> None:
+def _lint_gate(program: Fem2Program, mode: str) -> None:
     """Unless *mode* is ``"off"``, run :func:`repro.lint.lint_program`
-    over the task types registered on *program* (cached in *cache* per
-    registry state) and enforce its findings before admission.  The
-    gate also extracts the program's static route summary
-    (``fem2-flow/1``) and cost bounds (``fem2-cost/1``), posting both on
-    the tracer as ``lint.flow`` / ``lint.cost`` points, so every
-    admitted job carries its predicted communication structure and
-    cost."""
+    over the task types registered on *program* and enforce its
+    findings before admission.  The gate also extracts the program's
+    static route summary (``fem2-flow/1``) and cost bounds
+    (``fem2-cost/1``), posting both on the tracer as ``lint.flow`` /
+    ``lint.cost`` points, so every admitted job carries its predicted
+    communication structure and cost.  All three are views of one
+    analysis that :mod:`repro.lint.store` keeps per task set, so only
+    the first submit in a process to see a task set pays for it."""
     if mode == "off":
         return
-    key = tuple(program.runtime.registry.types())
-    cached = cache.get(key)
-    if cached is None:
-        cached = (lint_program(program), flow_summary(program),
-                  cost_report(program))
-        cache[key] = cached
-    report, flow, cost = cached
+    report = lint_program(program)
+    flow = flow_summary(program)
+    cost = cost_report(program)
     report.emit(program.runtime.obs, program.now)
     tr = program.runtime.obs
     if tr is not None and getattr(tr, "enabled", False):

@@ -80,7 +80,6 @@ class ServicePool:
         }
         self._ids = itertools.count(1)
         self._finished_unclaimed: List[JobHandle] = []
-        self._lint_cache: Dict[tuple, object] = {}
         #: predicted cost units per (model, load set, workers, tol)
         self._cost_cache: Dict[tuple, int] = {}
 
@@ -99,7 +98,7 @@ class ServicePool:
                 f"submit() takes a JobSpec, got {type(spec).__name__}")
         spec.validate_model()
         # the gate reads the front machine's registry
-        _lint_gate(self.machines[0].program, spec.lint, self._lint_cache)
+        _lint_gate(self.machines[0].program, spec.lint)
         cost = self._cost_units(spec)
         handle = JobHandle(spec, owner=self, job_id=next(self._ids))
         handle.submit_time = self.now
@@ -107,7 +106,7 @@ class ServicePool:
         ledger = self.tenants.get(spec.tenant)
         reason = admission_reason(ledger, self.now, cost=cost)
         if reason is not None:
-            handle.state = JobState.REJECTED
+            handle._finish(JobState.REJECTED)
             handle.reason = reason
             ledger.jobs_rejected += 1
             self.stats["rejected"] += 1
@@ -307,9 +306,8 @@ class ServicePool:
 
     def _resolve(self, machine: PoolMachine) -> None:
         for handle in machine.collect_finished():
-            handle.state = JobState.DONE
+            handle._finish(JobState.DONE)
             handle.finish_time = machine.global_now
-            handle.machine = None
             ledger = self.tenants.get(handle.spec.tenant)
             ledger.in_flight -= 1
             ledger.jobs_done += 1
@@ -324,9 +322,7 @@ class ServicePool:
         its resident jobs, nothing else)."""
         machine = handle.machine
         if machine is None:
-            raise AppVMError(
-                f"job for {handle.spec.user!r} is not resident on a machine "
-                f"(state={handle.state.value})")
+            raise handle._not_resident()
         return machine.checkpoint()
 
     # -- reporting ----------------------------------------------------------

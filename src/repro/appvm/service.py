@@ -58,7 +58,6 @@ class MachineService:
                                    tracer=tracer)
         self.completed_batches = 0
         self._ids = itertools.count(1)
-        self._lint_cache: Dict[tuple, tuple] = {}
 
     @property
     def program(self):
@@ -82,7 +81,7 @@ class MachineService:
             raise AppVMError(
                 f"submit() takes a JobSpec, got {type(spec).__name__}")
         spec.validate_model()
-        _lint_gate(self.program, spec.lint, self._lint_cache)
+        _lint_gate(self.program, spec.lint)
         handle = JobHandle(spec, owner=self, job_id=next(self._ids))
         handle.submit_time = handle.dispatch_time = self.program.now
         self.machine.spawn(handle)
@@ -98,9 +97,8 @@ class MachineService:
         self.machine.run_slice(None)
         finished = self.machine.collect_finished()
         for handle in finished:
-            handle.state = JobState.DONE
+            handle._finish(JobState.DONE)
             handle.finish_time = self.program.now
-            handle.machine = None
         self.completed_batches += 1
         return finished
 
@@ -121,9 +119,7 @@ class MachineService:
         """What :meth:`JobHandle.checkpoint` calls: the job's machine is
         the service's only machine, so this is :meth:`checkpoint`."""
         if handle.machine is None:
-            raise AppVMError(
-                f"job for {handle.spec.user!r} is not resident on a machine "
-                f"(state={handle.state.value})")
+            raise handle._not_resident()
         return self.checkpoint()
 
     @classmethod

@@ -1,7 +1,7 @@
 """Plan analysis: turn the flow IR into a :class:`CompiledPlan`.
 
 :func:`compile_program` recovers the registered task bodies' AST facts
-through :func:`repro.lint.registry_tasks`, partitions the types with
+through :mod:`repro.lint.store`, partitions the types with
 the P1 analysis (:mod:`repro.lint.flow.compilable`), and packs the
 resolved spawn routes and burst chains from the ``fem2-flow/1`` summary
 into a plan.
@@ -13,8 +13,8 @@ about code it cannot read.
 
 from __future__ import annotations
 
-from ..lint import registry_tasks, summarize
 from ..lint.flow import Blocker, task_blockers
+from ..lint.store import program_analysis
 from .plan import CompiledPlan, TaskPlan
 
 __all__ = ["compile_program"]
@@ -28,9 +28,9 @@ def compile_program(program) -> CompiledPlan:
     nothing is installed on the runtime.
     """
     source = tuple(program.runtime.registry.types())
-    tasks = registry_tasks(program)
-    summary = summarize(tasks)
-    analyzed = {t.name: t for t in tasks}
+    analysis = program_analysis(program)
+    summary = analysis.flow
+    analyzed = {t.name: t for t in analysis.tasks}
     task_plans = {}
     for name in source:
         task = analyzed.get(name)

@@ -5,7 +5,9 @@ this package rejects whole classes of violation *before* a single
 simulated cycle is spent.  Three entry points:
 
 * :func:`lint_program` — inspect a built :class:`~repro.langvm.Fem2Program`'s
-  registered task generators (used by the ``JobSpec.lint`` admission gate),
+  registered task generators (used by the ``JobSpec.lint`` admission gate);
+  with :func:`flow_summary` and :func:`cost_report` a view of one
+  per-process analysis of the task set (:mod:`repro.lint.store`),
 * :func:`lint_paths` / :func:`lint_source` — lint files or source text,
 * ``python -m repro.lint [paths...]`` — the CLI (repo architecture
   included when a ``repro`` package root is among the paths).
@@ -21,11 +23,9 @@ severity, and the report exports to the same plain-record form as the
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
 from typing import List
 
+from . import store
 from .api import check_package_api, check_public_api
 from .astutil import TaskInfo, analyze_task, collect_tasks
 from .cache import LintCache
@@ -65,57 +65,37 @@ from .spans import check_span_balance
 
 
 def registry_tasks(program) -> List[TaskInfo]:
-    """Extract a :class:`TaskInfo` per task type registered on a program.
-
-    Walks the program's :class:`~repro.sysvm.code.CodeRegistry` and
-    recovers each task body's source via :mod:`inspect`.  Bodies whose
-    source cannot be recovered (built in a REPL, generated) are skipped
-    — the run-time audit still covers them.
-    """
-    registry = program.runtime.registry
-    tasks: List[TaskInfo] = []
-    for name in registry.types():
-        body = registry.get(name).body
-        try:
-            src = textwrap.dedent(inspect.getsource(body))
-            file = inspect.getsourcefile(body) or "<unknown>"
-            _, start = inspect.getsourcelines(body)
-        except (OSError, TypeError):
-            continue
-        try:
-            tree = ast.parse(src)
-        except SyntaxError:
-            continue
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                # snippet line k is file line start + k - 1 (the snippet
-                # begins at the decorator, which getsourcelines includes)
-                tasks.append(analyze_task(node, file, registered_name=name,
-                                          line_offset=start - 1,
-                                          registered=True))
-                break
-    return tasks
+    """A :class:`TaskInfo` per task type registered on a program whose
+    source :mod:`inspect` can recover (see :mod:`repro.lint.store`).
+    The infos are shared with the store: read, do not modify."""
+    return list(store.program_analysis(program).tasks)
 
 
 def lint_program(program) -> LintReport:
     """Lint every task type registered on a built program (the
     :class:`~repro.appvm.JobSpec` admission gate's entry point)."""
-    tasks = registry_tasks(program)
-    files = {t.file for t in tasks}
-    report = LintReport(files_checked=len(files), tasks_checked=len(tasks))
-    report.extend(check_tasks(tasks))
+    analysis = store.program_analysis(program)
+    files = {t.file for t in analysis.tasks}
+    report = LintReport(files_checked=len(files),
+                        tasks_checked=len(analysis.tasks))
+    report.extend(analysis.findings)
     return report
 
 
 def flow_summary(program) -> FlowSummary:
-    """The ``fem2-flow/1`` summary for a built program's task set."""
-    return summarize(registry_tasks(program))
+    """The ``fem2-flow/1`` summary for a built program's task set.
+    The summary is shared with the store and with every other caller in
+    the process: read, do not modify (``to_record()`` is a copy)."""
+    return store.program_analysis(program).flow
 
 
 def cost_report(program) -> CostReport:
     """The ``fem2-cost/1`` report for a built program's task set (the
-    :class:`~repro.appvm.ServicePool` admission gate's cost source)."""
-    return build_cost_report(analyze_costs(registry_tasks(program)))
+    :class:`~repro.appvm.ServicePool` admission gate's cost source).
+    The report is shared with the store, and so with every later
+    admission in the process: read, do not modify (``to_record()`` is a
+    copy)."""
+    return store.program_analysis(program).cost
 
 
 __all__ = [
@@ -168,6 +148,7 @@ __all__ = [
     "main",
     "observed_edges",
     "registry_tasks",
+    "store",
     "summarize",
     "task_blockers",
 ]

@@ -33,7 +33,7 @@ from fnmatch import fnmatchcase
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
-from .model import MESSAGE_KINDS, analyze_costs
+from .model import MESSAGE_KINDS
 from .report import CostReport, build_cost_report, machine_env
 
 #: (kind, task glob, name or None, value) — binds cost parameters
@@ -248,16 +248,16 @@ def calibrate(program: Any, rules: Sequence[BindingRule] = (),
     against the predicted intervals.
     """
     if report is None:
-        from .. import registry_tasks
-        tasks = registry_tasks(program)
-        if program.runtime.registry.types() and not tasks:
+        from ..store import program_analysis
+        analysis = program_analysis(program)
+        if program.runtime.registry.types() and not analysis.tasks:
             raise CalibrationError(
                 "no registered task body's source could be recovered "
                 "(REPL/stdin-defined tasks?) — the report would predict "
                 "zero everywhere; build one from collect_tasks and pass "
                 "it as report=")
-        costs = analyze_costs(tasks)
-        report = build_cost_report(costs, entries=entries)
+        report = (analysis.cost if entries is None
+                  else build_cost_report(analysis.costs, entries=entries))
     env = bind_params(report.params, rules,
                       machine_env(program.machine.config))
     return compare(report, observed_costs(program.metrics), env)

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 from ..astutil import TaskInfo
 from ..findings import Finding
+from ..flow.summary import FlowSummary, summarize
 from .model import TaskCost, analyze_costs
 from .report import CostReport, build_cost_report
 
@@ -67,10 +68,7 @@ def _window_roots(task: TaskInfo) -> Dict[str, str]:
 
 
 def check_c2(costs: List[TaskCost], report: CostReport,
-             tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    from ..flow.summary import summarize
-    summary = summarize(tasks, index)
+             tasks: List[TaskInfo], summary: FlowSummary) -> List[Finding]:
     by_name = {t.name: t for t in tasks}
     findings: List[Finding] = []
     for cost in costs:
@@ -120,5 +118,5 @@ def check_cost(tasks: List[TaskInfo],
     costs = analyze_costs(tasks, index)
     report = build_cost_report(costs)
     findings = check_c1(costs)
-    findings.extend(check_c2(costs, report, tasks, index))
+    findings.extend(check_c2(costs, report, tasks, summarize(tasks, index)))
     return findings

@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Set
 from ..astutil import TaskInfo
 from ..findings import Finding
 from .dataflow import Summaries, interpret_task, summarize_tasks
-from .ir import task_index
 
 _W3_MESSAGES = {
     "pair": ("initiated tasks {a!r} and {b!r} may run concurrently and "
@@ -120,12 +119,9 @@ def check_d2(tasks: List[TaskInfo],
     return _interpret_all(tasks, index, codes={"D2"})
 
 
-def check_x1(tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
+def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
+             summaries: Summaries) -> List[Finding]:
     """Registered tasks unreachable from any entry task."""
-    index = index if index is not None else task_index(tasks)
-    summaries = summarize_tasks(tasks, index)
-
     edges: Dict[str, Set[str]] = {t.name: set() for t in tasks}
     indegree: Dict[str, int] = {t.name: 0 for t in tasks}
     for t in tasks:
@@ -180,11 +176,10 @@ def check_x1(tasks: List[TaskInfo],
     return findings
 
 
-def check_flow(tasks: List[TaskInfo],
-               index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    """All flow-engine checks over one resolved task set."""
-    index = index if index is not None else task_index(tasks)
-    summaries = summarize_tasks(tasks, index)
+def check_flow(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
+               summaries: Summaries) -> List[Finding]:
+    """All flow-engine checks over one resolved task set, its target
+    index and its :func:`summarize_tasks` fixpoint."""
     findings = _interpret_all(tasks, index, summaries=summaries)
-    findings.extend(check_x1(tasks, index))
+    findings.extend(check_x1(tasks, index, summaries))
     return findings

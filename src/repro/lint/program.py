@@ -42,21 +42,19 @@ partitioned fan-outs — the canonical legal idiom — cannot false-positive.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .astutil import InitiateSite, TaskInfo
+from .cost.checks import check_c1, check_c2
+from .cost.model import TaskCost, analyze_costs
+from .cost.report import CostReport, build_cost_report
 from .findings import Finding
-
-
-def _task_index(tasks: List[TaskInfo]) -> Dict[str, TaskInfo]:
-    """Resolve initiate targets: registered names first, then func names."""
-    index: Dict[str, TaskInfo] = {}
-    for t in tasks:
-        index.setdefault(t.name, t)
-    for t in tasks:
-        index.setdefault(t.func_name, t)
-    return index
+from .flow.checks import check_flow, check_w2_flow
+from .flow.dataflow import summarize_tasks
+from .flow.ir import task_index
+from .flow.summary import FlowSummary, summarize
 
 
 # -- W1: overlapping plain writes across parallel siblings --------------------
@@ -81,7 +79,7 @@ def _written_shared_args(site: InitiateSite,
 
 def check_w1(tasks: List[TaskInfo],
              index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    index = index if index is not None else _task_index(tasks)
+    index = index if index is not None else task_index(tasks)
     findings: List[Finding] = []
     for t in tasks:
         for site in t.initiates:
@@ -128,16 +126,15 @@ def _pair_conflict(type_a: Optional[str], args_a: Tuple[Optional[str], ...],
 def check_w2(tasks: List[TaskInfo],
              index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
     """Happens-before W2 (delegates to the flow engine)."""
-    from .flow.checks import check_w2_flow
     return check_w2_flow(tasks, index if index is not None
-                         else _task_index(tasks))
+                         else task_index(tasks))
 
 
 # -- D1: initiate without wait / unconditional initiate cycles ----------------
 
 def check_d1(tasks: List[TaskInfo],
              index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    index = index if index is not None else _task_index(tasks)
+    index = index if index is not None else task_index(tasks)
     findings: List[Finding] = []
     for t in tasks:
         for site in t.initiates:
@@ -228,15 +225,40 @@ def check_o1(tasks: List[TaskInfo]) -> List[Finding]:
     return findings
 
 
-def check_tasks(tasks: List[TaskInfo]) -> List[Finding]:
-    """Run every program checker over one resolved task set."""
-    from .cost.checks import check_cost
-    from .flow.checks import check_flow
-    index = _task_index(tasks)
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the static passes derive from one resolved task set,
+    each pass run once: the findings of every program checker, the
+    ``fem2-flow/1`` summary, the per-task cost bounds and the
+    ``fem2-cost/1`` report composed from them."""
+
+    tasks: Tuple[TaskInfo, ...]
+    findings: Tuple[Finding, ...]
+    flow: FlowSummary
+    costs: Tuple[TaskCost, ...]
+    cost: CostReport
+
+
+def analyze_tasks(tasks: Sequence[TaskInfo]) -> Analysis:
+    """Run every pass over one resolved task set: one target index, one
+    interprocedural summary fixpoint and one cost interpretation feed
+    the checkers, the flow summary and the cost report alike."""
+    tasks = list(tasks)
+    index = task_index(tasks)
+    summaries = summarize_tasks(tasks, index)
+    flow = summarize(tasks, index, summaries)
+    costs = analyze_costs(tasks, index)
+    cost = build_cost_report(costs)
     findings: List[Finding] = []
     findings.extend(check_w1(tasks, index))
-    findings.extend(check_flow(tasks, index))  # W2 / W3 / D2 / X1
+    findings.extend(check_flow(tasks, index, summaries))  # W2 / W3 / D2 / X1
     findings.extend(check_d1(tasks, index))
     findings.extend(check_o1(tasks))
-    findings.extend(check_cost(tasks, index))  # C1 / C2
-    return findings
+    findings.extend(check_c1(costs))
+    findings.extend(check_c2(costs, cost, tasks, flow))
+    return Analysis(tuple(tasks), tuple(findings), flow, tuple(costs), cost)
+
+
+def check_tasks(tasks: List[TaskInfo]) -> List[Finding]:
+    """Run every program checker over one resolved task set."""
+    return list(analyze_tasks(tasks).findings)

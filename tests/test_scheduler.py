@@ -2,6 +2,9 @@
 service — admission quotas, fair-share dispatch, and checkpoint-based
 preemption with bit-identical resume."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -159,16 +162,31 @@ class TestCostAdmission:
         pool.run()
 
     def test_lint_gate_caches_cost_report(self):
-        from repro.lint import CostReport, LintReport
+        """The gate's reports are views of the process-wide analysis
+        store: a second fresh pool holding the same task set is served
+        the first one's analysis, and clearing the store only costs a
+        re-analysis with the same answer."""
+        from repro.lint import CostReport, cost_report, flow_summary, store
         from repro.lint.flow import FlowSummary
-        pool = ServicePool(n_machines=1, config=small_config())
-        pool.submit(spec_for("a", make_model("m1"), lint="warn"))
-        (entry,) = pool._lint_cache.values()
-        report, flow, cost = entry
-        assert isinstance(report, LintReport)
-        assert isinstance(flow, FlowSummary)
+        store.clear()
+        pools = [ServicePool(n_machines=1, config=small_config())
+                 for _ in range(2)]
+        for pool in pools:
+            pool.submit(spec_for("a", make_model("m1"), lint="warn"))
+        first, second = (pool.machines[0].program for pool in pools)
+        assert first.runtime.registry.types() == ("fem.cg_worker.j1",
+                                                  "fem.cg_root.j1")
+        cost, flow = cost_report(first), flow_summary(first)
         assert isinstance(cost, CostReport)
-        pool.run()
+        assert isinstance(flow, FlowSummary)
+        assert cost_report(second) is cost
+        assert flow_summary(second) is flow
+        store.clear()
+        again = cost_report(second)
+        assert again is not cost
+        assert again.to_record() == cost.to_record()
+        for pool in pools:
+            pool.run()
 
     def test_bad_cost_units_rejected_at_spec(self):
         with pytest.raises(AppVMError, match="cost_units"):
@@ -365,6 +383,59 @@ class TestCheckpointScope:
         pool.run()
         with pytest.raises(AppVMError, match="not resident"):
             handle.checkpoint()
+
+    @pytest.mark.parametrize("service", [
+        lambda: ServicePool(n_machines=1, config=small_config()),
+        lambda: MachineService(small_config()),
+    ], ids=["pool", "machine_service"])
+    def test_finished_handle_does_not_keep_its_service_alive(self, service):
+        """A DONE handle is a result: keeping it must not pin the pool,
+        its machines and their finished programs."""
+        svc = service()
+        handle = svc.submit(spec_for("a", make_model("m")))
+        svc.run()
+        gone = weakref.ref(svc)
+        del svc
+        gc.collect()
+        assert gone() is None
+        assert handle.result().max_displacement() > 0
+        with pytest.raises(
+                AppVMError,
+                match=r"is not resident on a machine \(state=done\)"):
+            handle.checkpoint()
+
+    def test_rejected_handle_does_not_keep_its_pool_alive(self):
+        pool = ServicePool(n_machines=1, config=small_config(),
+                           tenants=[Tenant("t", max_concurrent=1)])
+        pool.submit(spec_for("a", make_model("m1"), tenant="t"))
+        rejected = pool.submit(spec_for("b", make_model("m2"), tenant="t"))
+        assert rejected.state is JobState.REJECTED
+        pool.handles.clear()
+        gone = weakref.ref(pool)
+        del pool
+        gc.collect()
+        assert gone() is None
+        with pytest.raises(
+                AppVMError,
+                match=r"is not resident on a machine \(state=rejected\)"):
+            rejected.checkpoint()
+
+
+class TestMachineAccounting:
+    @pytest.mark.xfail(strict=True, reason=(
+        "PoolMachine.busy_cycles double counts: collect_finished adds "
+        "program.now when the machine's last job resolves and the next "
+        "placement's reset() adds the same program.now again.  The fix "
+        "moves appvm.pool.utilization in the host benchmark's expected "
+        "numbers and the E15 tables (ROADMAP item 7a)."))
+    def test_busy_cycles_are_the_cycles_resident_jobs_ran(self):
+        pool = ServicePool(n_machines=1, config=small_config())
+        handles = [pool.submit(spec_for(f"u{i}", make_model(f"m{i}")))
+                   for i in range(3)]
+        pool.run()
+        (machine,) = pool.machines
+        assert machine.busy_cycles == sum(
+            h.result().elapsed_cycles for h in handles)
 
 
 class TestPoolValidation:
