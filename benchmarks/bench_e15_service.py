@@ -5,8 +5,7 @@ pool of simulated FEM-2 machines and flow through the whole scheduler:
 admission quotas reject over-limit submissions, stride fair-share picks
 who runs next, and a forced preemption checkpoints a running job off
 its machine for a higher-priority one, then resumes it bit-identically
-— verified against an unpreempted control run with the
-:mod:`repro.perf` equivalence harness.
+— verified against an unpreempted control run.
 
 The sweep reports per-tenant cycles-per-share (the fairness contract),
 queue-wait latency percentiles (p50/p99, in service cycles), and the
@@ -23,7 +22,6 @@ from repro.appvm.scheduler import fairness_index, jain_index
 from repro.bench import Experiment
 from repro.fem import LoadSet, Material, rect_grid
 from repro.hardware import MachineConfig
-from repro.perf import diff_values
 
 #: full-scale geometry (the pytest smoke run shrinks total_jobs only).
 #: sized so COMPLETED jobs clear 10k even after the capped tenant's
@@ -109,22 +107,21 @@ def run_forced_preemption():
 
     pool, preempted = solve(preempt=True)
     _, control = solve(preempt=False)
-    a, b = preempted.result(), control.result()
-    delta = diff_values(
-        {"u": a.u.tolist(), "iterations": a.iterations,
-         "elapsed": a.elapsed_cycles,
-         "stresses": {k: v.tolist() for k, v in a.stresses.items()}},
-        {"u": b.u.tolist(), "iterations": b.iterations,
-         "elapsed": b.elapsed_cycles,
-         "stresses": {k: v.tolist() for k, v in b.stresses.items()}},
-    )
+
+    def observables(handle):
+        result = handle.result()
+        return {"u": result.u.tolist(), "iterations": result.iterations,
+                "elapsed": result.elapsed_cycles,
+                "stresses": {k: v.tolist() for k, v in result.stresses.items()}}
+
+    a, b = observables(preempted), observables(control)
     return {
         "preemptions": pool.stats["preemptions"],
         "resumes": pool.stats["resumes"],
         "ckpt_bytes": pool.stats["ckpt_bytes"],
         "victim_preemptions": preempted.preemptions,
-        "identical": not delta,
-        "diff_paths": delta,
+        "identical": a == b,
+        "differing": [key for key in a if a[key] != b[key]],
     }
 
 
@@ -203,6 +200,6 @@ def test_e15_service(benchmark, experiment_sink):
     # the preempted job resumed bit-identically
     assert data["preemption"]["preemptions"] >= 1
     assert data["preemption"]["resumes"] >= 1
-    assert data["preemption"]["identical"], data["preemption"]["diff_paths"]
+    assert data["preemption"]["identical"], data["preemption"]["differing"]
     # queue-wait percentiles are real measurements
     assert report["latency"]["p99"] >= report["latency"]["p50"] > 0

@@ -113,8 +113,8 @@ def run_e16(max_points=None, widths=None):
                     round(row["points_per_sec"] / serial_pps, 2),
                     row["identical"])
     agg = baseline.aggregate()
-    exp.note(f"{n_points} points, engine={baseline.engine}, host_cpus="
-             f"{os.cpu_count()}; speedup saturates at host_cpus")
+    exp.note(f"{n_points} points, host_cpus={os.cpu_count()}; "
+             f"speedup saturates at host_cpus")
     exp.note(f"simulated cycles per point: min {agg['cycles']['min']:.0f}, "
              f"max {agg['cycles']['max']:.0f}, mean {agg['cycles']['mean']:.0f}")
 

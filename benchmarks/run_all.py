@@ -62,7 +62,6 @@ BENCHES = {
     "e11": ("bench_e11_constructs", "run_e11"),
     "e12": ("bench_e12_workstation", "run_e12"),
     "e13": ("bench_e13_checkpoint", "run_e13"),
-    "e14": ("bench_e14_engine", "run_e14"),
     "e15": ("bench_e15_service", "run_e15"),
     "e16": ("bench_e16_campaign", "run_e16"),
     "a1": ("bench_a1_placement", "run_a1"),

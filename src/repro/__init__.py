@@ -16,7 +16,6 @@ every layer as running code:
 * :mod:`repro.analysis` — requirement estimation (Adams & Voigt, ref [8])
 * :mod:`repro.obs`      — observability spine: spans + structured export
 * :mod:`repro.lint`     — static race/deadlock/architecture analyzer
-* :mod:`repro.perf`     — fast-engine equivalence + perf-regression harness
 * :mod:`repro.bench`    — workloads and the experiment harness
 
 Quickstart::
@@ -46,7 +45,6 @@ from . import (
     langvm,
     lint,
     obs,
-    perf,
     sysvm,
 )
 from .errors import Fem2Error
@@ -68,7 +66,6 @@ __all__ = [
     "langvm",
     "lint",
     "obs",
-    "perf",
     "sysvm",
     "Fem2Error",
     "Machine",

@@ -32,7 +32,10 @@ class Measured:
             flops=int(metrics.get("proc.flops")),
             messages=int(metrics.get("comm.messages")),
             message_words=int(metrics.get("comm.words")),
-            storage_hwm_words=int(sum(metrics.by_prefix("mem.hwm").values())),
+            # mem.hwm.clusterN only: mem.hwm.<tag>.clusterN splits the same words
+            storage_hwm_words=int(sum(
+                words for key, words in metrics.by_prefix("mem.hwm").items()
+                if "." not in key)),
         )
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...ckpt import from_bytes, to_bytes
-from ...errors import AppVMError
+from ...errors import AppVMError, ConfigurationError
 from ...fem import (
     collect_parallel_cg,
     recover_stresses,
@@ -116,7 +116,8 @@ def _decode_blob(blob: bytes) -> Tuple[Dict[str, Any], MachineConfig]:
             f"machine checkpoint is missing {', '.join(missing)}")
     try:
         config = MachineConfig(**state["config"])
-    except TypeError as exc:
+        config.validate()
+    except (TypeError, ConfigurationError) as exc:
         raise AppVMError(
             f"machine checkpoint has a bad config: {exc}") from exc
     return state, config

@@ -26,7 +26,6 @@ from typing import Any, List
 
 from ..appvm import render_table
 from ..errors import CampaignError, Fem2Error
-from ..hardware import ENGINES
 from .campaign import Campaign
 from .report import CampaignReport
 from .space import ParamSpace
@@ -59,7 +58,7 @@ def summary_table(report: CampaignReport) -> str:
     lines = [
         f"campaign {report.name!r}: {agg['points']} points over "
         f"{agg['waves']} wave(s), {agg['refined_points']} refined, "
-        f"{agg['warm_restarts']} warm-restarted [engine={report.engine}]",
+        f"{agg['warm_restarts']} warm-restarted",
         render_table(["metric", "points", "min", "max", "mean"], rows),
     ]
     return "\n".join(lines)
@@ -74,7 +73,6 @@ def main(argv=None) -> int:
     ap.add_argument("--points-file", type=pathlib.Path,
                     help="JSON file with an explicit point list")
     ap.add_argument("--name", default="campaign")
-    ap.add_argument("--engine", default="default", choices=ENGINES)
     ap.add_argument("--campaign-workers", type=int, default=0, metavar="N",
                     help="worker processes (0 = serial in-process)")
     ap.add_argument("--waves", type=int, default=1)
@@ -103,7 +101,6 @@ def main(argv=None) -> int:
         campaign = Campaign(
             space,
             name=args.name,
-            engine=args.engine,
             workers=args.campaign_workers,
             waves=args.waves,
             refine_per_wave=args.refine,

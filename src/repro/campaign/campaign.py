@@ -44,8 +44,8 @@ from .runner import (
 )
 from .space import ParamSpace, Point, point_key
 
-#: fork shares the parent's loaded numpy/scipy pages and any
-#: forced-engine override; fall back to the platform default elsewhere
+#: fork shares the parent's loaded numpy/scipy pages; fall back to the
+#: platform default elsewhere
 _PREFERRED_START = "fork"
 
 
@@ -66,7 +66,6 @@ class Campaign:
         *,
         name: str = "campaign",
         base_config: Union[MachineConfig, Dict[str, Any], None] = None,
-        engine: str = "default",
         workers: int = 0,
         waves: int = 1,
         refine_per_wave: int = 0,
@@ -90,7 +89,7 @@ class Campaign:
             fields = {
                 k: getattr(base_config, k)
                 for k in MachineConfig.__dataclass_fields__
-                if k != "engine"
+                if k != "engine"  # inert; never part of a report
             }
             base_config = fields
         self.space = space
@@ -99,7 +98,6 @@ class Campaign:
             "n_clusters": 2, "pes_per_cluster": 3,
             "memory_words_per_cluster": 8_000_000,
         }
-        self.engine = engine
         #: host worker processes; 0 = serial in-process fallback
         self.workers = workers
         self.waves = waves
@@ -132,7 +130,6 @@ class Campaign:
         warm = wave > 0 and self.restart_events is not None
         return RunOptions(
             base_config=dict(self.base_config),
-            engine=self.engine,
             defaults=dict(self.defaults),
             trace=self.trace and not warm,
             journal=warm,
@@ -208,7 +205,6 @@ class Campaign:
         self.host_seconds = time.perf_counter() - t0
         return CampaignReport(
             name=self.name,
-            engine=self.engine,
             space=self.space.describe(),
             options={
                 "base_config": dict(self.base_config),

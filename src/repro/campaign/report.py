@@ -34,7 +34,6 @@ class CampaignReport:
     """Everything one campaign produced, as plain JSON-safe data."""
 
     name: str
-    engine: str
     space: Dict[str, Any]
     options: Dict[str, Any] = field(default_factory=dict)
     waves: List[Dict[str, Any]] = field(default_factory=list)
@@ -60,7 +59,6 @@ class CampaignReport:
         return {
             "schema": CAMPAIGN_SCHEMA,
             "name": self.name,
-            "engine": self.engine,
             "space": self.space,
             "options": dict(self.options),
             "waves": [dict(w) for w in self.waves],
@@ -77,7 +75,6 @@ class CampaignReport:
                 f"expected {CAMPAIGN_SCHEMA!r})")
         return cls(
             name=record["name"],
-            engine=record["engine"],
             space=record["space"],
             options=dict(record.get("options", {})),
             waves=[dict(w) for w in record.get("waves", [])],

@@ -22,7 +22,6 @@ cold run of the same point (``tests/test_campaign_determinism.py``).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -60,11 +59,8 @@ DEFAULTS: Dict[str, Any] = {
 class RunOptions:
     """Everything a worker process needs besides the point itself."""
 
-    #: MachineConfig fields the point does not override (engine excluded)
+    #: MachineConfig fields the point does not override
     base_config: Dict[str, Any] = field(default_factory=dict)
-    #: simulation engine every point runs on (resolved per machine by
-    #: :func:`repro.hardware.resolve_engine`, like every entry point)
-    engine: str = "default"
     #: mesh/solver defaults overriding :data:`DEFAULTS`
     defaults: Dict[str, Any] = field(default_factory=dict)
     #: collect obs span aggregates (cold runs only)
@@ -98,10 +94,6 @@ def build_config(point: Point, options: RunOptions) -> MachineConfig:
     """The machine configuration a point runs on."""
     fields = dict(options.base_config)
     fields.update({k: v for k, v in point.items() if k in MACHINE_AXES})
-    # interned: options reach a worker process pickled, and restart
-    # blob bytes record whether this string is the same object as an
-    # equal literal elsewhere in the snapshot (pickle memoizes by id)
-    fields["engine"] = sys.intern(options.engine)
     return MachineConfig(**fields)
 
 

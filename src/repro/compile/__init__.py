@@ -3,7 +3,7 @@
 A pure classification of a program's registered task types against the
 flow IR's resolved facts (spawn routes, const-propagated replication
 counts, fixed-length burst chains).  Nothing here touches execution —
-both engines interpret every task.
+the engine interprets every task.
 
 Two pieces:
 

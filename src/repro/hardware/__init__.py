@@ -6,8 +6,7 @@ engine clocked in cycles.  This package is the substrate every virtual
 machine above it (sysvm, langvm, appvm) runs on.
 """
 
-from .calqueue import FastEventEngine
-from .events import DEFAULT_ENGINE, ENGINES, Event, EventEngine, forced_engine, resolve_engine
+from .events import ENGINES, Event, EventEngine
 from .metrics import BusyTracker, Cells, Counter, Histogram, MetricsRegistry
 from .pe import PEState, ProcessingElement
 from .memory import SharedMemory
@@ -18,13 +17,9 @@ from .faults import FaultInjector, FaultRecord
 from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "ENGINES",
     "Event",
     "EventEngine",
-    "FastEventEngine",
-    "forced_engine",
-    "resolve_engine",
     "BusyTracker",
     "Cells",
     "Counter",

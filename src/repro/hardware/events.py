@@ -13,85 +13,15 @@ are exactly reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
-import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 
-#: recognised engine kinds; "default" resolves through
-#: :func:`resolve_engine` (module override, then environment, then fast)
-ENGINES = ("default", "reference", "fast")
-
-#: the kinds a config/env/override may name directly (everything but
-#: the "default" placeholder)
-CONCRETE_ENGINES = ("reference", "fast")
-
-#: what ``engine="default"`` means when nothing overrides it.  The fast
-#: calendar-queue engine (:mod:`repro.hardware.calqueue`) is the
-#: production path; the reference heapq engine below stays the oracle.
-DEFAULT_ENGINE = "fast"
-
-#: process-wide override installed by :func:`forced_engine`; None means
-#: "no override".  The equivalence harness (repro.perf) uses this to run
-#: unmodified benchmarks under any engine.
-_FORCED: Optional[str] = None
-
-
-def resolve_engine(kind: str) -> str:
-    """Resolve a :class:`MachineConfig` engine field to a concrete kind.
-
-    Override order, strongest first (documented in DESIGN.md §11):
-
-    1. a :func:`forced_engine` override — wins over everything,
-       including explicit configs (that is the point of the harness);
-    2. an explicit ``"reference"``/``"fast"`` config;
-    3. the ``FEM2_ENGINE`` environment variable;
-    4. :data:`DEFAULT_ENGINE`.
-
-    An unknown ``FEM2_ENGINE`` value raises :class:`ConfigurationError`
-    rather than silently falling back — a typo like ``FEM2_ENGINE=ref``
-    must not masquerade as a default-engine run.
-    """
-    if kind not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {kind!r}; one of {ENGINES}"
-        )
-    if _FORCED is not None:
-        return _FORCED
-    if kind != "default":
-        return kind
-    env = os.environ.get("FEM2_ENGINE", "").strip().lower()
-    if not env:
-        return DEFAULT_ENGINE
-    if env not in CONCRETE_ENGINES:
-        raise ConfigurationError(
-            f"unknown FEM2_ENGINE value {env!r}; one of {CONCRETE_ENGINES}"
-        )
-    return env
-
-
-@contextlib.contextmanager
-def forced_engine(kind: str) -> Iterator[None]:
-    """Force every machine built inside the block onto one engine.
-
-    The A/B half of the equivalence harness: the same workload code,
-    run under ``forced_engine("reference")`` and
-    ``forced_engine("fast")``, must produce identical final metrics,
-    clocks, and checkpoint blobs.
-    """
-    if kind not in CONCRETE_ENGINES:
-        raise ConfigurationError(
-            f"forced_engine needs one of {CONCRETE_ENGINES}, got {kind!r}"
-        )
-    global _FORCED
-    prev = _FORCED
-    _FORCED = kind
-    try:
-        yield
-    finally:
-        _FORCED = prev
+#: there is one engine: this tuple and ``MachineConfig.engine`` select nothing
+#: and stay only because the frozen host probe imports ENGINES and fem2-ckpt/1
+#: config blocks carry the field (both go with ROADMAP item 2)
+ENGINES = ("default", "reference")
 
 
 class Event:
@@ -121,11 +51,8 @@ class Event:
 class EventEngine:
     """A priority-queue discrete-event simulator clocked in cycles.
 
-    This is the **reference** engine: one global heap, one event per
-    pop, no batching — simple enough to audit by eye.  Production runs
-    use :class:`repro.hardware.calqueue.FastEventEngine`, which must
-    stay observationally identical to this one (same dispatch order,
-    same clock, same snapshot form); ``repro.perf`` enforces that.
+    One global heap, one event per pop, no batching — simple enough to
+    audit by eye.  It is the only engine (DESIGN.md §11).
     """
 
     def __init__(self) -> None:

@@ -17,9 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, FaultError, RoutingError
-from .calqueue import FastEventEngine
 from .cluster import Cluster
-from .events import ENGINES, EventEngine, resolve_engine
+from .events import ENGINES, EventEngine
 from .metrics import Cells, MetricsRegistry
 from .network import TOPOLOGIES, Network
 
@@ -43,10 +42,7 @@ class MachineConfig:
     dispatch_cycles: int = 5        # kernel cost to assign a PE
     flop_cycles: int = 1            # cycles per floating-point operation
     word_touch_cycles: int = 1      # cycles per word moved within a cluster
-    #: simulation engine: "reference" (heapq oracle), "fast" (calendar
-    #: queue), or "default" (FEM2_ENGINE env var, then fast).  The two
-    #: engines are observationally identical; see repro.perf and
-    #: DESIGN.md §11.
+    #: inert: validated against ENGINES and selects nothing (see there)
     engine: str = "default"
 
     def validate(self) -> None:
@@ -95,10 +91,7 @@ class Machine:
     def __init__(self, config: MachineConfig, tracer=None) -> None:
         config.validate()
         self.config = config
-        if resolve_engine(config.engine) == "fast":
-            self.engine = FastEventEngine()
-        else:
-            self.engine = EventEngine()
+        self.engine = EventEngine()
         self.metrics = MetricsRegistry()
         #: span tracer shared by every layer running on this machine
         #: (duck-typed: a repro.obs.Tracer, or None for zero-cost off)

@@ -39,10 +39,6 @@ ALLOWED: Dict[str, Set[str]] = {
     "ckpt": set(),
     "analysis": {"fem", "hardware", "sysvm", "obs"},
     "bench": {"appvm", "fem", "langvm", "hardware", "sysvm", "obs"},
-    # perf is the engine-equivalence harness: it drives whole programs
-    # under both engines and compares checkpoint blobs, so it sits above
-    # the stack it verifies (but below appvm/bench, which may use it)
-    "perf": {"fem", "langvm", "sysvm", "hardware", "obs", "ckpt"},
     # campaign is the design-space sweep layer: it fans whole services
     # out across OS processes, so it sits at the very top — above the
     # application VM and the bench harness it aggregates records from

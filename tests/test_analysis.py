@@ -93,6 +93,21 @@ class TestValidationAgainstSimulator:
         assert report.within("messages", 1.5), report.render()
         assert report.within("message_words", 2.0), report.render()
 
+    def test_storage_is_the_per_cluster_high_water_only(self):
+        """``mem.hwm.<tag>.clusterN`` splits ``mem.hwm.clusterN`` by tag;
+        summing the whole prefix counts every word twice."""
+        m, subs, cfg, prog, info = run_cg()
+        metrics = prog.metrics
+        per_cluster = sum(metrics.get(f"mem.hwm.cluster{c}")
+                          for c in range(cfg.n_clusters))
+        assert per_cluster > 0
+        tags = {key.split(".")[0] for key in metrics.by_prefix("mem.hwm")
+                if "." in key}
+        assert len(tags) > 1  # the solve reserves under several tags
+        storage = Measured.from_metrics(metrics).storage_hwm_words
+        assert storage == per_cluster
+        assert storage < metrics.total("mem.hwm")
+
     def test_comparison_report_renders(self):
         m, subs, cfg, prog, info = run_cg(4, 2, workers=2)
         est = estimate_distributed_cg(m, subs, cfg, info.iterations)

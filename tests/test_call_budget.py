@@ -13,14 +13,12 @@ import cProfile
 import hashlib
 import pstats
 
-import pytest
-
 from repro.fem import Constraints, LoadSet, Material, parallel_cg_solve, rect_grid
 from repro.hardware import MachineConfig
 from repro.langvm import Fem2Program
 
 #: Python + builtin calls per event allowed on the pinned solve.  Before
-#: the diet: 51.7 (fast) / 49.4 (reference); after it: 27.0 / 27.6.
+#: the diet: 49.4; after it: 27.6.
 CALLS_PER_EVENT_LIMIT = 32
 
 EVENTS, CLOCK, MESSAGES, ITERATIONS = 2586, 1341962, 602, 59
@@ -51,14 +49,14 @@ HISTOGRAM_ORDER = [
 SNAPSHOT_SHA256 = "60796bbe47f9d5d47dd16d84b8286d8c7533f08195605b02aebccec0182614ad"
 
 
-def solve(engine):
+def solve():
     """One 12x6 cantilever plate on 2 workers of the default machine."""
     mesh = rect_grid(12, 6, 2.0, 1.0)
     constraints = Constraints(mesh)
     constraints.fix_nodes(mesh.nodes_on(x=0.0))
     loads = LoadSet("case")
     loads.add_nodal_many(mesh.nodes_on(x=2.0), 1, -1.0e4)
-    program = Fem2Program(MachineConfig(engine=engine))
+    program = Fem2Program(MachineConfig())
     profile = cProfile.Profile()
     profile.enable()
     info = parallel_cg_solve(
@@ -69,9 +67,8 @@ def solve(engine):
     return program, info, pstats.Stats(profile).total_calls
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
-def test_call_budget_and_pinned_simulation(engine):
-    program, info, total_calls = solve(engine)
+def test_call_budget_and_pinned_simulation():
+    program, info, total_calls = solve()
     machine = program.machine
     assert info.converged
     assert (
@@ -88,5 +85,5 @@ def test_call_budget_and_pinned_simulation(engine):
     assert hashlib.sha256(repr(snap).encode()).hexdigest() == SNAPSHOT_SHA256
     assert total_calls / EVENTS <= CALLS_PER_EVENT_LIMIT, (
         f"{total_calls} calls for {EVENTS} events = "
-        f"{total_calls / EVENTS:.1f} per event under {engine}"
+        f"{total_calls / EVENTS:.1f} per event"
     )

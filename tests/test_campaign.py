@@ -290,6 +290,14 @@ class TestReportCodec:
         assert again.to_record() == report.to_record()
         assert again.canonical_bytes() == report.canonical_bytes()
 
+    def test_older_record_with_an_engine_key_still_loads(self):
+        """Reports written before the second engine was deleted carry an
+        ``"engine"`` key; it is ignored, not an error."""
+        record = small_report().to_record()
+        assert "engine" not in record
+        older = dict(record, engine="fast")
+        assert CampaignReport.from_record(older).to_record() == record
+
     def test_wrong_schema_rejected(self):
         record = small_report().to_record()
         record["schema"] = "fem2-bench/1"

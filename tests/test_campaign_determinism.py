@@ -4,18 +4,13 @@ A campaign result must be byte-identical regardless of host worker
 count, wave ordering, or refinement interleaving; a warm-restarted
 refined point must match a cold run bit-for-bit via its ``fem2-ckpt/1``
 blob.  These tests state both halves over canonical report bytes and
-checkpoint fingerprints, reusing the ``repro.perf`` equivalence
-machinery (the same harness that locks the engines together).
+checkpoint fingerprints.
 """
 
 import json
 
-import pytest
-
 from repro.campaign import Campaign, ParamSpace, RunOptions, run_point
 from repro.ckpt import fingerprint
-from repro.hardware.events import CONCRETE_ENGINES
-from repro.perf import diff_values, strip_volatile
 
 SPACE_AXES = {"nx": [2, 4], "workers": [1, 2]}
 
@@ -43,14 +38,13 @@ class TestWorkerCountIndependence:
         assert serial.canonical_bytes() == four.canonical_bytes()
 
     def test_per_point_records_identical(self):
-        """Not just the aggregate: every point record diffs clean
-        against its serial twin (perf-harness diff, volatile keys
-        stripped)."""
+        """Not just the aggregate: every point record equals its serial
+        twin (records carry no host-time keys)."""
         serial = small_campaign(workers=0).run()
         pooled = small_campaign(workers=2).run()
         assert len(serial.points) == len(pooled.points)
         for a, b in zip(serial.points, pooled.points):
-            assert diff_values(strip_volatile(a), strip_volatile(b)) == []
+            assert a == b
 
     def test_restart_blobs_identical_across_processes(self):
         """The mid-run fem2-ckpt/1 blobs themselves (not just their
@@ -140,22 +134,3 @@ class TestWarmRestart:
             key = tuple(sorted(point["point"].items()))
             assert (fingerprint(campaign.restart_blobs[key])
                     == point["restart"]["blob_sha256"])
-
-
-# ---------------------------------------------------------------------------
-# engine independence (simulated observables only)
-
-
-class TestEngineIndependence:
-    @pytest.mark.parametrize("engine", CONCRETE_ENGINES)
-    def test_metrics_agree_across_engines(self, engine):
-        """A campaign's simulated observables are engine-invariant —
-        the campaign layer inherits the perf layer's equivalence
-        guarantee (spans excluded: tracing granularity may differ)."""
-        space = ParamSpace({"nx": [2, 3]})
-        baseline = Campaign(space, engine="reference", trace=False).run()
-        other = Campaign(ParamSpace({"nx": [2, 3]}), engine=engine,
-                         trace=False).run()
-        for a, b in zip(baseline.points, other.points):
-            assert a["metrics"] == b["metrics"]
-            assert a["result"] == b["result"]

@@ -305,6 +305,14 @@ class TestServiceCheckpoint:
         ({"schema": "fem2-ckpt/1", "jobs": [], "program": {},
           "completed_batches": 0, "config": {"n_warp_cores": 9}},
          "n_warp_cores"),
+        # well-typed config, invalid values: a pre-PR-24 process that
+        # named the deleted engine, and a cluster with no worker PE
+        ({"schema": "fem2-ckpt/1", "jobs": [], "program": {},
+          "completed_batches": 0, "config": {"engine": "fast"}},
+         "bad config: unknown engine 'fast'"),
+        ({"schema": "fem2-ckpt/1", "jobs": [], "program": {},
+          "completed_batches": 0, "config": {"pes_per_cluster": 1}},
+         "bad config: pes_per_cluster"),
     ])
     def test_wrong_shape_blob_fails_typed(self, entry, state, complaint):
         """A well-formed blob that is not a machine image names what is

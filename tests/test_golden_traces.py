@@ -8,9 +8,6 @@ final clock, events processed, every flat metric, and the entire
 ordering, cycle accounting, metric naming, or tracing shows up as a
 one-line diff here before it can silently shift published benchmarks.
 
-Both engines — reference and fast — are asserted against the *same*
-fixture: the golden bytes are also an engine-equivalence statement.
-
 To regenerate after an intentional semantic change::
 
     FEM2_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden_traces.py
@@ -26,7 +23,6 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.hardware.events import forced_engine
 from repro.hardware.machine import MachineConfig
 from repro.langvm.program import Fem2Program
 from repro.appvm import MachineService
@@ -118,11 +114,9 @@ def golden_bytes(build):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_golden_trace(name, engine):
+def test_golden_trace(name):
     path = FIXTURES / f"golden_{name}.json"
-    with forced_engine(engine):
-        got = golden_bytes(GOLDEN_PROGRAMS[name])
+    got = golden_bytes(GOLDEN_PROGRAMS[name])
     if REGEN:
         FIXTURES.mkdir(exist_ok=True)
         path.write_text(got)
@@ -139,7 +133,7 @@ def test_golden_trace(name, engine):
             if got_doc.get(k) != want_doc.get(k)
         ]
         raise AssertionError(
-            f"golden trace {name!r} drifted under the {engine} engine "
+            f"golden trace {name!r} drifted "
             f"(changed sections: {diffs}); if intentional, regenerate with "
             f"FEM2_REGEN_GOLDEN=1 and review the fixture diff"
         )
@@ -203,19 +197,16 @@ def service_payload():
     }
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
-def test_golden_service(engine):
+def test_golden_service():
     path = FIXTURES / "golden_service.json"
-    with forced_engine(engine):
-        trace_json, got = service_payload()
+    trace_json, got = service_payload()
     if REGEN:
         path.write_text(json.dumps(got, indent=1) + "\n")
         pytest.skip(f"regenerated {path.name}")
     want = json.loads(path.read_text())
     # the exporter's own bytes, not just an equal tree
     assert trace_json == json.dumps(want["trace"]), (
-        f"MachineService trace drifted under the {engine} engine")
+        "MachineService trace drifted")
     diffs = [k for k in want if got[k] != want[k]]
     assert not diffs and got.keys() == want.keys(), (
-        f"golden service run drifted under the {engine} engine "
-        f"(changed sections: {diffs})")
+        f"golden service run drifted (changed sections: {diffs})")

@@ -20,7 +20,6 @@ from repro.errors import (
 )
 from repro.hardware import (
     EventEngine,
-    FastEventEngine,
     Machine,
     MachineConfig,
     MetricsRegistry,
@@ -41,8 +40,6 @@ from repro.sysvm import (
     words_of,
 )
 from repro.sysvm.messages import REQUIRED_FIELDS
-
-ENGINES = [EventEngine, FastEventEngine]
 
 
 # -- messages: both validations, and the "never encoded" check ------------------
@@ -100,14 +97,13 @@ class TestMessageChecks:
 # -- engines and PEs ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine_cls", ENGINES)
 class TestEngineAndPEChecks:
-    def pe(self, engine_cls):
-        eng = engine_cls()
+    def pe(self):
+        eng = EventEngine()
         return eng, ProcessingElement(eng, MetricsRegistry(), cluster_id=0, index=1)
 
-    def test_schedule_into_the_past(self, engine_cls):
-        eng = engine_cls()
+    def test_schedule_into_the_past(self):
+        eng = EventEngine()
         with pytest.raises(SimulationError, match="past"):
             eng.schedule(-1, lambda: None)
         eng.schedule(5, lambda: None)
@@ -115,8 +111,8 @@ class TestEngineAndPEChecks:
         with pytest.raises(SimulationError, match="current time is 5"):
             eng.schedule_at(4, lambda: None)
 
-    def test_schedule_and_schedule_at_share_one_order(self, engine_cls):
-        eng, seen = engine_cls(), []
+    def test_schedule_and_schedule_at_share_one_order(self):
+        eng, seen = EventEngine(), []
         eng.schedule(3, seen.append, "a")
         eng.schedule_at(3, seen.append, "b")
         eng.schedule(3.0, seen.append, "c")  # delays are truncated to int
@@ -124,36 +120,36 @@ class TestEngineAndPEChecks:
         assert eng.run() == 4
         assert seen == ["first", "a", "b", "c"] and eng.now == 3
 
-    def test_busy_pe(self, engine_cls):
-        _, pe = self.pe(engine_cls)
+    def test_busy_pe(self):
+        _, pe = self.pe()
         pe.execute(10, lambda: None)
         with pytest.raises(SchedulingError, match="already busy"):
             pe.execute(1, lambda: None)
 
-    def test_faulty_pe(self, engine_cls):
-        _, pe = self.pe(engine_cls)
+    def test_faulty_pe(self):
+        _, pe = self.pe()
         pe.fail()
         with pytest.raises(FaultError, match="faulty"):
             pe.execute(1, lambda: None)
 
-    def test_negative_burst(self, engine_cls):
-        _, pe = self.pe(engine_cls)
+    def test_negative_burst(self):
+        _, pe = self.pe()
         with pytest.raises(SchedulingError, match="negative burst"):
             pe.execute(-1, lambda: None)
 
-    def test_busy_tracker_errors_survive_the_fold(self, engine_cls):
-        eng, pe = self.pe(engine_cls)
+    def test_busy_tracker_errors_survive_the_fold(self):
+        eng, pe = self.pe()
         pe.busy.begin(0)  # tracker and PE state disagree
         with pytest.raises(ValueError, match="already busy"):
             pe.execute(1, lambda: None)
-        eng, pe = self.pe(engine_cls)
+        eng, pe = self.pe()
         pe.execute(4, lambda: None)
         pe.busy.end(0)
         with pytest.raises(ValueError, match="not busy"):
             eng.run()
 
-    def test_busy_cycles_accounted(self, engine_cls):
-        eng, pe = self.pe(engine_cls)
+    def test_busy_cycles_accounted(self):
+        eng, pe = self.pe()
         pe.execute(4, pe.execute, 6, lambda: None)
         eng.run()
         assert (pe.busy.busy_cycles, pe.cycles_executed, eng.now) == (10, 10, 10)

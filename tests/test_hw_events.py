@@ -1,19 +1,9 @@
-"""Unit tests for the discrete-event engine and engine resolution."""
-
-import json
+"""Unit tests for the discrete-event engine and the inert engine field."""
 
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.hardware import (
-    ENGINES,
-    EventEngine,
-    FastEventEngine,
-    Machine,
-    MachineConfig,
-    forced_engine,
-    resolve_engine,
-)
+from repro.hardware import ENGINES, EventEngine, Machine, MachineConfig
 
 
 @pytest.fixture
@@ -141,70 +131,29 @@ def test_determinism_across_runs():
     assert build() == build()
 
 
-# -- engine resolution -----------------------------------------------------
+class TestEngineContract:
+    def test_snapshot_form_and_restore(self, eng):
+        eng.schedule(4, lambda: None)
+        eng.run()
+        snap = eng.snapshot()
+        assert snap == {"now": 4, "events_processed": 1, "halted": False}
+        eng.schedule(10, lambda: None)  # dropped by restore
+        eng.restore({"now": 7, "events_processed": 2, "halted": False})
+        assert (eng.now, eng.events_processed, eng.pending()) == (7, 2, 0)
+        assert eng.idle()
 
 
-class TestEngineResolution:
-    def test_default_resolves_to_fast(self, monkeypatch):
-        monkeypatch.delenv("FEM2_ENGINE", raising=False)
-        assert resolve_engine("default") == "fast"
+class TestEngineField:
+    """``MachineConfig.engine`` survives as two spellings of one engine."""
 
-    def test_env_overrides_default_only(self, monkeypatch):
-        monkeypatch.setenv("FEM2_ENGINE", "reference")
-        assert resolve_engine("default") == "reference"
-        # an explicit config beats the environment
-        assert resolve_engine("fast") == "fast"
+    def test_both_spellings_build_the_one_engine(self):
+        assert ENGINES == ("default", "reference")
+        for kind in ENGINES:
+            assert type(Machine(MachineConfig(engine=kind)).engine) is EventEngine
 
-    def test_forced_overrides_explicit_config(self, monkeypatch):
-        monkeypatch.setenv("FEM2_ENGINE", "fast")
-        with forced_engine("reference"):
-            assert resolve_engine("fast") == "reference"
-            engine = Machine(MachineConfig(engine="fast")).engine
-        assert type(engine) is EventEngine
-
-    def test_unknown_env_value_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("FEM2_ENGINE", "ref")
-        with pytest.raises(ConfigurationError, match="FEM2_ENGINE"):
-            resolve_engine("default")
-        # explicit configs never consult the (broken) environment
-        assert resolve_engine("fast") == "fast"
-
-    def test_unknown_config_and_forced_values_are_errors(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine("calendar")
-        with pytest.raises(ConfigurationError, match="forced_engine"):
-            with forced_engine("default"):
-                pass  # pragma: no cover - forced_engine raises first
-
-    def test_machine_engine_classes(self, monkeypatch):
-        monkeypatch.delenv("FEM2_ENGINE", raising=False)
-        for kind, cls in (("reference", EventEngine),
-                          ("fast", FastEventEngine),
-                          ("default", FastEventEngine)):
-            assert type(Machine(MachineConfig(engine=kind)).engine) is cls
-        assert ENGINES == ("default", "reference", "fast")
-
-    def test_compiled_is_not_an_engine(self, monkeypatch):
-        """The deleted third engine is rejected by every knob, and the
-        error names the kinds that survive."""
-        with pytest.raises(ConfigurationError, match="reference.*fast"):
-            MachineConfig(engine="compiled").validate()
-        with pytest.raises(ConfigurationError, match="reference.*fast"):
-            with forced_engine("compiled"):
-                pass  # pragma: no cover - forced_engine raises first
-        monkeypatch.setenv("FEM2_ENGINE", "compiled")
-        with pytest.raises(ConfigurationError, match="reference.*fast"):
-            resolve_engine("default")
-
-    def test_every_entry_point_shares_the_default(self, capsys):
-        """Campaign, its runner and its CLI leave the engine to
-        resolve_engine, like a bare MachineConfig."""
-        from repro.campaign import Campaign, ParamSpace, RunOptions
-        from repro.campaign.__main__ import main
-        from repro.campaign.runner import build_config
-
-        default = MachineConfig().engine
-        assert build_config({}, RunOptions()).engine == default
-        assert Campaign(ParamSpace({"nx": [2]})).engine == default
-        assert main(["--axis", "nx=2", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["engine"] == default
+    @pytest.mark.parametrize("gone", ["fast", "compiled"])
+    def test_deleted_engines_are_rejected_by_name(self, gone):
+        with pytest.raises(ConfigurationError, match="default.*reference"):
+            MachineConfig(engine=gone).validate()
+        with pytest.raises(ConfigurationError, match="default.*reference"):
+            Machine(MachineConfig(engine=gone))

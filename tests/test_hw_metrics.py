@@ -150,9 +150,9 @@ class TestMetricsRegistry:
 
 
 class TestCounterCells:
-    """The slab-cell fast path introduced for the calendar-queue engine:
-    cells must stay coherent with every registry view and with the
-    checkpoint contract (insertion order is part of blob identity)."""
+    """The slab-cell fast path: cells must stay coherent with every
+    registry view and with the checkpoint contract (insertion order is
+    part of blob identity)."""
 
     def test_cell_identity_and_direct_bump(self):
         m = MetricsRegistry()
@@ -269,15 +269,14 @@ class TestCells:
         assert m.counters() == {"kept": 1.0, "dropped": 1.0}
 
 
-@pytest.mark.parametrize("engine", ["fast", "reference"])
 class TestHardwareCellSites:
     """PE bursts and message delivery record through cached cells."""
 
-    def machine(self, engine):
-        return Machine(MachineConfig(n_clusters=2, pes_per_cluster=3, engine=engine))
+    def machine(self):
+        return Machine(MachineConfig(n_clusters=2, pes_per_cluster=3))
 
-    def test_names_appear_when_first_recorded(self, engine):
-        mc = self.machine(engine)
+    def test_names_appear_when_first_recorded(self):
+        mc = self.machine()
         assert mc.metrics.counters() == {} and mc.metrics.histograms() == {}
         pe = mc.cluster(0).worker_pes[0]
         pe.execute(5, lambda: None)
@@ -292,8 +291,8 @@ class TestHardwareCellSites:
         mc.run()  # the arrival records the queue depth
         assert list(mc.metrics.histograms())[2:] == ["queue.cluster1"]
 
-    def test_no_increment_lost_across_restore_and_reset(self, engine):
-        mc = self.machine(engine)
+    def test_no_increment_lost_across_restore_and_reset(self):
+        mc = self.machine()
         pe = mc.cluster(0).worker_pes[0]
 
         def round_trip():

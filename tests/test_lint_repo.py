@@ -41,32 +41,21 @@ def test_cache_reuses_unchanged_files():
         == [f.render() for f in again.sorted_findings()]
 
 
-def test_calqueue_snapshot_exemptions_are_tight():
-    """S1 audit for the calendar-queue engine: its ``_snapshot_exempt``
-    tuple must name only real, reconstructible fields — every exempt
-    field is rebuilt empty by ``restore()``, everything else is covered
-    by the snapshot/restore pair, and no slot is exempted 'just in
-    case' (a stale exemption would let real state silently escape the
-    checkpoint contract)."""
-    import ast
-
-    from repro.hardware.calqueue import FastEventEngine
-    from repro.lint.snapshots import check_snapshots
-
-    path = ROOT / "src" / "repro" / "hardware" / "calqueue.py"
-    findings = check_snapshots(ast.parse(path.read_text()), str(path))
-    assert not findings, [f.message for f in findings]
-
-    exempt = set(FastEventEngine._snapshot_exempt)
-    slots = set(FastEventEngine.__slots__)
-    assert exempt <= slots, "exemption names a field that does not exist"
-    # exactly the rebuilt-not-serialized fields: the tracer back-ref and
-    # the queue internals (each layer re-issues its events on restore)
-    assert exempt == {"tracer", "_buckets", "_times"}
-
-    eng = FastEventEngine()
-    eng.schedule(3, lambda: None)
-    eng.restore({"now": 5, "events_processed": 1, "halted": False})
-    assert eng.pending() == 0 and eng.idle()  # exempt queue state rebuilt
-    assert eng.snapshot() == {"now": 5, "events_processed": 1,
-                              "halted": False}
+def test_the_engine_fork_stays_deleted():
+    """There is one event engine (DESIGN.md §11).  No shipped file may
+    name the deleted queue, its selectors or its harness, so a later PR
+    cannot half-resurrect the fork.  ``benchmarks/host`` is frozen and
+    only refuses the env var; this file holds the list."""
+    gone = ("FEM2_ENGINE", "forced_engine", "FastEventEngine", "calqueue",
+            "repro.perf")
+    frozen, me = ROOT / "benchmarks" / "host", pathlib.Path(__file__).resolve()
+    hits = []
+    for top in ("src", "tests", "benchmarks", "examples", ".github"):
+        for path in sorted((ROOT / top).rglob("*")):
+            if (not path.is_file() or path.suffix == ".pyc" or path == me
+                    or frozen in path.parents):
+                continue
+            text = path.read_text(errors="ignore")
+            hits += [f"{path.relative_to(ROOT)}: {name}"
+                     for name in gone if name in text]
+    assert not hits, hits

@@ -21,7 +21,6 @@ from repro.errors import AppVMError
 from repro.fem import LoadSet, Material, rect_grid, static_solve
 from repro.hardware import MachineConfig
 from repro.obs import Tracer
-from repro.perf import diff_values
 
 
 def make_model(name, nx=3, ny=2, load=-1e4):
@@ -313,12 +312,6 @@ class TestPreemption:
             assert np.array_equal(a.stresses[etype], b.stresses[etype])
         assert a.iterations == b.iterations
         assert a.elapsed_cycles == b.elapsed_cycles
-        assert diff_values(
-            {"u": a.u.tolist(), "iters": a.iterations,
-             "s": {k: v.tolist() for k, v in a.stresses.items()}},
-            {"u": b.u.tolist(), "iters": b.iterations,
-             "s": {k: v.tolist() for k, v in b.stresses.items()}},
-        ) == []
 
     def test_lower_priority_never_preempts(self):
         pool = self.make_pool()
