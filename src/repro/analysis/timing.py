@@ -18,19 +18,16 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-import networkx as nx
-
 from ..fem.mesh import Mesh
 from ..fem.partition import Subdomain
 from ..hardware.machine import MachineConfig
-from ..hardware.network import build_topology
+from ..hardware.network import build_topology, hop_counts
 from ..sysvm.storage import MESSAGE_HEADER_WORDS, WINDOW_DESCRIPTOR_WORDS
 from .complexity import subdomain_assembly_flops, payload_words
 
 
 def _hops_from(config: MachineConfig, root: int) -> List[int]:
-    g = build_topology(config.topology, config.n_clusters)
-    lengths = nx.single_source_shortest_path_length(g, root)
+    lengths = hop_counts(build_topology(config.topology, config.n_clusters), root)
     return [lengths[c] for c in range(config.n_clusters)]
 
 

@@ -150,20 +150,34 @@ class PoolMachine:
         self.jobs: List[JobHandle] = []
         #: global service cycle at which this program's local clock was 0
         self.offset = 0
-        #: local cycles accumulated across all assignments (utilization)
-        self.busy_cycles = 0
+        #: cycles run by the programs this machine has already retired
+        self._retired_cycles = 0
         #: True once a job has run here since the last fresh program
         self.dirty = False
         self.program = self._fresh()
+        self._installed_at = 0
 
     def _fresh(self) -> Fem2Program:
         return Fem2Program(self.config, tracer=self.tracer,
                            journal=self.journal)
 
+    def install(self, program: Fem2Program) -> None:
+        """Retire the current program and run *program* from its own
+        clock on: 0 for a fresh program, the checkpoint's for a restored
+        one, whose earlier cycles were run (and counted) elsewhere."""
+        self._retired_cycles = self.busy_cycles
+        self.program = program
+        self._installed_at = program.now
+
+    @property
+    def busy_cycles(self) -> int:
+        """Cycles every program installed here has advanced while
+        installed (the pool's utilization numerator)."""
+        return self._retired_cycles + self.program.now - self._installed_at
+
     def reset(self, global_now: int) -> None:
         """Swap in a fresh program (job isolation between assignments)."""
-        self.busy_cycles += self.program.now
-        self.program = self._fresh()
+        self.install(self._fresh())
         self.offset = global_now
         self.jobs = []
         self.dirty = False
@@ -240,8 +254,6 @@ class PoolMachine:
                         iterations=info.iterations)
         if done:
             self.jobs = [h for h in self.jobs if h not in done]
-            if not self.jobs:
-                self.busy_cycles += self.program.now
         if self.jobs and self.program.machine.engine.idle():
             # no events left yet jobs are unfinished: let the runtime
             # raise its stuck-task (deadlock / lost wakeup) diagnosis
@@ -289,8 +301,7 @@ class PoolMachine:
             raise AppVMError(
                 f"checkpoint carries {len(state['jobs'])} jobs but "
                 f"{len(handles)} handles were re-attached")
-        self.busy_cycles += self.program.now
-        self.program = rebuild_program(config, state, tracer=self.tracer)
+        self.install(rebuild_program(config, state, tracer=self.tracer))
         self.offset = global_now - self.program.now
         self.jobs = list(handles)
         self.dirty = True

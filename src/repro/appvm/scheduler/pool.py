@@ -352,8 +352,7 @@ class ServicePool:
         }
 
     def report(self) -> Dict[str, Any]:
-        busy = sum(m.busy_cycles + (m.program.now if m.jobs else 0)
-                   for m in self.machines)
+        busy = sum(m.busy_cycles for m in self.machines)
         capacity = max(1, self.now * len(self.machines))
         return {
             "global_cycles": self.now,

@@ -139,7 +139,7 @@ class MachineService:
         state, config = _decode_blob(blob)
         service = cls(config=config, tracer=tracer, checkpointing=True)
         machine = service.machine
-        machine.program = rebuild_program(config, state, tracer=tracer)
+        machine.install(rebuild_program(config, state, tracer=tracer))
         for job in state["jobs"]:
             spec = JobSpec(
                 user=job["user"], model=job["model"],

@@ -44,7 +44,7 @@ from .runner import (
 )
 from .space import ParamSpace, Point, point_key
 
-#: fork shares the parent's loaded numpy/scipy pages; fall back to the
+#: fork shares the parent's loaded module pages; fall back to the
 #: platform default elsewhere
 _PREFERRED_START = "fork"
 

@@ -7,15 +7,17 @@ per-element Python loop, per the HPC guides' vectorization rule.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import FEMError
 from .elements import element_type
 from .materials import Material
 from .mesh import Mesh
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 def element_stiffness_batches(
@@ -39,6 +41,8 @@ def assemble_stiffness(
     ndarray (used by the simulated parallel solver, whose windows are
     dense).
     """
+    import scipy.sparse as sp
+
     if not mesh.groups:
         raise FEMError("mesh has no elements")
     rows, cols, vals = [], [], []

@@ -102,8 +102,6 @@ class Constraints:
 
     def reactions(self, k, u: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Support reactions at the fixed DOFs: (K u - f) restricted."""
-        import scipy.sparse as sp
-
         r = (k @ u) - np.asarray(f, dtype=float)
         return np.asarray(r).ravel()[self.fixed_dofs]
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 from ..errors import SolverError
 from .bc import Constraints
@@ -52,6 +50,8 @@ def subspace_eigensolve(
 ) -> Tuple[np.ndarray, np.ndarray, int, bool]:
     """Lowest ``n_modes`` of K phi = lambda M phi (dense SPD K, SPD or
     diagonal-lumped M).  Returns (lambdas, modes, iterations, converged)."""
+    import scipy.linalg
+
     k = np.asarray(k, dtype=float)
     m = np.asarray(m, dtype=float)
     n = k.shape[0]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Dict
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import FEMError
 from .elements import element_type
@@ -158,6 +157,8 @@ def element_mass(etype_name: str, coords: np.ndarray, material: Material,
 def assemble_mass(mesh: Mesh, material: Material, lumped: bool = True,
                   fmt: str = "csr"):
     """Assemble the global mass matrix."""
+    import scipy.sparse as sp
+
     if not mesh.groups:
         raise FEMError("mesh has no elements")
     rows, cols, vals = [], [], []

@@ -9,8 +9,6 @@ tables: n^3/3 + O(n^2).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ...errors import SolverError
 from .result import SolveResult
@@ -18,6 +16,9 @@ from .result import SolveResult
 
 def solve_sparse_lu(k, f: np.ndarray) -> SolveResult:
     """Sparse LU via scipy's SuperLU wrapper."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     f = np.asarray(f, dtype=float)
     k = sp.csc_matrix(k)
     n = k.shape[0]
@@ -75,6 +76,8 @@ def cholesky_solve_factored(l: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def solve_cholesky(k, f: np.ndarray) -> SolveResult:
     """Dense Cholesky solve with exact flop accounting."""
+    import scipy.sparse as sp
+
     k = k.toarray() if sp.issparse(k) else np.asarray(k, dtype=float)
     f = np.asarray(f, dtype=float)
     n = k.shape[0]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ...errors import SolverError
 from .result import SolveResult
@@ -21,6 +20,8 @@ from .result import SolveResult
 
 def _as_matvec(a):
     """Accept dense, sparse, or callable operators; return (matvec, n, diag)."""
+    import scipy.sparse as sp
+
     if callable(a) and not hasattr(a, "shape"):
         raise SolverError("callable operators must be passed as (matvec, n, diag)")
     if sp.issparse(a):
@@ -44,6 +45,8 @@ def conjugate_gradient(
     Convergence test: ||r|| <= tol * ||b||.  ``preconditioner`` is
     ``"none"`` or ``"jacobi"`` (diagonal scaling).
     """
+    import scipy.sparse as sp
+
     matvec, n, diag = _as_matvec(a)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != n:
@@ -104,6 +107,8 @@ def jacobi(
     max_iter: int = 10_000,
 ) -> SolveResult:
     """Jacobi iteration: x_{k+1} = D^{-1}(b - (A - D) x_k)."""
+    import scipy.sparse as sp
+
     matvec, n, diag = _as_matvec(a)
     b = np.asarray(b, dtype=float)
     if np.any(diag == 0):
@@ -147,6 +152,8 @@ def _sor_sweep_factory(a, diag: np.ndarray, omega: float):
     row loop when the splu path is unavailable (e.g. a SciPy build
     without SuperLU).
     """
+    import scipy.sparse as sp
+
     n = a.shape[0]
     lower = sp.tril(a, k=-1, format="csr")
     upper = sp.triu(a, k=1, format="csr")
@@ -189,6 +196,8 @@ def sor(
     factored triangular solve (see :func:`_sor_sweep_factory`), so the
     cost is O(nnz) per sweep with no Python-level row loop.
     """
+    import scipy.sparse as sp
+
     if not 0 < omega < 2:
         raise SolverError(f"SOR requires 0 < omega < 2, got {omega}")
     a = sp.csr_matrix(a) if not sp.issparse(a) else a.tocsr()

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import FEMError, SolverError
 from .assembly import element_stiffness_batches

@@ -8,7 +8,9 @@ paper's simulation program requires.
 
 Determinism: events at equal times fire in scheduling order (a
 monotonically increasing sequence number breaks ties), so simulations
-are exactly reproducible.
+are exactly reproducible.  The heap holds ``(time, seq, event)``
+tuples: ``seq`` is unique, so heap comparisons stay in C and never
+reach the :class:`Event`.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class Event:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         name = getattr(self.fn, "__name__", repr(self.fn))
         return f"Event(t={self.time}, {name})"
@@ -57,7 +56,7 @@ class EventEngine:
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self.events_processed = 0
         #: set by :meth:`halt`; run loops drain no further events until
@@ -72,9 +71,11 @@ class EventEngine:
         """Schedule ``fn(*args)`` to run *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        ev = Event(self.now + int(delay), self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
+        time = self.now + int(delay)
+        seq = self._seq
+        ev = Event(time, seq, fn, args)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -89,7 +90,7 @@ class EventEngine:
     def step(self) -> bool:
         """Run the next pending event.  Returns False if none remain."""
         while self._queue:
-            ev = heapq.heappop(self._queue)
+            ev = heapq.heappop(self._queue)[2]
             if ev.cancelled:
                 continue
             self.now = ev.time
@@ -128,13 +129,14 @@ class EventEngine:
         return processed
 
     def _peek(self) -> Optional[Event]:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][2] if queue else None
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
 
     def idle(self) -> bool:
         return self._peek() is None

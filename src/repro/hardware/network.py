@@ -19,39 +19,118 @@ matches what ref [8]'s estimates assume.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Collection, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, RoutingError
 from .metrics import Cells, MetricsRegistry
 
 TOPOLOGIES = ("complete", "ring", "mesh2d", "hypercube", "star")
 
+#: cluster -> neighbours.  Neighbour order is part of the model: routing
+#: breaks hop-count ties by it, so it is the order networkx's generators
+#: insert edges in (the routes E7 / A2 and the golden traces pin).
+Adjacency = Dict[int, List[int]]
 
-def build_topology(kind: str, n: int) -> "nx.Graph":
-    """Build the cluster interconnect graph for *n* clusters."""
+
+def build_topology(kind: str, n: int) -> Adjacency:
+    """The cluster interconnect for *n* clusters as an adjacency."""
     if n < 1:
         raise ConfigurationError(f"need at least one cluster, got {n}")
-    if kind == "complete":
-        return nx.complete_graph(n) if n > 1 else nx.empty_graph(1)
+    nodes = range(n)
+    if kind == "complete" or (kind == "ring" and n <= 2):
+        return {v: [u for u in nodes if u != v] for v in nodes}
     if kind == "ring":
-        return nx.cycle_graph(n) if n > 2 else nx.path_graph(n)
+        return {v: [v - 1, (v + 1) % n] if v else [1, n - 1] for v in nodes}
     if kind == "star":
-        return nx.star_graph(n - 1) if n > 1 else nx.empty_graph(1)
+        return {v: list(range(1, n)) if v == 0 else [0] for v in nodes}
     if kind == "mesh2d":
-        side = int(math.isqrt(n))
+        side = math.isqrt(n)
         if side * side != n:
             raise ConfigurationError(f"mesh2d needs a square cluster count, got {n}")
-        g = nx.grid_2d_graph(side, side)
-        return nx.convert_node_labels_to_integers(g, ordering="sorted")
+        adj = {}
+        for v in nodes:
+            row, col = divmod(v, side)
+            adj[v] = [u for u, ok in ((v - side, row > 0), (v - 1, col > 0),
+                                      (v + side, row < side - 1),
+                                      (v + 1, col < side - 1)) if ok]
+        return adj
     if kind == "hypercube":
         dim = n.bit_length() - 1
         if 1 << dim != n:
             raise ConfigurationError(f"hypercube needs a power-of-two cluster count, got {n}")
-        g = nx.hypercube_graph(dim) if dim > 0 else nx.empty_graph(1)
-        return nx.convert_node_labels_to_integers(g, ordering="sorted")
+        bits = range(dim - 1, -1, -1)
+        # lower neighbours ascending, then upper ones by descending bit
+        return {v: [v ^ 1 << b for b in bits if v >> b & 1]
+                + [v | 1 << b for b in bits if not v >> b & 1] for v in nodes}
     raise ConfigurationError(f"unknown topology {kind!r}; one of {TOPOLOGIES}")
+
+
+def hop_counts(adj: Adjacency, root: int, down: Collection[int] = ()) -> Dict[int, int]:
+    """Breadth-first hop count from *root* to every cluster reachable
+    without passing through a *down* one."""
+    dist = {root: 0}
+    fringe = [root]
+    while fringe:
+        level = []
+        for v in fringe:
+            for w in adj[v]:
+                if w not in dist and w not in down:
+                    dist[w] = dist[v] + 1
+                    level.append(w)
+        fringe = level
+    return dist
+
+
+def shortest_path(adj: Adjacency, src: int, dst: int,
+                  down: Collection[int] = ()) -> Optional[List[int]]:
+    """A fewest-hop route from *src* to *dst* avoiding *down* clusters,
+    or None.  This is networkx 3.6's bidirectional BFS
+    (``_bidirectional_pred_succ`` and the path assembly of
+    ``bidirectional_shortest_path``): among equal-length routes it picks
+    the one networkx does, so simulated routes did not move when the
+    library went."""
+    if src == dst:
+        return [src]
+    pred: Dict[int, Optional[int]] = {src: None}
+    succ: Dict[int, Optional[int]] = {dst: None}
+    forward, reverse = [src], [dst]
+    meet = None
+    while forward and reverse and meet is None:
+        # grow the smaller fringe one level; stop at the first node both
+        # searches have seen
+        if len(forward) <= len(reverse):
+            forward, meet = _grow(adj, forward, pred, succ, down)
+        else:
+            reverse, meet = _grow(adj, reverse, succ, pred, down)
+    if meet is None:
+        return None
+    path = []
+    w: Optional[int] = meet
+    while w is not None:
+        path.append(w)
+        w = pred[w]
+    path.reverse()
+    w = succ[meet]
+    while w is not None:
+        path.append(w)
+        w = succ[w]
+    return path
+
+
+def _grow(adj, fringe, seen, other, down):
+    """One BFS level out of *fringe*, recording parents in *seen*;
+    returns the next fringe and the first node *other* has seen."""
+    level = []
+    for v in fringe:
+        for w in adj[v]:
+            if w in down:
+                continue
+            if w not in seen:
+                level.append(w)
+                seen[w] = v
+            if w in other:
+                return level, w
+    return level, None
 
 
 class Network:
@@ -72,7 +151,7 @@ class Network:
         self.topology_name = topology
         self.hop_latency = hop_latency
         self.bandwidth = bandwidth_words_per_cycle
-        self.graph = build_topology(topology, n_clusters)
+        self.adj = build_topology(topology, n_clusters)
         self._route_cache: Dict[Tuple[int, int], List[int]] = {}
         self._link_traffic: Dict[Tuple[int, int], int] = {}
         self._down_clusters: set = set()
@@ -82,15 +161,15 @@ class Network:
     # -- fault handling --------------------------------------------------
 
     def fail_link(self, a: int, b: int) -> None:
-        if not self.graph.has_edge(a, b):
+        if b not in self.adj.get(a, ()):
             raise RoutingError(f"no link between clusters {a} and {b}")
-        self.graph.remove_edge(a, b)
+        self._drop_link(a, b)
         self._route_cache.clear()
         self.metrics.incr("fault.link_failures")
 
     def fail_cluster(self, cid: int) -> None:
         """Isolate a cluster: all its links go down, routes recompute."""
-        if cid not in self.graph:
+        if cid not in self.adj:
             raise RoutingError(f"unknown cluster {cid}")
         self._down_clusters.add(cid)
         self._route_cache.clear()
@@ -102,11 +181,15 @@ class Network:
     def is_cluster_up(self, cid: int) -> bool:
         return cid not in self._down_clusters
 
+    def _drop_link(self, a: int, b: int) -> None:
+        self.adj[a].remove(b)
+        self.adj[b].remove(a)
+
     # -- checkpoint/restore ----------------------------------------------
 
     def snapshot(self) -> dict:
         return {
-            "edges": sorted((min(a, b), max(a, b)) for a, b in self.graph.edges),
+            "edges": sorted((a, b) for a, nbrs in self.adj.items() for b in nbrs if a < b),
             "down_clusters": sorted(self._down_clusters),
             "link_traffic": dict(self._link_traffic),
         }
@@ -114,11 +197,11 @@ class Network:
     def restore(self, state: dict) -> None:
         """Rebuild the topology, then drop edges lost to link faults.
         The route cache is left cold — routes recompute deterministically."""
-        self.graph = build_topology(self.topology_name, self.n_clusters)
+        self.adj = build_topology(self.topology_name, self.n_clusters)
         kept = {(min(a, b), max(a, b)) for a, b in state["edges"]}
-        for a, b in list(self.graph.edges):
-            if (min(a, b), max(a, b)) not in kept:
-                self.graph.remove_edge(a, b)
+        for a, nbrs in self.adj.items():
+            for b in [b for b in nbrs if a < b and (a, b) not in kept]:
+                self._drop_link(a, b)
         self._down_clusters = set(state["down_clusters"])
         self._link_traffic = dict(state["link_traffic"])
         self._route_cache.clear()
@@ -139,11 +222,11 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        view = nx.restricted_view(self.graph, nodes=list(self._down_clusters), edges=[])
-        try:
-            path = nx.shortest_path(view, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise RoutingError(f"no route from cluster {src} to {dst}") from None
+        if src not in self.adj or dst not in self.adj:
+            raise RoutingError(f"no route from cluster {src} to {dst}")
+        path = shortest_path(self.adj, src, dst, self._down_clusters)
+        if path is None:
+            raise RoutingError(f"no route from cluster {src} to {dst}")
         self._route_cache[key] = path
         return path
 
@@ -187,7 +270,14 @@ class Network:
         return max(self._link_traffic.values(), default=0)
 
     def diameter(self) -> int:
-        view = nx.restricted_view(self.graph, nodes=list(self._down_clusters), edges=[])
-        if view.number_of_nodes() <= 1:
-            return 0
-        return nx.diameter(view)
+        """Most hops between two live clusters.  Raises
+        :class:`RoutingError` if the live clusters are disconnected."""
+        down = self._down_clusters
+        live = [c for c in self.adj if c not in down]
+        longest = 0
+        for c in live:
+            dist = hop_counts(self.adj, c, down)
+            if len(dist) < len(live):
+                raise RoutingError("live clusters are disconnected")
+            longest = max(longest, max(dist.values()))
+        return longest

@@ -1,48 +1,52 @@
 """Unit tests for the inter-cluster network: topologies, routing, faults."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, RoutingError
-from repro.hardware import MetricsRegistry, Network, build_topology
+from repro.hardware import TOPOLOGIES, MetricsRegistry, Network, build_topology
 
 
 def make(n=4, topology="ring", **kw):
     return Network(MetricsRegistry(), n, topology=topology, **kw)
 
 
+def edges(adj):
+    return [(a, b) for a, nbrs in adj.items() for b in nbrs if a < b]
+
+
 class TestTopologies:
     def test_complete(self):
-        g = build_topology("complete", 5)
-        assert g.number_of_edges() == 10
+        assert len(edges(build_topology("complete", 5))) == 10
 
     def test_ring(self):
-        g = build_topology("ring", 6)
-        assert g.number_of_edges() == 6
-        assert all(d == 2 for _, d in g.degree())
+        adj = build_topology("ring", 6)
+        assert len(edges(adj)) == 6
+        assert all(len(nbrs) == 2 for nbrs in adj.values())
 
     def test_small_ring_degenerates_to_path(self):
-        assert build_topology("ring", 2).number_of_edges() == 1
+        assert len(edges(build_topology("ring", 2))) == 1
 
     def test_mesh2d(self):
-        g = build_topology("mesh2d", 9)
-        assert g.number_of_nodes() == 9
-        assert g.number_of_edges() == 12
+        adj = build_topology("mesh2d", 9)
+        assert len(adj) == 9
+        assert len(edges(adj)) == 12
 
     def test_mesh2d_requires_square(self):
         with pytest.raises(ConfigurationError):
             build_topology("mesh2d", 8)
 
     def test_hypercube(self):
-        g = build_topology("hypercube", 8)
-        assert all(d == 3 for _, d in g.degree())
+        adj = build_topology("hypercube", 8)
+        assert all(len(nbrs) == 3 for nbrs in adj.values())
 
     def test_hypercube_requires_power_of_two(self):
         with pytest.raises(ConfigurationError):
             build_topology("hypercube", 6)
 
     def test_star(self):
-        g = build_topology("star", 5)
-        assert g.number_of_edges() == 4
+        assert len(edges(build_topology("star", 5))) == 4
 
     def test_unknown_topology(self):
         with pytest.raises(ConfigurationError):
@@ -50,8 +54,7 @@ class TestTopologies:
 
     def test_single_cluster(self):
         for kind in ("complete", "ring", "star"):
-            g = build_topology(kind, 1)
-            assert g.number_of_nodes() == 1
+            assert build_topology(kind, 1) == {0: []}
 
 
 class TestRouting:
@@ -125,6 +128,8 @@ class TestFaults:
         net.fail_link(0, 3)
         with pytest.raises(RoutingError):
             net.route(0, 2)
+        with pytest.raises(RoutingError, match="disconnected"):
+            net.diameter()
 
     def test_fail_unknown_link(self):
         net = make(4, "ring")
@@ -167,3 +172,138 @@ class TestValidation:
             make(4, "ring", bandwidth_words_per_cycle=0)
         with pytest.raises(ConfigurationError):
             build_topology("ring", 0)
+
+
+# -- networkx as the oracle ------------------------------------------------
+#
+# Until the simulator dropped networkx, topologies were its generators and
+# routes its ``shortest_path``.  Hop-count ties are broken by neighbour
+# order, so "same routes" means same adjacency order *and* the same
+# search; both are checked against the library itself.
+
+#: every cluster count each topology accepts up to 32 (mesh2d to 25)
+SIZES = {
+    "complete": range(1, 33), "ring": range(1, 33), "star": range(1, 33),
+    "mesh2d": [1, 4, 9, 16, 25], "hypercube": [1, 2, 4, 8, 16, 32],
+}
+#: cluster counts also swept under every single-cluster and single-link
+#: fault (sweeping every size above is ~5M routes and agrees too, but
+#: takes about a minute)
+FAULT_SIZES = {
+    "complete": range(1, 9), "ring": [*range(1, 13), 16], "star": [*range(1, 13), 16],
+    "mesh2d": SIZES["mesh2d"], "hypercube": SIZES["hypercube"],
+}
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def nx_topology(nx, kind, n):
+    """The generator calls ``build_topology`` made before it stopped
+    using networkx."""
+    if kind == "complete":
+        return nx.complete_graph(n) if n > 1 else nx.empty_graph(1)
+    if kind == "ring":
+        return nx.cycle_graph(n) if n > 2 else nx.path_graph(n)
+    if kind == "star":
+        return nx.star_graph(n - 1) if n > 1 else nx.empty_graph(1)
+    if kind == "mesh2d":
+        side = math.isqrt(n)
+        g = nx.grid_2d_graph(side, side)
+    else:
+        dim = n.bit_length() - 1
+        g = nx.hypercube_graph(dim) if dim > 0 else nx.empty_graph(1)
+    return nx.convert_node_labels_to_integers(g, ordering="sorted")
+
+
+def nx_view(nx, kind, n, down=(), link=None):
+    """Routes and diameter as networkx computed them: the fresh topology
+    minus a failed link, with down clusters hidden."""
+    g = nx_topology(nx, kind, n)
+    if link is not None:
+        g.remove_edge(*link)
+    g.remove_nodes_from(down)
+    routes = {}
+    for s in g:
+        for d in g:
+            try:
+                routes[s, d] = nx.shortest_path(g, s, d)
+            except nx.NetworkXNoPath:
+                routes[s, d] = None
+    if len(g) <= 1:
+        diameter = 0
+    else:
+        diameter = nx.diameter(g) if nx.is_connected(g) else None
+    return routes, diameter
+
+
+def our_view(net, live):
+    routes = {}
+    for s in live:
+        for d in live:
+            try:
+                routes[s, d] = net.route(s, d)
+            except RoutingError:
+                routes[s, d] = None
+    try:
+        diameter = net.diameter()
+    except RoutingError:
+        diameter = None
+    return routes, diameter
+
+
+def faults(kind, n):
+    """No fault, each cluster down, each link failed: (down, link)."""
+    yield (), None
+    if n in FAULT_SIZES[kind]:
+        for c in range(n):
+            yield (c,), None
+        for link in edges(build_topology(kind, n)):
+            yield (), link
+
+
+class TestNetworkxOracle:
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_adjacency_order(self, nx, kind):
+        for n in SIZES[kind]:
+            g = nx_topology(nx, kind, n)
+            assert build_topology(kind, n) == {v: list(g.adj[v]) for v in g}
+            assert list(build_topology(kind, n)) == list(g)
+
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_routes_and_diameter(self, nx, kind):
+        for n in SIZES[kind]:
+            for down, link in faults(kind, n):
+                net = make(n, kind)
+                for c in down:
+                    net.fail_cluster(c)
+                if link is not None:
+                    net.fail_link(*link)
+                live = [c for c in range(n) if c not in down]
+                assert our_view(net, live) == nx_view(nx, kind, n, down, link), (
+                    n, down, link)
+
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_snapshot_restore_routes(self, nx, kind):
+        """A restored network routes like the one it was taken from: the
+        topology is rebuilt and the failed links dropped again."""
+        for n in SIZES[kind]:
+            net = make(n, kind)
+            link = edges(net.adj)[-1] if n > 1 else None
+            down = (n // 2,) if n > 2 else ()
+            if link is not None:
+                net.fail_link(*link)
+            for c in down:
+                net.fail_cluster(c)
+            net.record_transfer(0, 0, 8)
+            state = net.snapshot()
+            assert state["edges"] == sorted(
+                (min(a, b), max(a, b)) for a, b in nx_topology(nx, kind, n).edges
+                if (min(a, b), max(a, b)) != link)
+            fresh = make(n, kind)
+            fresh.restore(state)
+            assert fresh.snapshot() == state
+            live = [c for c in range(n) if c not in down]
+            assert our_view(fresh, live) == nx_view(nx, kind, n, down, link), n

@@ -415,12 +415,6 @@ class TestCheckpointScope:
 
 
 class TestMachineAccounting:
-    @pytest.mark.xfail(strict=True, reason=(
-        "PoolMachine.busy_cycles double counts: collect_finished adds "
-        "program.now when the machine's last job resolves and the next "
-        "placement's reset() adds the same program.now again.  The fix "
-        "moves appvm.pool.utilization in the host benchmark's expected "
-        "numbers and the E15 tables (ROADMAP item 7a)."))
     def test_busy_cycles_are_the_cycles_resident_jobs_ran(self):
         pool = ServicePool(n_machines=1, config=small_config())
         handles = [pool.submit(spec_for(f"u{i}", make_model(f"m{i}")))
@@ -428,6 +422,26 @@ class TestMachineAccounting:
         pool.run()
         (machine,) = pool.machines
         assert machine.busy_cycles == sum(
+            h.result().elapsed_cycles for h in handles)
+        assert pool.report()["utilization"] == round(
+            machine.busy_cycles / pool.now, 4)
+
+    def test_preempted_cycles_count_once(self):
+        """A preempted job's program is counted on the machine it ran on
+        up to the checkpoint and, from the checkpoint's clock on, where it
+        resumed: summed over machines, busy cycles are the cycles the
+        programs advanced."""
+        pool = ServicePool(n_machines=2, config=small_config(), quantum=500,
+                           tenants=[Tenant("batch"), Tenant("urgent")])
+        handles = [pool.submit(spec_for(f"low{i}", make_model(f"m{i}", nx=4),
+                                        tenant="batch")) for i in range(2)]
+        pool.advance(1500)
+        handles.append(pool.submit(spec_for("high", make_model("rush"),
+                                            tenant="urgent", priority=5)))
+        assert pool.stats["preemptions"] == 1
+        pool.run()
+        assert pool.stats["resumes"] == 1
+        assert sum(m.busy_cycles for m in pool.machines) == sum(
             h.result().elapsed_cycles for h in handles)
 
 
