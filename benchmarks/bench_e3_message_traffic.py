@@ -14,8 +14,9 @@ from conftest import run_once
 from repro.analysis import burstiness, communication_matrix, hub_score
 from repro.bench import Experiment, plane_stress_cantilever
 from repro.fem import parallel_cg_solve, parallel_substructure_solve, partition_strips
-from repro.hardware import MachineConfig, TraceRecorder
+from repro.hardware import MachineConfig
 from repro.langvm import Fem2Program
+from repro.obs import Tracer
 from repro.sysvm import MsgKind, traffic_class
 
 
@@ -23,7 +24,7 @@ def run_workload(kind):
     problem = plane_stress_cantilever(10)
     cfg = MachineConfig(n_clusters=4, pes_per_cluster=5,
                         memory_words_per_cluster=32_000_000, topology="ring")
-    prog = Fem2Program(cfg, trace=TraceRecorder(capacity=200_000))
+    prog = Fem2Program(cfg, tracer=Tracer())
     subs = partition_strips(problem.mesh, 4)
     if kind == "cg":
         parallel_cg_solve(prog, problem.mesh, problem.material,
@@ -53,10 +54,10 @@ def run_e3():
         h = m.histogram("comm.message_size")
         exp.note(f"message sizes: mean {h.mean:.1f}, max {h.max:.0f} words "
                  f"('large messages')")
-        trace = prog.runtime.trace
-        m_comm = communication_matrix(trace, 4)
+        tracer = prog.tracer
+        m_comm = communication_matrix(tracer, 4)
         exp.note(f"pattern: hub score {hub_score(m_comm):.2f}, burstiness "
-                 f"{burstiness(trace):.2f} (peak/mean per time bin)")
+                 f"{burstiness(tracer):.2f} (peak/mean per time bin)")
         stats[f"{workload}_hub"] = hub_score(m_comm)
         link_loads = prog.machine.network.link_traffic()
         if link_loads:

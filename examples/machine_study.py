@@ -31,7 +31,7 @@ from repro.analysis import (
 )
 from repro.bench import plane_stress_cantilever
 from repro.fem import parallel_cg_solve, partition_strips, static_solve
-from repro.hardware import TraceRecorder
+from repro.obs import Tracer
 
 
 def main() -> None:
@@ -55,8 +55,8 @@ def main() -> None:
 
     # 2. verify the winner on the simulator
     best_cfg, best_pred = ranked[0]
-    trace = TraceRecorder(capacity=500_000)
-    prog = Fem2Program(best_cfg, trace=trace)
+    tracer = Tracer()
+    prog = Fem2Program(best_cfg, tracer=tracer)
     subs = partition_strips(problem.mesh, max(2, best_cfg.n_clusters))
     info = parallel_cg_solve(prog, problem.mesh, problem.material,
                              problem.constraints, problem.loads,
@@ -78,13 +78,13 @@ def main() -> None:
           f"| storage hwm {measured.storage_hwm_words:,} words")
 
     # 3. the communication pattern, from the trace
-    m = communication_matrix(trace, best_cfg.n_clusters)
+    m = communication_matrix(tracer, best_cfg.n_clusters)
     print(f"\ncommunication pattern:")
     print(f"  hub score {hub_score(m):.2f} (1.0 = pure hub-and-spoke "
           f"through the root cluster)")
-    print(f"  burstiness {burstiness(trace):.2f} (peak/mean messages per "
+    print(f"  burstiness {burstiness(tracer):.2f} (peak/mean messages per "
           f"time bin)")
-    profile = concurrency_profile(trace, bins=12)
+    profile = concurrency_profile(prog, bins=12)
     bar = " ".join(str(c) for c in profile)
     print(f"  tasks in flight per time bin: {bar}")
     print("\nconclusion: the traffic is root-centric — a cheap topology "

@@ -1,12 +1,15 @@
-"""Communication *patterns* from event traces.
+"""Communication *patterns* from a traced run.
 
 The paper asks for measurements of "the storage, processing, and
-communication **patterns**" — not just totals.  Given a
-:class:`~repro.hardware.trace.TraceRecorder` that observed a run's
-``send`` events, this module computes the pattern views: traffic over
-time, burstiness, the cluster-to-cluster communication matrix, and the
-per-kind timeline (which distinguishes a setup burst from steady-state
-iteration traffic).
+communication **patterns**" — not just totals.  The message views —
+traffic over time, burstiness, the cluster-to-cluster communication
+matrix, and the per-kind timeline (which distinguishes a setup burst
+from steady-state iteration traffic) — read the ``sysvm.msg.*`` point
+spans a :class:`~repro.obs.Tracer` recorded: one per message, at its
+send time, with ``src`` / ``dst`` / ``words`` attributes and the
+message kind as label.  The task views (Gantt spans, concurrency) read
+the task control blocks of a :class:`~repro.langvm.Fem2Program`, which
+need no tracer at all.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..errors import AnalysisError
-from ..hardware.trace import TraceRecorder
+from ..obs import Span, Tracer
+from ..sysvm.scheduler import TaskState
+
+_MSG_PREFIX = "sysvm.msg."
 
 
 @dataclass
@@ -29,39 +35,48 @@ class TimelineBin:
     words: int
 
 
-def traffic_timeline(trace: TraceRecorder, bins: int = 20) -> List[TimelineBin]:
+def _sends(tracer: Tracer) -> List[Span]:
+    """Every message the traced run sent.  A tracer that dropped spans
+    past its capacity holds only part of the run, so it is refused
+    rather than summarised as if it were whole."""
+    if tracer.dropped:
+        raise AnalysisError(
+            f"tracer.dropped = {tracer.dropped}: the span list is partial; "
+            f"rerun with a larger Tracer(capacity=...)"
+        )
+    return [s for s in tracer.spans() if s.kind.startswith(_MSG_PREFIX)]
+
+
+def traffic_timeline(tracer: Tracer, bins: int = 20) -> List[TimelineBin]:
     """Messages and words per time bin across the traced run."""
-    events = trace.events("send")
-    if not events:
-        raise AnalysisError("trace holds no send events (was it attached?)")
+    sends = _sends(tracer)
+    if not sends:
+        raise AnalysisError("tracer holds no message spans (was it attached?)")
     if bins < 1:
         raise AnalysisError("need at least one bin")
-    t_max = max(e.time for e in events) + 1
+    t_max = max(s.t0 for s in sends) + 1
     edges = np.linspace(0, t_max, bins + 1)
     out = [TimelineBin(int(edges[i]), int(edges[i + 1]), 0, 0) for i in range(bins)]
-    for e in events:
-        idx = min(int(e.time / t_max * bins), bins - 1)
+    for s in sends:
+        idx = min(int(s.t0 / t_max * bins), bins - 1)
         out[idx].messages += 1
-        out[idx].words += int(e.get("words", 0))
+        out[idx].words += s.attrs["words"]
     return out
 
 
-def burstiness(trace: TraceRecorder, bins: int = 20) -> float:
+def burstiness(tracer: Tracer, bins: int = 20) -> float:
     """Peak-to-mean ratio of per-bin message counts (1.0 = uniform)."""
-    timeline = traffic_timeline(trace, bins)
+    timeline = traffic_timeline(tracer, bins)
     counts = [b.messages for b in timeline]
     mean = sum(counts) / len(counts)
     return max(counts) / mean if mean else 0.0
 
 
-def communication_matrix(trace: TraceRecorder, n_clusters: int) -> np.ndarray:
+def communication_matrix(tracer: Tracer, n_clusters: int) -> np.ndarray:
     """Words sent from cluster i to cluster j: (n, n)."""
     m = np.zeros((n_clusters, n_clusters), dtype=int)
-    for e in trace.events("send"):
-        src, dst = e.get("src"), e.get("dst")
-        if src is None or dst is None:
-            continue
-        m[src, dst] += int(e.get("words", 0))
+    for s in _sends(tracer):
+        m[s.attrs["src"], s.attrs["dst"]] += s.attrs["words"]
     return m
 
 
@@ -75,24 +90,24 @@ def hub_score(matrix: np.ndarray) -> float:
     return float(touching.max() / total)
 
 
-def kind_timeline(trace: TraceRecorder, bins: int = 10) -> Dict[str, List[int]]:
+def kind_timeline(tracer: Tracer, bins: int = 10) -> Dict[str, List[int]]:
     """Per message kind: messages per bin (phase structure made visible)."""
-    events = trace.events("send")
-    if not events:
-        raise AnalysisError("trace holds no send events")
-    t_max = max(e.time for e in events) + 1
+    sends = _sends(tracer)
+    if not sends:
+        raise AnalysisError("tracer holds no message spans")
+    t_max = max(s.t0 for s in sends) + 1
     out: Dict[str, List[int]] = defaultdict(lambda: [0] * bins)
-    for e in events:
-        idx = min(int(e.time / t_max * bins), bins - 1)
-        out[e.get("msg_kind", "?")][idx] += 1
+    for s in sends:
+        idx = min(int(s.t0 / t_max * bins), bins - 1)
+        out[s.label][idx] += 1
     return dict(out)
 
 
-def pattern_report(trace: TraceRecorder, n_clusters: int) -> str:
-    m = communication_matrix(trace, n_clusters)
+def pattern_report(tracer: Tracer, n_clusters: int) -> str:
+    m = communication_matrix(tracer, n_clusters)
     lines = [
-        f"communication pattern over {len(trace.events('send'))} messages:",
-        f"  burstiness (peak/mean per bin): {burstiness(trace):.2f}",
+        f"communication pattern over {len(_sends(tracer))} messages:",
+        f"  burstiness (peak/mean per bin): {burstiness(tracer):.2f}",
         f"  hub score: {hub_score(m):.2f}",
         "  cluster-to-cluster words:",
     ]
@@ -102,29 +117,24 @@ def pattern_report(trace: TraceRecorder, n_clusters: int) -> str:
     return "\n".join(lines)
 
 
-def task_spans(trace: TraceRecorder) -> List[Tuple[int, str, int, int]]:
-    """(tid, task_type, first_dispatch, finish) per completed task — the
-    Gantt view of a run.  Tasks re-dispatched after blocking keep their
-    first dispatch time."""
-    first: Dict[int, Tuple[str, int]] = {}
-    for e in trace.events("dispatch"):
-        tid = e.get("tid")
-        if tid not in first:
-            first[tid] = (e.get("task_type", "?"), e.time)
-    spans = []
-    for e in trace.events("finish"):
-        tid = e.get("tid")
-        if tid in first:
-            task_type, t0 = first[tid]
-            spans.append((tid, task_type, t0, e.time))
-    return sorted(spans, key=lambda s: s[2])
+def task_spans(program) -> List[Tuple[int, str, int, int]]:
+    """(tid, task_type, first_dispatch, finish) per completed task of a
+    :class:`~repro.langvm.Fem2Program` — the Gantt view of a run, in
+    (first dispatch, tid) order.  Tasks re-dispatched after blocking
+    keep their first dispatch time."""
+    spans = [
+        (t.tid, t.task_type, t.first_run_at, t.finished_at)
+        for t in program.runtime.tasks.values()
+        if t.state is TaskState.DONE
+    ]
+    return sorted(spans, key=lambda s: (s[2], s[0]))
 
 
-def concurrency_profile(trace: TraceRecorder, bins: int = 20) -> List[int]:
+def concurrency_profile(program, bins: int = 20) -> List[int]:
     """Tasks simultaneously in flight per time bin (span-based)."""
-    spans = task_spans(trace)
+    spans = task_spans(program)
     if not spans:
-        raise AnalysisError("trace holds no completed task spans")
+        raise AnalysisError("program holds no completed tasks")
     t_max = max(t1 for *_x, t1 in spans) + 1
     counts = [0] * bins
     for _tid, _tt, t0, t1 in spans:

@@ -78,7 +78,7 @@ def _lint_gate(program: Fem2Program, mode: str) -> None:
     cost = cost_report(program)
     report.emit(program.runtime.obs, program.now)
     tr = program.runtime.obs
-    if tr is not None and getattr(tr, "enabled", False):
+    if tr is not None:
         tr.point("lint.flow", "static routes", program.now,
                  schema=FLOW_SCHEMA, tasks=len(flow.tasks),
                  routes=len(flow.routes),
@@ -197,7 +197,7 @@ class PoolMachine:
                         spec.tol, worker_name, root_name)
         runtime = self.program.runtime
         obs = runtime.obs
-        if obs is not None and obs.enabled:
+        if obs is not None:
             handle.span = obs.begin(
                 "appvm.job", f"{spec.user}/{model.name}", self.program.now,
                 user=spec.user, model=model.name, load_set=spec.load_set,
@@ -249,7 +249,7 @@ class PoolMachine:
                 iterations=info.iterations,
                 elapsed_cycles=info.elapsed_cycles,
             )
-            if obs is not None and obs.enabled and handle.span is not None:
+            if obs is not None and handle.span is not None:
                 obs.end(handle.span, self.program.now,
                         iterations=info.iterations)
         if done:

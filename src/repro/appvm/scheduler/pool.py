@@ -123,7 +123,7 @@ class ServicePool:
     def _enqueue(self, handle: JobHandle) -> None:
         handle._enqueued_at = self.now
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             handle.queue_span = tr.begin(
                 "sched.queue", f"{handle.spec.user}/{handle.spec.model.name}",
                 self.now, tenant=handle.spec.tenant,
@@ -199,7 +199,7 @@ class ServicePool:
         if handle.dispatch_time is None:
             handle.dispatch_time = self.now
         tr = self.tracer
-        if tr is not None and tr.enabled and handle.queue_span is not None:
+        if tr is not None and handle.queue_span is not None:
             tr.end(handle.queue_span, self.now, wait=wait)
             handle.queue_span = None
         # sync the machine's clock domain to the global clock: a fresh
@@ -367,5 +367,5 @@ class ServicePool:
 
     def _point(self, kind: str, label: str, **attrs: Any) -> None:
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.point(kind, label, self.now, **attrs)

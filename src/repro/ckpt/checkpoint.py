@@ -83,7 +83,7 @@ class Checkpointer:
         metrics.incr("ckpt.bytes", ckpt.nbytes)
         metrics.observe("ckpt.blob_bytes", ckpt.nbytes)
         tracer = self.program.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             span = tracer.begin(
                 "ckpt.snapshot", f"t={engine.now}", engine.now,
                 bytes=ckpt.nbytes, host_seconds=round(elapsed, 6),
@@ -135,7 +135,7 @@ class Checkpointer:
         metrics = program.metrics
         metrics.incr("ckpt.recoveries")
         tracer = program.tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.point(
                 "ckpt.recover", f"from_t={ckpt.time}",
                 program.machine.engine.now, bytes=ckpt.nbytes,

@@ -18,7 +18,6 @@ from .assembly import (
     stiffness_stats,
 )
 from .solvers import (
-    SOLVERS,
     SolveResult,
     cholesky_factor,
     conjugate_gradient,
@@ -79,7 +78,6 @@ __all__ = [
     "assembly_flops",
     "element_stiffness_batches",
     "stiffness_stats",
-    "SOLVERS",
     "SolveResult",
     "cholesky_factor",
     "conjugate_gradient",

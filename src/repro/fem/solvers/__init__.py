@@ -2,9 +2,8 @@
 (CG, Jacobi, SOR), all returning :class:`SolveResult`.
 
 :func:`solve_linear` is the one entry point — callers name the method;
-the ``SOLVERS`` registry dict stays public for enumeration (benchmark
-sweeps) but direct ``SOLVERS[...]`` indexing is deprecated in favour of
-the facade, which validates the method name.
+it validates the name against the private registry and lists the
+available methods in its error.
 """
 
 from ...errors import SolverError
@@ -17,8 +16,8 @@ from .direct import (
 )
 from .iterative import conjugate_gradient, jacobi, sor
 
-#: name -> callable(k, f, **kw); enumerate for sweeps, call via solve_linear
-SOLVERS = {
+#: name -> callable(k, f, **kw); reached only through solve_linear
+_SOLVERS = {
     "sparse_lu": solve_sparse_lu,
     "cholesky": solve_cholesky,
     "cg": conjugate_gradient,
@@ -33,15 +32,15 @@ SOLVERS = {
 def solve_linear(k, f, *, method: str = "sparse_lu", **kw) -> SolveResult:
     """Solve ``k x = f`` with the named method from the solver registry.
 
-    The single facade over ``SOLVERS``: validates the method name (with
+    The single facade over the registry: validates the method name (with
     the available names in the error) and forwards solver keywords
     (``tol``, ``max_iter``, ``preconditioner``, ...).
     """
     try:
-        solver = SOLVERS[method]
+        solver = _SOLVERS[method]
     except KeyError:
         raise SolverError(
-            f"unknown method {method!r}; one of {sorted(SOLVERS)}"
+            f"unknown method {method!r}; one of {sorted(_SOLVERS)}"
         ) from None
     return solver(k, f, **kw)
 
@@ -56,5 +55,4 @@ __all__ = [
     "jacobi",
     "sor",
     "solve_linear",
-    "SOLVERS",
 ]

@@ -14,7 +14,6 @@ from .network import TOPOLOGIES, Network, build_topology
 from .cluster import Cluster
 from .machine import Machine, MachineConfig
 from .faults import FaultInjector, FaultRecord
-from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "ENGINES",
@@ -36,6 +35,4 @@ __all__ = [
     "MachineConfig",
     "FaultInjector",
     "FaultRecord",
-    "TraceEvent",
-    "TraceRecorder",
 ]

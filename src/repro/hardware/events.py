@@ -96,7 +96,7 @@ class EventEngine:
             self.now = ev.time
             self.events_processed += 1
             tracer = self.tracer
-            if tracer is not None and tracer.enabled:
+            if tracer is not None:
                 tracer.point(
                     "hw.event",
                     getattr(ev.fn, "__qualname__", "event"),

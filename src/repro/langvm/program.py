@@ -141,7 +141,6 @@ class Fem2Program:
         dispatch_policy: Optional[DispatchPolicy] = None,
         placement: str = "round_robin",
         strict: bool = True,
-        trace=None,
         tracer=None,
         journal: bool = False,
     ) -> None:
@@ -151,7 +150,6 @@ class Fem2Program:
             dispatch_policy=dispatch_policy,
             placement=placement,
             strict=strict,
-            trace=trace,
         )
         self.runtime.ctx_factory = TaskContext
         #: journal=True records every coroutine input, making the whole

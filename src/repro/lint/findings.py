@@ -6,7 +6,7 @@ and a human-readable message — collected into a :class:`LintReport`.
 Reports are machine-readable first (``to_record`` yields plain dicts,
 schema ``fem2-lint/1``) and can be emitted onto a :mod:`repro.obs`
 tracer as ``lint.<code>`` point spans, so findings ride the same
-JSON/CSV exporters as every other measurement in the stack.
+JSON exporters as every other measurement in the stack.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ class LintReport:
 
     def emit(self, tracer, now: int = 0) -> None:
         """Post every finding as a ``lint.<code>`` point span on *tracer*,
-        so findings appear in :mod:`repro.obs` JSON/CSV/flame exports."""
-        if tracer is None or not getattr(tracer, "enabled", False):
+        so findings appear in :mod:`repro.obs` JSON/flame exports."""
+        if tracer is None:
             return
         for f in self.findings:
             tracer.point(

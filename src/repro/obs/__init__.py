@@ -6,28 +6,25 @@ applications".  This package is the cross-layer half of that program:
 one :class:`Tracer` threaded through all four virtual machines records
 causally linked spans (application job → analyst task scopes → system
 messages → hardware cycles), and the exporters turn a run into
-machine-readable records (JSON/CSV) or a flame-style text profile.
+machine-readable records (JSON) or a flame-style text profile.
 
 Layering: ``obs`` sits below every virtual machine — it imports nothing
 from the rest of the stack, and the stack reaches it only through the
 tracer object a :class:`~repro.hardware.machine.Machine` carries.
 Tracing is observational only: cycle counts and results are identical
-with tracing on, off (:class:`NullTracer`, the default), or absent.
+with tracing on (a :class:`Tracer`) or off (``None``, the default).
 """
 
-from .tracer import NULL_TRACER, NullTracer, Span, SpanStats, Tracer
-from .export import flame, plain, span_tree, to_csv, to_json, to_record
+from .tracer import Span, SpanStats, Tracer
+from .export import flame, plain, span_tree, to_json, to_record
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "SpanStats",
     "Tracer",
     "flame",
     "plain",
     "span_tree",
-    "to_csv",
     "to_json",
     "to_record",
 ]

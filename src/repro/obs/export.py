@@ -1,4 +1,4 @@
-"""Exporters for traced profiles: JSON, CSV, and a flame-style text tree.
+"""Exporters for traced profiles: JSON and a flame-style text tree.
 
 Machine-readable first: :func:`to_record` produces plain dicts of plain
 values (numpy scalars and arrays are converted) so every profile can be
@@ -9,8 +9,6 @@ table displays.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Any, Dict, List, Optional
 
@@ -48,27 +46,6 @@ def to_record(tracer: Tracer) -> Dict[str, Any]:
 
 def to_json(tracer: Tracer, indent: Optional[int] = None) -> str:
     return json.dumps(to_record(tracer), indent=indent, sort_keys=False)
-
-
-def to_csv(tracer: Tracer) -> str:
-    """Flat span list as CSV: one row per span, attrs as a JSON cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["sid", "parent", "kind", "label", "t0", "t1", "cycles", "attrs"])
-    for s in tracer.spans():
-        writer.writerow(
-            [
-                s.sid,
-                "" if s.parent_sid is None else s.parent_sid,
-                s.kind,
-                s.label,
-                s.t0,
-                "" if s.t1 is None else s.t1,
-                s.cycles,
-                json.dumps(plain(s.attrs), sort_keys=True),
-            ]
-        )
-    return buf.getvalue()
 
 
 def span_tree(tracer: Tracer) -> List[Dict[str, Any]]:

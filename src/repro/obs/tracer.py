@@ -11,11 +11,11 @@ carries, so a single solve yields a causally linked profile:
 Timestamps are *simulated* cycles supplied by the caller (the tracer
 owns no clock), so tracing is purely observational: it never schedules
 events and never charges cycles, and simulation results are identical
-with tracing on, off, or absent.
+with tracing on or off.
 
-:class:`NullTracer` is the default everywhere — a no-op with
-``enabled = False`` so hot paths can guard with one attribute check and
-pay nothing when observability is off.
+``None`` is the one "off" value: every layer holds ``tracer=None`` by
+default and guards with ``is not None``, so an untraced run pays one
+identity check per site.
 """
 
 from __future__ import annotations
@@ -120,44 +120,15 @@ class Tracer:
     ``capacity`` bounds the retained span list for long simulations
     (further spans are aggregated but not listed; ``dropped`` counts
     them).  Aggregates are always exact regardless of drops.
-
-    ``sample_every=N`` keeps every Nth record attempt and skips the rest
-    entirely — no Span allocation, no list append, no aggregate update —
-    so tracing overhead is pay-for-what-you-record on hot runs.  Skipped
-    attempts are counted in :attr:`sampled_out`; sampling is a
-    deterministic counter (not random), so a given run always keeps the
-    same spans.  With sampling active, aggregates describe the kept
-    subset only; run with the default ``sample_every=1`` when exact
-    profiles (e.g. golden traces) are needed.  Sampling never affects
-    simulation results — the tracer stays purely observational.
     """
 
-    enabled = True
-
-    def __init__(self, capacity: int = 250_000, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    def __init__(self, capacity: int = 250_000) -> None:
         self.capacity = capacity
-        self.sample_every = sample_every
         self._spans: List[Span] = []
         self._stats: Dict[str, SpanStats] = {}
         self._sid = itertools.count(1)
         self.dropped = 0
         self.recorded = 0
-        self.sampled_out = 0
-        self._tick = 0
-
-    def _take(self) -> bool:
-        """Deterministic 1-in-N sampling decision for one record attempt."""
-        every = self.sample_every
-        if every == 1:
-            return True
-        self._tick += 1
-        if self._tick >= every:
-            self._tick = 0
-            return True
-        self.sampled_out += 1
-        return False
 
     # -- recording ---------------------------------------------------------
 
@@ -169,12 +140,7 @@ class Tracer:
         parent: ParentLike = None,
         **attrs: Any,
     ) -> Span:
-        """Open a span at simulated time *now*; returns it for :meth:`end`.
-
-        Returns ``None`` when sampled out — :meth:`end` accepts None, so
-        callers need no extra guard."""
-        if not self._take():
-            return None
+        """Open a span at simulated time *now*; returns it for :meth:`end`."""
         span = Span(next(self._sid), kind, label, int(now), _parent_sid(parent), attrs)
         self._keep(span)
         return span
@@ -203,8 +169,6 @@ class Tracer:
         ``aggregate_only=True`` skips the flat list entirely — used for
         per-event hardware counts that would flood it.
         """
-        if not self._take():
-            return None
         self._observe(kind, 0)
         if aggregate_only:
             return None
@@ -253,58 +217,6 @@ class Tracer:
         self._stats.clear()
         self.dropped = 0
         self.recorded = 0
-        self.sampled_out = 0
-        self._tick = 0
 
     def __len__(self) -> int:
         return len(self._spans)
-
-
-class NullTracer:
-    """The default tracer: does nothing, costs one attribute check.
-
-    Every recording method accepts the full :class:`Tracer` signature
-    and returns ``None``, so instrumented code may call it blindly; hot
-    paths should instead guard on :attr:`enabled`.
-    """
-
-    enabled = False
-    capacity = 0
-    dropped = 0
-    recorded = 0
-    sample_every = 1
-    sampled_out = 0
-
-    def begin(self, kind, label, now, parent=None, **attrs):  # noqa: D102
-        return None
-
-    def end(self, span, now, **attrs):  # noqa: D102
-        return None
-
-    def point(self, kind, label, now, parent=None, aggregate_only=False, **attrs):
-        return None
-
-    def spans(self, kind=None):
-        return []
-
-    def stats(self):
-        return {}
-
-    def kind_summary(self):
-        return {}
-
-    def children_of(self, sid):
-        return []
-
-    def roots(self):
-        return []
-
-    def clear(self):
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: shared no-op instance for callers that want a non-None default
-NULL_TRACER = NullTracer()

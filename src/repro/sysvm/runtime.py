@@ -113,7 +113,7 @@ class SimpleContext:
         During journal replay spans are suppressed — the original run
         already recorded them."""
         obs = self._runtime.obs
-        if obs is None or not obs.enabled or self._runtime._replaying:
+        if obs is None or self._runtime._replaying:
             return None
         return obs.begin(
             kind, label, self.now,
@@ -135,7 +135,6 @@ class Runtime:
         dispatch_policy: Optional[DispatchPolicy] = None,
         placement: str = "round_robin",
         strict: bool = True,
-        trace=None,
     ) -> None:
         if placement not in PLACEMENTS:
             raise SchedulingError(f"unknown placement {placement!r}; one of {PLACEMENTS}")
@@ -144,7 +143,6 @@ class Runtime:
         self.dispatch_policy = dispatch_policy or AnyPEDispatch()
         self.placement = placement
         self.strict = strict
-        self.trace = trace
         self.data = DataStore(machine)
         self.metrics = machine.metrics
         # per-kind message/word counter cells for _send
@@ -291,7 +289,7 @@ class Runtime:
             tcb.pending_resume = early["resume"]
         self.metrics.incr("task.initiated")
         obs = self.obs
-        if obs is not None and obs.enabled:
+        if obs is not None:
             pspan = (
                 self._task_spans.get(parent)
                 if parent is not None
@@ -339,11 +337,6 @@ class Runtime:
         """Kernel hand-off: begin or continue a task on a worker PE."""
         tcb.transition(TaskState.RUNNING)
         tcb.pe = pe
-        if self.trace is not None:
-            self.trace.record(
-                self.machine.now, "dispatch", tid=tcb.tid,
-                task_type=tcb.task_type, cluster=tcb.cluster, pe=pe.index,
-            )
         if tcb.first_run_at is None:
             tcb.first_run_at = self.machine.now
             self.metrics.observe("task.start_latency", tcb.first_run_at - tcb.created_at)
@@ -485,14 +478,9 @@ class Runtime:
             self.data.drop_owned_by(tcb.tid)
         self.metrics.incr("task.completed")
         self.metrics.observe("task.turnaround", tcb.finished_at - tcb.created_at)
-        if self.obs is not None and self.obs.enabled:
+        if self.obs is not None:
             self.obs.end(self._task_spans.get(tcb.tid), self.machine.now,
                          outcome="done")
-        if self.trace is not None:
-            self.trace.record(
-                self.machine.now, "finish", tid=tcb.tid,
-                task_type=tcb.task_type, cluster=tcb.cluster,
-            )
         if tcb.rpc_reply_to is not None:
             rcluster, _rtask, call_id = tcb.rpc_reply_to
             self._send(tcb.cluster, rcluster, remote_return(call_id, result, _rtask))
@@ -518,7 +506,7 @@ class Runtime:
         if not tcb.retain_data:
             self.data.drop_owned_by(tcb.tid)
         self.metrics.incr("task.failed")
-        if self.obs is not None and self.obs.enabled:
+        if self.obs is not None:
             self.obs.end(self._task_spans.get(tcb.tid), self.machine.now,
                          outcome="failed", error=repr(exc))
         if self.strict:
@@ -551,15 +539,10 @@ class Runtime:
         messages, words = cells.items
         messages.value += 1
         words.value += msg.size_words
-        if self.obs is not None and self.obs.enabled:
+        if self.obs is not None:
             self.obs.point(
                 f"sysvm.msg.{msg.kind.value}", msg.kind.value, self.machine.now,
                 parent=self._task_spans.get(msg.src_task),
-                src=src, dst=dst, words=msg.size_words,
-            )
-        if self.trace is not None:
-            self.trace.record(
-                self.machine.now, "send", msg_kind=msg.kind.value,
                 src=src, dst=dst, words=msg.size_words,
             )
         self.machine.deliver(src, dst, msg.size_words, msg, extra_delay=extra_delay)
@@ -568,7 +551,7 @@ class Runtime:
         """Kernel upcall: decode and execute one message."""
         payload = decode(msg)
         kind = msg.kind
-        if self.obs is not None and self.obs.enabled:
+        if self.obs is not None:
             self.obs.point(
                 "sysvm.decode", kind.value, self.machine.now,
                 parent=self._task_spans.get(msg.src_task),
@@ -1209,7 +1192,7 @@ class Runtime:
         )
         # reopen a fresh span for live tasks so post-restore activity has
         # a home; the original parent link is lost across the restore
-        if tcb.is_live() and self.obs is not None and self.obs.enabled:
+        if tcb.is_live() and self.obs is not None:
             self._task_spans[tcb.tid] = self.obs.begin(
                 "sysvm.task", tcb.task_type, self.machine.now,
                 parent=self.obs_root_parent, tid=tcb.tid, cluster=tcb.cluster,

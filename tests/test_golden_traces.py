@@ -4,7 +4,7 @@ committed span/metrics fixtures **byte for byte**.
 
 The fixtures pin the simulation's complete observable surface — result,
 final clock, events processed, every flat metric, and the entire
-:mod:`repro.obs` span record (sampling off) — so any change to event
+:mod:`repro.obs` span record — so any change to event
 ordering, cycle accounting, metric naming, or tracing shows up as a
 one-line diff here before it can silently shift published benchmarks.
 
@@ -36,7 +36,7 @@ REGEN = bool(os.environ.get("FEM2_REGEN_GOLDEN"))
 
 def traced_fanout():
     """Task fan-out/wait with mixed burst lengths across two clusters."""
-    tracer = Tracer()  # sample_every=1: every span recorded
+    tracer = Tracer()
     prog = Fem2Program(
         MachineConfig(n_clusters=2, pes_per_cluster=3,
                       memory_words_per_cluster=500_000),

@@ -1,4 +1,4 @@
-"""Unit tests for clusters, the assembled machine, faults, and tracing."""
+"""Unit tests for clusters, the assembled machine, and faults."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.hardware import (
     MachineConfig,
     MetricsRegistry,
     PEState,
-    TraceRecorder,
 )
 
 
@@ -175,32 +174,3 @@ class TestFaultInjector:
         text = inj.summary()
         assert "2 faults" in text and "link" in text
 
-
-class TestTraceRecorder:
-    def test_record_and_query(self):
-        tr = TraceRecorder()
-        tr.record(5, "send", src=0, dst=1)
-        tr.record(9, "dispatch", pe=(1, 2))
-        assert len(tr) == 2
-        assert tr.events("send")[0].get("dst") == 1
-        assert tr.count_by_kind() == {"send": 1, "dispatch": 1}
-        assert [e.kind for e in tr.between(0, 6)] == ["send"]
-
-    def test_capacity_bound_drops_oldest(self):
-        tr = TraceRecorder(capacity=3)
-        for i in range(5):
-            tr.record(i, "e", i=i)
-        assert len(tr) == 3
-        assert tr.dropped == 2
-        assert tr.events()[0].get("i") == 2
-
-    def test_disabled_recorder_is_free(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record(1, "e")
-        assert len(tr) == 0 and tr.recorded == 0
-
-    def test_filter(self):
-        tr = TraceRecorder()
-        for i in range(10):
-            tr.record(i, "e", i=i)
-        assert len(tr.filter(lambda e: e.get("i") % 2 == 0)) == 5

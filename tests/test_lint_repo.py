@@ -8,6 +8,8 @@ PR*.  This is the pytest face of that gate.
 
 import pathlib
 
+import pytest
+
 from repro.lint import LintCache, lint_paths
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -41,13 +43,24 @@ def test_cache_reuses_unchanged_files():
         == [f.render() for f in again.sorted_findings()]
 
 
-def test_the_engine_fork_stays_deleted():
-    """There is one event engine (DESIGN.md §11).  No shipped file may
-    name the deleted queue, its selectors or its harness, so a later PR
-    cannot half-resurrect the fork.  ``benchmarks/host`` is frozen and
-    only refuses the env var; this file holds the list."""
-    gone = ("FEM2_ENGINE", "forced_engine", "FastEventEngine", "calqueue",
-            "repro.perf")
+#: names no shipped file may mention, so a later PR cannot half-resurrect
+#: a deleted fork: the calendar-queue engine, its selectors and its
+#: harness (DESIGN.md §11); the second tracer, the no-op tracer, span
+#: sampling and the CSV exporter (DESIGN.md §18)
+DELETED = {
+    "engine_fork": ("FEM2_ENGINE", "forced_engine", "FastEventEngine",
+                    "calqueue", "repro.perf"),
+    "second_tracer": ("TraceRecorder", "TraceEvent", "hardware.trace",
+                      "NullTracer", "NULL_TRACER", "sample_every",
+                      "sampled_out", "to_csv"),
+}
+
+
+@pytest.mark.parametrize("fork", sorted(DELETED))
+def test_deleted_names_stay_deleted(fork):
+    """``benchmarks/host`` is frozen and skipped (it still refuses the
+    env var); this file holds the lists."""
+    gone = DELETED[fork]
     frozen, me = ROOT / "benchmarks" / "host", pathlib.Path(__file__).resolve()
     hits = []
     for top in ("src", "tests", "benchmarks", "examples", ".github"):
