@@ -21,21 +21,18 @@ from conftest import run_once
 from repro.bench import Experiment
 from repro.hardware import MachineConfig
 from repro.langvm import Fem2Program, forall
-from repro.lint import LintCache, check_soundness, flow_summary, lint_paths
-from repro.lint.astutil import collect_tasks
+from repro.lint import check_soundness, flow_summary, lint_paths
+from repro.lint.astutil import collect_tasks, task_index
 from repro.lint.cli import iter_py_files
-from repro.lint.flow import summarize
-from repro.lint.flow.checks import check_flow
-from repro.lint.flow.dataflow import summarize_tasks
-from repro.lint.flow.ir import task_index
+from repro.lint.flow import check_flow, summarize, summarize_tasks
 from repro.obs import Tracer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_lint_corpus(paths, arch, cache=None):
+def run_lint_corpus(paths, arch):
     t0 = time.perf_counter()
-    report = lint_paths(paths, arch=arch, cache=cache)
+    report = lint_paths(paths, arch=arch)
     elapsed = time.perf_counter() - t0
     return report, elapsed
 
@@ -50,7 +47,6 @@ def lint_experiment():
         "src+examples": ([ROOT / "src", ROOT / "examples"], True),
     }
     data = {}
-    cache = LintCache()
     for name, (paths, arch) in corpora.items():
         report, elapsed = run_lint_corpus(paths, arch)
         data[name] = (report, elapsed)
@@ -60,21 +56,8 @@ def lint_experiment():
             round(1000.0 * elapsed, 1),
             round(report.files_checked / elapsed, 1) if elapsed > 0 else 0.0,
         )
-    # the incremental cache: a warm re-run of the big corpus
-    run_lint_corpus([ROOT / "src", ROOT / "examples"], True, cache=cache)
-    report, elapsed = run_lint_corpus([ROOT / "src", ROOT / "examples"],
-                                      True, cache=cache)
-    data["cached"] = (report, elapsed)
-    exp.add_row(
-        "src+examples (cached)", report.files_checked, report.tasks_checked,
-        len(report.errors), len(report.warnings),
-        round(1000.0 * elapsed, 1),
-        round(report.files_checked / elapsed, 1) if elapsed > 0 else 0.0,
-    )
     exp.note("host time, not simulated cycles: the linter runs before "
              "the machine, so its cost is submission latency")
-    exp.note(f"warm cache: {report.cache_hits}/{report.cache_hits + report.cache_misses} "
-             "file(s) served from the content-hash cache")
     return exp, data
 
 
@@ -245,7 +228,7 @@ def cost_experiment():
             continue
         tasks.extend(collect_tasks(tree, str(f)))
     t0 = time.perf_counter()
-    report = build_cost_report(analyze_costs(tasks))
+    report = build_cost_report(analyze_costs(tasks, task_index(tasks)))
     elapsed = time.perf_counter() - t0
     exp.add_row("corpus cost model", len(report.tasks), "-", "-", "-",
                 round(1000.0 * elapsed, 1),
@@ -353,8 +336,6 @@ def test_lint_throughput(benchmark, experiment_sink):
     report, _ = data["src+examples"]
     assert report.files_checked >= 100
     assert report.tasks_checked >= 30
-    cached, _ = data["cached"]
-    assert cached.cache_misses == 0
     for name, result in sound.items():
         assert result.ok, f"{name}: unpredicted edges {result.unpredicted}"
     for name, result in calibrations.items():

@@ -2,7 +2,11 @@
 
 The run-time layers enforce the FEM-2 data-control rules per access;
 this package rejects whole classes of violation *before* a single
-simulated cycle is spent.  Three entry points:
+simulated cycle is spent.  The IR is one :class:`TaskInfo` (with its
+:class:`~repro.lint.astutil.Region` tree) per task function, and
+:func:`analyze_tasks` is the one analysis of a task set: every program
+checker, the ``fem2-flow/1`` summary and the ``fem2-cost/1`` report,
+each pass run once.  Its callers:
 
 * :func:`lint_program` — inspect a built :class:`~repro.langvm.Fem2Program`'s
   registered task generators (used by the ``JobSpec.lint`` admission gate);
@@ -12,12 +16,13 @@ simulated cycle is spent.  Three entry points:
 * ``python -m repro.lint [paths...]`` — the CLI (repo architecture
   included when a ``repro`` package root is among the paths).
 
-Program findings carry stable codes (W1 write-write race, W2 unwaited
-read-write race, D1 missing wait / initiate cycle, O1 raw storage on a
-non-owned handle); architecture findings use A1 (layering), A2 (span
-balance), A3 (public-API drift), S1 (snapshot/restore completeness for
-the :mod:`repro.ckpt` spine).  Every finding has file:line and a
-severity, and the report exports to the same plain-record form as the
+Program findings carry stable codes (W1/W3 write-write races, W2
+unwaited read-write race, D1/D2 unmatched waits and initiate cycles, O1
+raw storage on a non-owned handle, X1 unreachable task, C1/C2 cost
+bounds); architecture findings use A1 (layering), A2 (span balance), A3
+(public-API drift), S1 (snapshot/restore completeness for the
+:mod:`repro.ckpt` spine).  Every finding has file:line and a severity,
+and the report exports to the same plain-record form as the
 :mod:`repro.obs` spine.
 """
 
@@ -28,7 +33,6 @@ from typing import List
 from . import store
 from .api import check_package_api, check_public_api
 from .astutil import TaskInfo, analyze_task, collect_tasks
-from .cache import LintCache
 from .cli import lint_files, lint_paths, lint_source, main
 from .cost import (
     COST_SCHEMA,
@@ -38,7 +42,6 @@ from .cost import (
     analyze_costs,
     build_cost_report,
     calibrate,
-    check_cost,
     machine_env,
 )
 from .findings import CODES, SCHEMA, Finding, LintReport
@@ -47,19 +50,14 @@ from .flow import (
     Blocker,
     FlowSummary,
     SoundnessResult,
-    TaskGraph,
-    build_graph,
     check_compilable,
-    check_d2,
     check_soundness,
-    check_w3,
-    check_x1,
     observed_edges,
     summarize,
     task_blockers,
 )
 from .layering import ALLOWED, check_layering, layering_violations
-from .program import check_d1, check_o1, check_tasks, check_w1, check_w2
+from .program import analyze_tasks
 from .snapshots import check_snapshots
 from .spans import check_span_balance
 
@@ -109,33 +107,22 @@ __all__ = [
     "CostReport",
     "Finding",
     "FlowSummary",
-    "LintCache",
     "LintReport",
     "SoundnessResult",
     "TaskCost",
-    "TaskGraph",
     "TaskInfo",
     "analyze_costs",
     "analyze_task",
+    "analyze_tasks",
     "build_cost_report",
-    "build_graph",
     "calibrate",
     "check_compilable",
-    "check_cost",
-    "check_d1",
-    "check_d2",
     "check_layering",
-    "check_o1",
     "check_package_api",
     "check_public_api",
     "check_snapshots",
     "check_soundness",
     "check_span_balance",
-    "check_tasks",
-    "check_w1",
-    "check_w2",
-    "check_w3",
-    "check_x1",
     "collect_tasks",
     "cost_report",
     "flow_summary",

@@ -32,18 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def call_tail(call: ast.Call) -> Optional[str]:
     """The final attribute (or bare name) of a call's function."""
     if isinstance(call.func, ast.Attribute):
@@ -272,6 +260,16 @@ class TaskInfo:
             return self.params.index(name)
         except ValueError:
             return None
+
+
+def task_index(tasks: Sequence[TaskInfo]) -> Dict[str, TaskInfo]:
+    """Resolve initiate targets: registered names first, then func names."""
+    index: Dict[str, TaskInfo] = {}
+    for t in tasks:
+        index.setdefault(t.name, t)
+    for t in tasks:
+        index.setdefault(t.func_name, t)
+    return index
 
 
 #: sub-generator helpers that initiate replications and wait inline

@@ -11,12 +11,15 @@ Usage::
     python -m repro.lint --ignore C2 ...    # all but these codes
     python -m repro.lint --cost ...         # fem2-cost/1 bounds too
 
-Program checkers (W1/W2/D1/O1) run over every task function found in
-the given files; task registries are resolved across *all* given files,
-so a program initiating a task type registered in another linted file
-is checked against that type's real behaviour.  Architecture checkers
-(A1 layering, A2 span balance, A3 public-API drift) run whenever a
-``repro`` package root is among the paths.
+Program checkers (W1/W2/W3/D1/D2/O1/X1/C1/C2) run over every task
+function found in the given files, as one
+:func:`~repro.lint.program.analyze_tasks` over the assembled task set;
+task registries are resolved across *all* given files, so a program
+initiating a task type registered in another linted file is checked
+against that type's real behaviour.  ``--cost`` prints the cost report
+of that same analysis.  Architecture checkers (A1 layering, A2 span
+balance, A3 public-API drift) run whenever a ``repro`` package root is
+among the paths.
 
 Exit status: 1 when any error-severity finding exists (or any finding
 at all under ``--strict``), else 0.
@@ -29,14 +32,13 @@ import ast
 import json
 import pathlib
 import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .api import check_public_api
 from .astutil import TaskInfo, collect_tasks
-from .cache import LintCache, content_digest, selection_salt
 from .findings import CODES, Finding, LintReport
 from .layering import check_layering
-from .program import check_tasks
+from .program import Analysis, analyze_tasks
 from .snapshots import check_snapshots
 from .spans import check_span_balance
 
@@ -74,73 +76,50 @@ def find_repro_roots(paths: Sequence[pathlib.Path]) -> List[pathlib.Path]:
     return roots
 
 
-def _analyze_file(f: pathlib.Path, source: str):
-    """Per-file analysis: (findings, tasks) — the cacheable unit."""
-    findings: List[Finding] = []
-    tasks: List[TaskInfo] = []
+def _analyze_file(f: pathlib.Path) -> Tuple[List[Finding], List[TaskInfo]]:
+    """One file's own findings and its task functions."""
+    source = f.read_text()
     try:
         tree = ast.parse(source)
     except (SyntaxError, ValueError) as exc:
         lineno = getattr(exc, "lineno", 1) or 1
-        findings.append(Finding("E0", f"cannot parse: {exc}", str(f), lineno))
-        return findings, tasks
-    tasks = collect_tasks(tree, str(f))
-    findings.extend(check_span_balance(tree, str(f)))
+        return [Finding("E0", f"cannot parse: {exc}", str(f), lineno)], []
+    findings = check_span_balance(tree, str(f))
     findings.extend(check_snapshots(tree, str(f)))
     if f.name == "__init__.py":
         findings.extend(check_public_api(tree, str(f)))
-    return findings, tasks
+    return findings, collect_tasks(tree, str(f))
 
 
-def lint_files(files: Sequence[pathlib.Path],
-               report: Optional[LintReport] = None,
-               cache: Optional[LintCache] = None,
-               tasks_out: Optional[List[TaskInfo]] = None) -> LintReport:
-    """Program + per-file architecture checks over a set of files.
-
-    With a :class:`~repro.lint.cache.LintCache`, unchanged files reuse
-    their per-file findings and extracted tasks; the cross-file program
-    checks always re-run over the assembled task set.  Pass *tasks_out*
-    to receive the assembled task set (the ``--cost`` report is built
-    from it without re-parsing).
-    """
-    report = report or LintReport()
-    tasks: List[TaskInfo] = tasks_out if tasks_out is not None else []
-    findings: List[Finding] = []
+def _lint(files: Sequence[pathlib.Path],
+          roots: Sequence[pathlib.Path]) -> Tuple[LintReport, Analysis]:
+    """Per-file checks, one :func:`analyze_tasks` over the task set the
+    files assemble, then A1 layering over each ``repro`` root."""
+    report = LintReport()
+    tasks: List[TaskInfo] = []
     for f in files:
-        source = f.read_text()
-        if cache is not None:
-            digest = content_digest(source)
-            entry = cache.get(str(f), digest)
-            if entry is None:
-                file_findings, file_tasks = _analyze_file(f, source)
-                cache.put(str(f), digest, file_findings, file_tasks)
-                report.cache_misses += 1
-            else:
-                file_findings, file_tasks = entry.findings, entry.tasks
-                report.cache_hits += 1
-        else:
-            file_findings, file_tasks = _analyze_file(f, source)
-        findings.extend(file_findings)
+        file_findings, file_tasks = _analyze_file(f)
+        report.extend(file_findings)
         tasks.extend(file_tasks)
         report.files_checked += 1
-    findings.extend(check_tasks(tasks))
-    report.tasks_checked += len(tasks)
-    report.extend(findings)
-    return report
+    analysis = analyze_tasks(tasks)
+    report.tasks_checked = len(tasks)
+    report.extend(analysis.findings)
+    for root in roots:
+        report.extend(check_layering(root))
+    return report, analysis
 
 
-def lint_paths(paths: Iterable, arch: bool = True,
-               cache: Optional[LintCache] = None,
-               tasks_out: Optional[List[TaskInfo]] = None) -> LintReport:
+def lint_files(files: Sequence[pathlib.Path]) -> LintReport:
+    """Program + per-file architecture checks over a set of files."""
+    return _lint(files, ())[0]
+
+
+def lint_paths(paths: Iterable, arch: bool = True) -> LintReport:
     """Lint files and (when a repro root is present) the architecture."""
     paths = [pathlib.Path(p) for p in paths]
-    report = lint_files(iter_py_files(paths), cache=cache,
-                        tasks_out=tasks_out)
-    if arch:
-        for root in find_repro_roots(paths):
-            report.extend(check_layering(root))
-    return report
+    return _lint(iter_py_files(paths),
+                 find_repro_roots(paths) if arch else ())[0]
 
 
 def lint_source(source: str, filename: str = "<string>") -> LintReport:
@@ -154,7 +133,7 @@ def lint_source(source: str, filename: str = "<string>") -> LintReport:
         return report
     tasks = collect_tasks(tree, filename)
     report.tasks_checked = len(tasks)
-    report.extend(check_tasks(tasks))
+    report.extend(analyze_tasks(tasks).findings)
     report.extend(check_span_balance(tree, filename))
     report.extend(check_snapshots(tree, filename))
     return report
@@ -184,13 +163,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="exit non-zero on warnings too")
     ap.add_argument("--no-arch", action="store_true",
                     help="skip the architecture checkers (A1 layering)")
-    ap.add_argument("--cache", action="store_true",
-                    help="reuse per-file results for unchanged files "
-                         "(stored under --cache-dir)")
-    ap.add_argument("--cache-dir", type=pathlib.Path,
-                    default=pathlib.Path(".lint-cache"),
-                    help="directory for the incremental cache "
-                         "(default: ./.lint-cache)")
     ap.add_argument("--select", action="append", default=None,
                     metavar="CODES",
                     help="comma-separated rule codes to report "
@@ -210,33 +182,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     select = _split_codes(ap, args.select)
     ignore = _split_codes(ap, args.ignore)
-    paths = args.paths or _default_paths()
-    cache = (LintCache(args.cache_dir, salt=selection_salt(select, ignore))
-             if args.cache else None)
-    want_cost = args.cost or args.cost_out is not None
-    tasks: List[TaskInfo] = []
-    report = lint_paths(paths, arch=not args.no_arch, cache=cache,
-                        tasks_out=tasks if want_cost else None)
+    paths = [pathlib.Path(p) for p in args.paths or _default_paths()]
+    report, analysis = _lint(iter_py_files(paths),
+                             () if args.no_arch else find_repro_roots(paths))
     if select or ignore:
         report = report.filtered(select, ignore)
 
-    cost_record = None
-    if want_cost:
-        from .cost import analyze_costs, build_cost_report
-        cost = build_cost_report(analyze_costs(tasks))
-        cost_record = cost.to_record()
-        if args.cost_out is not None:
-            args.cost_out.write_text(json.dumps(cost_record, indent=2) + "\n")
+    want_cost = args.cost or args.cost_out is not None
+    if args.cost_out is not None:
+        args.cost_out.write_text(
+            json.dumps(analysis.cost.to_record(), indent=2) + "\n")
 
     if args.json:
         record = report.to_record()
-        if cost_record is not None:
-            record["cost"] = cost_record
+        if want_cost:
+            record["cost"] = analysis.cost.to_record()
         print(json.dumps(record, indent=2))
     else:
         print(report.render())
         if want_cost:
-            print(cost.render())
+            print(analysis.cost.render())
     return report.exit_code(strict=args.strict)
 
 

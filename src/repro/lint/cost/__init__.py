@@ -22,7 +22,7 @@ from .calibrate import (
     compare,
     observed_costs,
 )
-from .checks import check_c1, check_c2, check_cost
+from .checks import check_c1, check_c2
 from .expr import CostExpr, Interval, TOP, ZERO
 from .model import MESSAGE_KINDS, CostAnalyzer, TaskCost, analyze_costs
 from .report import (
@@ -53,7 +53,6 @@ __all__ = [
     "calibrate",
     "check_c1",
     "check_c2",
-    "check_cost",
     "compare",
     "machine_env",
     "observed_costs",

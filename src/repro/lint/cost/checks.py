@@ -20,13 +20,13 @@ excess, and C2 never guesses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..astutil import TaskInfo
 from ..findings import Finding
-from ..flow.summary import FlowSummary, summarize
-from .model import TaskCost, analyze_costs
-from .report import CostReport, build_cost_report
+from ..flow.summary import FlowSummary
+from .model import TaskCost
+from .report import CostReport
 
 
 def check_c1(costs: List[TaskCost]) -> List[Finding]:
@@ -109,14 +109,4 @@ def check_c2(costs: List[TaskCost], report: CostReport,
                     cost.file, decl.line, severity="warning",
                     task=cost.task,
                 ))
-    return findings
-
-
-def check_cost(tasks: List[TaskInfo],
-               index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    """Run the cost rules over one resolved task set."""
-    costs = analyze_costs(tasks, index)
-    report = build_cost_report(costs)
-    findings = check_c1(costs)
-    findings.extend(check_c2(costs, report, tasks, summarize(tasks, index)))
     return findings

@@ -729,11 +729,7 @@ class CostAnalyzer:
     """Memoizing per-task cost analysis over one resolved task set."""
 
     def __init__(self, tasks: List[TaskInfo],
-                 index: Optional[Dict[str, TaskInfo]] = None) -> None:
-        if index is None:
-            index = {}
-            for t in tasks:
-                index.setdefault(t.name, t)
+                 index: Dict[str, TaskInfo]) -> None:
         self.tasks = tasks
         self.index = index
         self._memo: Dict[str, Optional[TaskCost]] = {}
@@ -762,7 +758,7 @@ class CostAnalyzer:
 
 
 def analyze_costs(tasks: List[TaskInfo],
-                  index: Optional[Dict[str, TaskInfo]] = None) \
-        -> List[TaskCost]:
-    """Per-activation cost bounds for every task in the set."""
+                  index: Dict[str, TaskInfo]) -> List[TaskCost]:
+    """Per-activation cost bounds for every task in the set, initiate
+    and sub-generator targets resolved through *index*."""
     return CostAnalyzer(tasks, index).all_costs()

@@ -89,8 +89,6 @@ class LintReport:
         self._seen: set = set()
         self.files_checked = files_checked
         self.tasks_checked = tasks_checked
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: the --select/--ignore rule selection this report was filtered
         #: by, or None when every rule is in effect
         self.selection: Optional[Dict[str, List[str]]] = None
@@ -148,8 +146,6 @@ class LintReport:
         out = LintReport(files_checked=self.files_checked,
                          tasks_checked=self.tasks_checked)
         out.extend(kept)
-        out.cache_hits = self.cache_hits
-        out.cache_misses = self.cache_misses
         out.selection = {"select": sorted(select or ()),
                          "ignore": sorted(ignore or ())}
         return out
@@ -177,9 +173,6 @@ class LintReport:
         }
         if self.selection is not None:
             record["selection"] = self.selection
-        if self.cache_hits or self.cache_misses:
-            record["cache"] = {"hits": self.cache_hits,
-                               "misses": self.cache_misses}
         return record
 
     def emit(self, tracer, now: int = 0) -> None:
@@ -195,17 +188,11 @@ class LintReport:
 
     def render(self) -> str:
         lines = [f.render() for f in self.sorted_findings()]
-        summary = (
+        lines.append(
             f"repro.lint: {self.files_checked} file(s), "
             f"{self.tasks_checked} task(s), "
             f"{len(self.errors)} error(s), {len(self.warnings)} warning(s)"
         )
-        probed = self.cache_hits + self.cache_misses
-        if probed:
-            rate = 100.0 * self.cache_hits / probed
-            summary += (f", cache {self.cache_hits}/{probed} hit(s) "
-                        f"({rate:.0f}%)")
-        lines.append(summary)
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,11 +1,12 @@
-"""repro.lint.flow — the Task Interaction Graph and its analyses.
+"""repro.lint.flow — the interprocedural analyses over one task set.
 
 The program checkers in :mod:`repro.lint.program` started life as
-per-task syntactic scans; this subpackage gives them a real middle end:
+per-task syntactic scans; this subpackage gives them a real middle end.
+Its IR is the :class:`~repro.lint.astutil.TaskInfo` of each task
+function plus that task's :class:`~repro.lint.astutil.Region` tree,
+resolved across the set by :func:`~repro.lint.astutil.task_index`;
+:func:`repro.lint.program.analyze_tasks` runs every pass below once.
 
-* :mod:`~repro.lint.flow.ir` — the Task Interaction Graph: nodes for
-  task types, initiate sites, and window accesses; edges for spawn,
-  wait, and plain/accumulate reads and writes.
 * :mod:`~repro.lint.flow.dataflow` — a small fixpoint engine: bottom-up
   interprocedural task summaries (transitive write/read sets, spawn
   targets, message kinds) and a structural happens-before interpreter
@@ -25,38 +26,29 @@ per-task syntactic scans; this subpackage gives them a real middle end:
 
 from __future__ import annotations
 
-from .checks import check_d2, check_flow, check_w2_flow, check_w3, check_x1
+from .checks import check_flow, check_x1
 from .compilable import (
     Blocker,
     check_compilable,
     task_blockers,
 )
 from .dataflow import TaskSummary, interpret_task, summarize_tasks
-from .ir import Edge, Node, TaskGraph, build_graph, task_index
 from .soundness import SoundnessResult, check_soundness, observed_edges
 from .summary import FLOW_SCHEMA, FlowSummary, summarize
 
 __all__ = [
     "FLOW_SCHEMA",
     "Blocker",
-    "Edge",
     "FlowSummary",
-    "Node",
     "SoundnessResult",
-    "TaskGraph",
     "TaskSummary",
-    "build_graph",
     "check_compilable",
-    "check_d2",
     "check_flow",
     "task_blockers",
     "check_soundness",
-    "check_w2_flow",
-    "check_w3",
     "check_x1",
     "interpret_task",
     "observed_edges",
     "summarize",
     "summarize_tasks",
-    "task_index",
 ]

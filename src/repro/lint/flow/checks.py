@@ -25,11 +25,11 @@ X1  A task registered with the program but unreachable from any entry
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..astutil import TaskInfo
 from ..findings import Finding
-from .dataflow import Summaries, interpret_task, summarize_tasks
+from .dataflow import Summaries, interpret_task
 
 _W3_MESSAGES = {
     "pair": ("initiated tasks {a!r} and {b!r} may run concurrently and "
@@ -83,40 +83,6 @@ class _Collector:
             code, message, self.task.file, line,
             severity=severity, task=self.task.name,
         ))
-
-
-def _interpret_all(tasks: List[TaskInfo],
-                   index: Optional[Dict[str, TaskInfo]] = None,
-                   summaries: Optional[Summaries] = None,
-                   codes: Optional[Set[str]] = None) -> List[Finding]:
-    if summaries is None:
-        summaries = summarize_tasks(tasks, index)
-    findings: List[Finding] = []
-    for task in tasks:
-        sink = _Collector(task)
-        interpret_task(task, summaries, sink)
-        findings.extend(sink.findings)
-    if codes is not None:
-        findings = [f for f in findings if f.code in codes]
-    return findings
-
-
-def check_w2_flow(tasks: List[TaskInfo],
-                  index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    """Happens-before read-of-unwaited-write (the W2 rewrite)."""
-    return _interpret_all(tasks, index, codes={"W2"})
-
-
-def check_w3(tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    """Write-write conflicts across the spawn graph."""
-    return _interpret_all(tasks, index, codes={"W3"})
-
-
-def check_d2(tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    """Waits that can never match anything new."""
-    return _interpret_all(tasks, index, codes={"D2"})
 
 
 def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
@@ -179,7 +145,11 @@ def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
 def check_flow(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
                summaries: Summaries) -> List[Finding]:
     """All flow-engine checks over one resolved task set, its target
-    index and its :func:`summarize_tasks` fixpoint."""
-    findings = _interpret_all(tasks, index, summaries=summaries)
+    index and its :func:`~.dataflow.summarize_tasks` fixpoint."""
+    findings: List[Finding] = []
+    for task in tasks:
+        sink = _Collector(task)
+        interpret_task(task, summaries, sink)   # W2 / W3 / D2
+        findings.extend(sink.findings)
     findings.extend(check_x1(tasks, index, summaries))
     return findings

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..astutil import Event, Region, TaskInfo
-from .ir import task_index
 
 #: abstract "lost track of it" value for local bindings
 UNKNOWN = "<unknown>"
@@ -74,9 +73,9 @@ class Summaries:
     """Summary store resolvable by task identity or by name."""
 
     def __init__(self, tasks: List[TaskInfo],
-                 index: Optional[Dict[str, TaskInfo]] = None) -> None:
+                 index: Dict[str, TaskInfo]) -> None:
         self.tasks = tasks
-        self.index = index if index is not None else task_index(tasks)
+        self.index = index
         self._by_id: Dict[int, TaskSummary] = {
             id(t): TaskSummary(name=t.name) for t in tasks
         }
@@ -89,9 +88,6 @@ class Summaries:
             return None
         task = self.index.get(name)
         return self._by_id.get(id(task)) if task is not None else None
-
-    def task_of_name(self, name: Optional[str]) -> Optional[TaskInfo]:
-        return self.index.get(name) if name is not None else None
 
 
 def site_target_item(site, owner: TaskInfo) -> SpawnItem:
@@ -209,7 +205,7 @@ def _summary_transfer(task: TaskInfo, summaries: Summaries) -> bool:
 
 
 def summarize_tasks(tasks: List[TaskInfo],
-                    index: Optional[Dict[str, TaskInfo]] = None) -> Summaries:
+                    index: Dict[str, TaskInfo]) -> Summaries:
     """Interprocedural summaries for one resolved task set (fixpoint)."""
     summaries = Summaries(tasks, index)
     changed = True

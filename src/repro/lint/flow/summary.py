@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..astutil import Event, Region, TaskInfo
-from .dataflow import Summaries, summarize_tasks
-from .ir import task_index
+from .dataflow import Summaries
 
 FLOW_SCHEMA = "fem2-flow/1"
 
@@ -130,14 +129,10 @@ def _burst_chains(task: TaskInfo) -> List[Dict[str, Any]]:
     return chains
 
 
-def summarize(tasks: List[TaskInfo],
-              index: Optional[Dict[str, TaskInfo]] = None,
-              summaries: Optional[Summaries] = None) -> FlowSummary:
-    """Build the ``fem2-flow/1`` summary for one resolved task set."""
-    index = index if index is not None else task_index(tasks)
-    if summaries is None:
-        summaries = summarize_tasks(tasks, index)
-
+def summarize(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
+              summaries: Summaries) -> FlowSummary:
+    """Build the ``fem2-flow/1`` summary for one resolved task set, its
+    target index and its :func:`~.dataflow.summarize_tasks` fixpoint."""
     names = sorted({t.name for t in tasks})
     routes: Dict[tuple, Dict[str, Any]] = {}
     for t in tasks:

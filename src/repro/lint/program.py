@@ -38,6 +38,10 @@ O1  ``ctx.local(h)`` on a handle received as a *parameter* touches raw
 All checks are name-conservative: windows passed as derived expressions
 (``vec(a, lo, hi)``, ``w.split_rows(n)[i]``) are never tracked, so
 partitioned fan-outs — the canonical legal idiom — cannot false-positive.
+
+:func:`analyze_tasks` is the one analysis of a task set: it builds the
+target index and the interprocedural summaries once and hands them to
+every checker, the flow summary and the cost report.
 """
 
 from __future__ import annotations
@@ -46,14 +50,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .astutil import InitiateSite, TaskInfo
+from .astutil import InitiateSite, TaskInfo, task_index
 from .cost.checks import check_c1, check_c2
 from .cost.model import TaskCost, analyze_costs
 from .cost.report import CostReport, build_cost_report
 from .findings import Finding
-from .flow.checks import check_flow, check_w2_flow
+from .flow.checks import check_flow
 from .flow.dataflow import summarize_tasks
-from .flow.ir import task_index
 from .flow.summary import FlowSummary, summarize
 
 
@@ -78,8 +81,7 @@ def _written_shared_args(site: InitiateSite,
 
 
 def check_w1(tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    index = index if index is not None else task_index(tasks)
+             index: Dict[str, TaskInfo]) -> List[Finding]:
     findings: List[Finding] = []
     for t in tasks:
         for site in t.initiates:
@@ -121,20 +123,10 @@ def _pair_conflict(type_a: Optional[str], args_a: Tuple[Optional[str], ...],
     return sorted(shared)[0] if shared else None
 
 
-# -- W2: read of a window a still-unwaited task writes ------------------------
-
-def check_w2(tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    """Happens-before W2 (delegates to the flow engine)."""
-    return check_w2_flow(tasks, index if index is not None
-                         else task_index(tasks))
-
-
 # -- D1: initiate without wait / unconditional initiate cycles ----------------
 
 def check_d1(tasks: List[TaskInfo],
-             index: Optional[Dict[str, TaskInfo]] = None) -> List[Finding]:
-    index = index if index is not None else task_index(tasks)
+             index: Dict[str, TaskInfo]) -> List[Finding]:
     findings: List[Finding] = []
     for t in tasks:
         for site in t.initiates:
@@ -257,8 +249,3 @@ def analyze_tasks(tasks: Sequence[TaskInfo]) -> Analysis:
     findings.extend(check_c1(costs))
     findings.extend(check_c2(costs, cost, tasks, flow))
     return Analysis(tuple(tasks), tuple(findings), flow, tuple(costs), cost)
-
-
-def check_tasks(tasks: List[TaskInfo]) -> List[Finding]:
-    """Run every program checker over one resolved task set."""
-    return list(analyze_tasks(tasks).findings)

@@ -14,10 +14,9 @@ from repro.hardware import MachineConfig
 from repro.langvm import Fem2Program
 from repro.lint import (
     COST_SCHEMA,
-    analyze_costs,
+    analyze_tasks,
     build_cost_report,
     calibrate,
-    check_cost,
     cost_report,
     lint_source,
     machine_env,
@@ -43,7 +42,13 @@ def tasks_of(source):
 
 
 def costs_of(source):
-    return analyze_costs(tasks_of(source))
+    return list(analyze_tasks(tasks_of(source)).costs)
+
+
+def cost_findings(source):
+    """The C1 / C2 findings of one source's task set."""
+    return [f for f in analyze_tasks(tasks_of(source)).findings
+            if f.code in ("C1", "C2")]
 
 
 def report_of(source, entries=None):
@@ -340,15 +345,15 @@ class TestCostRules:
     """
 
     def test_c1_fires_on_doubly_unresolvable_spawn(self):
-        findings = check_cost(tasks_of(self.C1_SOURCE))
+        findings = cost_findings(self.C1_SOURCE)
         assert [f.code for f in findings] == ["C1"]
         assert "unbounded" in findings[0].message
 
     def test_c1_silent_when_either_bound_resolves(self):
         bounded_loop = self.C1_SOURCE.replace("range(k)", "range(3)")
-        assert check_cost(tasks_of(bounded_loop)) == []
+        assert cost_findings(bounded_loop) == []
         bounded_count = self.C1_SOURCE.replace("count=n", "count=4")
-        assert check_cost(tasks_of(bounded_count)) == []
+        assert cost_findings(bounded_count) == []
 
     C2_SOURCE = """
         def worker(ctx, w, index):
@@ -362,13 +367,13 @@ class TestCostRules:
     """
 
     def test_c2_fires_when_predicted_fan_in_exceeds_capacity(self):
-        findings = check_cost(tasks_of(self.C2_SOURCE % 2))
+        findings = cost_findings(self.C2_SOURCE % 2)
         assert [f.code for f in findings] == ["C2"]
         assert "capacity=2" in findings[0].message
         assert "5" in findings[0].message
 
     def test_c2_silent_when_capacity_suffices(self):
-        assert check_cost(tasks_of(self.C2_SOURCE % 5)) == []
+        assert cost_findings(self.C2_SOURCE % 5) == []
 
     def test_rules_ride_lint_source(self):
         report = lint_source(textwrap.dedent(self.C2_SOURCE % 1), "<test>")

@@ -1,8 +1,8 @@
-"""Tests for repro.lint.flow: the task-interaction IR, interprocedural
-summaries, the happens-before rules (W2/W3/D2/X1), FlowSummary route
-extraction and its codec, trace soundness against the repro.obs tracer
-on three bench-style workloads, the golden ``--json`` fixture, and the
-incremental lint cache."""
+"""Tests for repro.lint.flow: interprocedural summaries, the
+happens-before rules (W2/W3/D2/X1), FlowSummary route extraction and
+its codec, trace soundness against the repro.obs tracer on three
+bench-style workloads, the golden ``--json`` fixture, rule selection and
+the ``--cost`` CLI."""
 
 import ast
 import json
@@ -22,15 +22,15 @@ from repro.langvm import Fem2Program, forall
 from repro.lint import (
     FLOW_SCHEMA,
     FlowSummary,
+    analyze_tasks,
     check_soundness,
     flow_summary,
     lint_paths,
     lint_source,
+    machine_env,
 )
-from repro.lint.astutil import collect_tasks
-from repro.lint.cache import LintCache, content_digest
+from repro.lint.astutil import collect_tasks, task_index
 from repro.lint.cli import lint_files, main as lint_main
-from repro.lint.flow import build_graph, summarize
 from repro.lint.flow.dataflow import summarize_tasks
 from repro.lint.program import check_w1
 from repro.obs import Tracer
@@ -53,42 +53,6 @@ def small_config():
                          memory_words_per_cluster=8_000_000)
 
 
-# -- the IR -------------------------------------------------------------------
-
-
-class TestTaskGraph:
-    SOURCE = """
-        def worker(ctx, w):
-            vals = yield ctx.read(w)
-            yield ctx.write(w, vals)
-
-        def root(ctx, w):
-            t = yield ctx.initiate("worker", w)
-            yield ctx.wait(t)
-    """
-
-    def test_nodes_for_tasks_sites_windows(self):
-        graph = build_graph(tasks_of(self.SOURCE))
-        kinds = {n.kind for n in graph.nodes.values()}
-        assert {"task", "site", "window"} <= kinds
-        assert "task:worker" in graph.nodes
-        assert "task:root" in graph.nodes
-        assert "win:worker:w" in graph.nodes
-
-    def test_spawn_and_access_edges(self):
-        graph = build_graph(tasks_of(self.SOURCE))
-        spawns = graph.out_edges("task:root", "spawn")
-        assert len(spawns) == 1
-        site_key = spawns[0].dst
-        assert graph.out_edges(site_key, "spawn")[0].dst == "task:worker"
-        access = {e.kind for e in graph.out_edges("task:worker")}
-        assert {"read", "write"} <= access
-
-    def test_wait_edge_recorded(self):
-        graph = build_graph(tasks_of(self.SOURCE))
-        assert graph.out_edges("task:root", "wait")
-
-
 # -- interprocedural summaries ------------------------------------------------
 
 
@@ -106,7 +70,7 @@ class TestSummaries:
                 t = yield ctx.initiate("mid", w)
                 yield ctx.wait(t)
         """)
-        summaries = summarize_tasks(tasks)
+        summaries = summarize_tasks(tasks, task_index(tasks))
         by_name = {t.name: summaries.of_task(t) for t in tasks}
         assert 0 in by_name["leaf"].writes_params
         assert 0 in by_name["mid"].child_writes_params
@@ -122,7 +86,7 @@ class TestSummaries:
                 yield ctx.initiate("trampoline", "leaf", count=1)
                 yield ctx.initiate(factory(), count=1)
         """)
-        summaries = summarize_tasks(tasks)
+        summaries = summarize_tasks(tasks, task_index(tasks))
         root = next(t for t in tasks if t.name == "root")
         items = summaries.of_task(root).spawns
         assert ("lit", "trampoline") in items
@@ -144,7 +108,7 @@ class TestW3:
         # and the sibling-local checker really is blind to it
         tasks = collect_tasks(ast.parse(RACE_FIXTURE.read_text()),
                               str(RACE_FIXTURE))
-        assert check_w1(tasks) == []
+        assert check_w1(tasks, task_index(tasks)) == []
 
     def test_replicated_spawn_chain_write(self):
         report = lint_source(textwrap.dedent("""
@@ -374,7 +338,7 @@ class TestFlowSummary:
     """
 
     def test_routes_and_windows(self):
-        summary = summarize(tasks_of(self.SOURCE))
+        summary = analyze_tasks(tasks_of(self.SOURCE)).flow
         assert ("root", "worker") in summary.spawn_edges()
         route = next(r for r in summary.routes if r["dst"] == "worker")
         assert route["replicated"] is True
@@ -384,26 +348,26 @@ class TestFlowSummary:
         assert "worker" in win["accumulators"]
 
     def test_burst_chains(self):
-        summary = summarize(tasks_of(self.SOURCE))
+        summary = analyze_tasks(tasks_of(self.SOURCE)).flow
         burst = next(b for b in summary.bursts if b["task"] == "worker")
         assert burst["length"] >= 2
         assert burst["cycles"] == 100
 
     def test_codec_round_trip(self):
-        summary = summarize(tasks_of(self.SOURCE))
+        summary = analyze_tasks(tasks_of(self.SOURCE)).flow
         record = summary.to_record()
         assert record["schema"] == FLOW_SCHEMA
         again = FlowSummary.from_record(record)
         assert again.to_record() == record
 
     def test_codec_rejects_wrong_schema(self):
-        record = summarize(tasks_of(self.SOURCE)).to_record()
+        record = analyze_tasks(tasks_of(self.SOURCE)).flow.to_record()
         record["schema"] = "fem2-flow/99"
         with pytest.raises(ValueError):
             FlowSummary.from_record(record)
 
     def test_record_is_json_serializable(self):
-        record = summarize(tasks_of(self.SOURCE)).to_record()
+        record = analyze_tasks(tasks_of(self.SOURCE)).flow.to_record()
         assert json.loads(json.dumps(record)) == record
 
 
@@ -505,50 +469,6 @@ def test_report_is_diff_stable():
     assert keys == sorted(keys)
 
 
-# -- the incremental cache ----------------------------------------------------
-
-
-class TestLintCache:
-    def test_second_run_hits_and_agrees(self):
-        cache = LintCache()
-        first = lint_files([RACE_FIXTURE], cache=cache)
-        second = lint_files([RACE_FIXTURE], cache=cache)
-        assert first.cache_misses == 1 and first.cache_hits == 0
-        assert second.cache_hits == 1 and second.cache_misses == 0
-        assert codes(first) == codes(second) == ["W3"]
-
-    def test_content_change_misses(self):
-        cache = LintCache()
-        source = RACE_FIXTURE.read_text()
-        cache.put(str(RACE_FIXTURE), content_digest(source), [], [])
-        assert cache.get(str(RACE_FIXTURE),
-                         content_digest(source + "\n# x")) is None
-
-    def test_disk_tier_shared_across_processes(self, tmp_path):
-        warm = LintCache(tmp_path)
-        lint_files([RACE_FIXTURE], cache=warm)
-        assert list(tmp_path.glob("*.lintcache"))
-        cold = LintCache(tmp_path)   # fresh memory tier, same directory
-        report = lint_files([RACE_FIXTURE], cache=cold)
-        assert report.cache_hits == 1
-        assert codes(report) == ["W3"]
-
-    def test_hit_rate_in_render(self):
-        cache = LintCache()
-        lint_files([RACE_FIXTURE], cache=cache)
-        report = lint_files([RACE_FIXTURE], cache=cache)
-        assert "cache 1/1 hit(s) (100%)" in report.render()
-
-    def test_cli_cache_flag(self, tmp_path, capsys):
-        argv = ["--cache", "--cache-dir", str(tmp_path), "--no-arch",
-                str(RACE_FIXTURE)]
-        assert lint_main(argv) == 1   # the seeded W3 is an error
-        assert lint_main(argv) == 1   # second run served from disk
-        out = capsys.readouterr().out
-        assert "W3" in out
-        assert "cache 1/1 hit(s)" in out
-
-
 # -- flow edge cases ----------------------------------------------------------
 
 
@@ -568,11 +488,10 @@ class TestFlowEdgeCases:
         """
         report = lint_source(textwrap.dedent(source), "<test>")
         assert report.findings == []
-        summary = summarize(tasks_of(source))
+        analysis = analyze_tasks(tasks_of(source))
         assert any(r["dst"] == "w" and r["kind"] == "spawn"
-                   for r in summary.routes)
-        from repro.lint import analyze_costs, build_cost_report
-        cost = build_cost_report(analyze_costs(tasks_of(source)))
+                   for r in analysis.flow.routes)
+        cost = analysis.cost
         assert cost.activations["w"].evaluate({}) == (0.0, 0.0)
         assert cost.messages["initiate_task"].evaluate({}) == (0.0, 0.0)
 
@@ -590,8 +509,7 @@ class TestFlowEdgeCases:
                 yield ctx.wait(tids)
         """
         assert lint_source(textwrap.dedent(source), "<test>").findings == []
-        from repro.lint import analyze_costs, build_cost_report
-        cost = build_cost_report(analyze_costs(tasks_of(source)))
+        cost = analyze_tasks(tasks_of(source)).cost
         assert cost.activations["w"].evaluate({}) == (6.0, 6.0)
 
     def test_deep_yield_from_chain(self):
@@ -611,8 +529,7 @@ class TestFlowEdgeCases:
                 yield from outer(ctx)
         """
         assert lint_source(textwrap.dedent(source), "<test>").findings == []
-        from repro.lint import analyze_costs, machine_env
-        costs = {c.task: c for c in analyze_costs(tasks_of(source))}
+        costs = {c.task: c for c in analyze_tasks(tasks_of(source)).costs}
         env = machine_env(MachineConfig())
         assert costs["root"].cycles.evaluate(env) == (5.0, 5.0)
 
@@ -635,8 +552,7 @@ class TestFlowEdgeCases:
                     for j in range({b}):
                         yield ctx.compute(flops={flops})
         """
-        from repro.lint import analyze_costs, machine_env
-        (cost,) = analyze_costs(tasks_of(source))
+        (cost,) = analyze_tasks(tasks_of(source)).costs
         env = machine_env(MachineConfig())
         expected = float(a * b * flops)
         assert cost.cycles.evaluate(env) == (expected, expected)
@@ -671,14 +587,6 @@ class TestSelection:
     def test_cli_rejects_unknown_code(self, capsys):
         with pytest.raises(SystemExit):
             lint_main(["--select", "Q7", str(RACE_FIXTURE)])
-
-    def test_cache_entries_are_selection_scoped(self, tmp_path):
-        from repro.lint.cache import selection_salt
-        warm = LintCache(tmp_path)
-        lint_files([RACE_FIXTURE], cache=warm)
-        scoped = LintCache(tmp_path, salt=selection_salt(ignore=["W3"]))
-        report = lint_files([RACE_FIXTURE], cache=scoped)
-        assert report.cache_misses == 1 and report.cache_hits == 0
 
 
 class TestCostCLI:

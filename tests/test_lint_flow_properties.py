@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 
 from repro.hardware import MachineConfig
 from repro.langvm import Fem2Program, WindowAudit
-from repro.lint import FlowSummary, lint_source
+from repro.lint import FlowSummary, analyze_tasks, lint_source
 from repro.lint.astutil import collect_tasks
 from repro.lint.cli import lint_files
 from repro.lint.findings import CODES
-from repro.lint.flow import summarize
 
 SETTINGS = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -116,7 +115,7 @@ class TestNeverCrashes:
     @given(task_programs())
     def test_summary_codec_round_trips(self, source):
         tasks = collect_tasks(ast.parse(source), "<prop>")
-        summary = summarize(tasks)     # must not raise either
+        summary = analyze_tasks(tasks).flow     # must not raise either
         record = summary.to_record()
         assert FlowSummary.from_record(record).to_record() == record
 

@@ -10,49 +10,39 @@ import pathlib
 
 import pytest
 
-from repro.lint import LintCache, lint_paths
+from repro.lint import lint_paths
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: one cache for the whole module: the gates re-walk the same trees,
-#: so per-file work is paid once
-CACHE = LintCache()
-
 
 def test_src_and_examples_lint_green():
-    report = lint_paths([ROOT / "src", ROOT / "examples"], cache=CACHE)
+    report = lint_paths([ROOT / "src", ROOT / "examples"])
     assert report.clean, "\n" + report.render()
     assert report.files_checked >= 100
     assert report.tasks_checked >= 30  # the walker is finding real tasks
 
 
 def test_benchmarks_lint_green():
-    report = lint_paths([ROOT / "benchmarks"], arch=False, cache=CACHE)
+    report = lint_paths([ROOT / "benchmarks"], arch=False)
     assert report.clean, "\n" + report.render()
     assert report.tasks_checked >= 10
-
-
-def test_cache_reuses_unchanged_files():
-    """A re-run over an already-analyzed tree is pure cache hits and
-    reaches the same verdict."""
-    first = lint_paths([ROOT / "src"], arch=False, cache=CACHE)
-    again = lint_paths([ROOT / "src"], arch=False, cache=CACHE)
-    assert again.cache_misses == 0
-    assert again.cache_hits == again.files_checked
-    assert [f.render() for f in first.sorted_findings()] \
-        == [f.render() for f in again.sorted_findings()]
 
 
 #: names no shipped file may mention, so a later PR cannot half-resurrect
 #: a deleted fork: the calendar-queue engine, its selectors and its
 #: harness (DESIGN.md §11); the second tracer, the no-op tracer, span
-#: sampling and the CSV exporter (DESIGN.md §18)
+#: sampling and the CSV exporter (DESIGN.md §18); the unused task-graph
+#: IR, the per-rule re-analysis entry points and the file cache of the
+#: lint pipeline (DESIGN.md §9)
 DELETED = {
     "engine_fork": ("FEM2_ENGINE", "forced_engine", "FastEventEngine",
                     "calqueue", "repro.perf"),
     "second_tracer": ("TraceRecorder", "TraceEvent", "hardware.trace",
                       "NullTracer", "NULL_TRACER", "sample_every",
                       "sampled_out", "to_csv"),
+    "lint_ir_and_cache": ("TaskGraph", "build_graph", "flow.ir",
+                          "LintCache", "lint-cache", "--cache",
+                          "cache_hits", "check_w2_flow", "check_cost"),
 }
 
 

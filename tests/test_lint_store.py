@@ -27,18 +27,16 @@ from repro.errors import AppVMError
 from repro.fem import register_parallel_cg
 from repro.langvm import Fem2Program
 from repro.lint import (
-    analyze_costs,
-    build_cost_report,
-    check_tasks,
+    analyze_tasks,
     cost_report,
     flow_summary,
     lint_program,
     registry_tasks,
     store,
-    summarize,
     task_blockers,
 )
-from repro.lint.cost import CalibrationError, CostAnalyzer, calibrate
+from repro.lint.cli import main as lint_main
+from repro.lint.cost import CalibrationError, CostAnalyzer, Interval, calibrate
 from repro.lint.flow.dataflow import Summaries
 from repro.obs import Tracer
 
@@ -210,6 +208,25 @@ def driver(ctx):
     yield ctx.compute(cycles=11)
 
 
+LIB_SOURCE = '''
+from repro.langvm import Fem2Program
+
+
+def helper(ctx):
+    yield ctx.compute(cycles=700)
+
+
+def driver(ctx):
+    yield from helper(ctx)
+    yield ctx.compute(cycles=11)
+
+
+prog = Fem2Program()
+prog.define("lib.helper", helper)
+prog.define("lib.driver", driver)
+'''
+
+
 class TestKeys:
     def test_one_body_under_two_names_is_two_tasks(self):
         prog = Fem2Program()
@@ -223,15 +240,22 @@ class TestKeys:
 
     def test_cost_report_resolves_a_sub_generator_by_function_name(self):
         """One target index for every pass: registered name, then
-        function name.  ``analyze_costs`` without an index resolves
-        registered names only and prices this ``yield from`` at zero."""
+        function name."""
         prog = Fem2Program()
         prog.define("lib.helper", helper)
         prog.define("lib.driver", driver)
         report = cost_report(prog)
-        alone = build_cost_report(analyze_costs(registry_tasks(prog)))
         assert report.task("lib.driver").cycles.evaluate({}) == (711, 711)
-        assert alone.task("lib.driver").cycles.evaluate({}) == (11, 11)
+
+    def test_cli_cost_block_equals_cost_report(self, tmp_path, capsys):
+        """``python -m repro.lint --cost`` prices a file's program as
+        :func:`cost_report` prices the program built from it."""
+        mod, path = load_module(tmp_path, "lib_tasks", LIB_SOURCE)
+        assert lint_main(["--no-arch", "--json", "--cost", str(path)]) == 0
+        block = json.loads(capsys.readouterr().out)["cost"]
+        assert block == cost_report(mod.prog).to_record()
+        row, = [t for t in block["tasks"] if t["task"] == "lib.driver"]
+        assert Interval.from_record(row["cycles"]).evaluate({}) == (711, 711)
 
     def test_two_bodies_under_one_name_do_not_collide(self):
         a, b = Fem2Program(), Fem2Program()
@@ -278,9 +302,7 @@ class TestReadOnly:
         for program in (cg_program(), racy_program(tmp_path)):
             tasks = registry_tasks(program)
             before = copy.deepcopy(tasks)
-            check_tasks(tasks)
-            summarize(tasks)
-            build_cost_report(analyze_costs(tasks))
+            analyze_tasks(tasks)
             for task in tasks:
                 task_blockers(task)
             compile_program(program)
