@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import run_once
-from repro.bench import Experiment, plane_stress_cantilever, speedup_series
+from repro.bench import Experiment, plane_stress_cantilever
 from repro.fem import (
     multilevel_substructure_solve,
     parallel_cg_solve,

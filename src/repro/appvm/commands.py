@@ -19,9 +19,6 @@ Command summary (also printed by ``help``)::
     lineload SET x=VAL|y=VAL fx|fy VALUE    load every node on a line
     gravity SET GX GY                       uniform gravity on a load set
     solve SET [method=M] [engine=host|fem2] [workers=K]
-    frequencies [N] [consistent]            natural frequencies (modal)
-    transient SET DT STEPS [sine FREQ]      time-history analysis
-    quality                                 mesh quality summary
     show model|displacements|stresses [SET]
     store [KEY]                             store model in database
     restore KEY                             retrieve model from database
@@ -76,9 +73,6 @@ class CommandInterpreter:
             "lineload": self._cmd_lineload,
             "gravity": self._cmd_gravity,
             "solve": self._cmd_solve,
-            "frequencies": self._cmd_frequencies,
-            "transient": self._cmd_transient,
-            "quality": self._cmd_quality,
             "show": self._cmd_show,
             "store": self._cmd_store,
             "restore": self._cmd_restore,
@@ -228,49 +222,6 @@ class CommandInterpreter:
             args[0], _num(args[1], "gx"), _num(args[2], "gy")
         )
         return f"gravity set on {args[0]}"
-
-    def _cmd_frequencies(self, args: List[str]) -> str:
-        pos, _ = _split_kwargs(args)
-        lumped = True
-        if pos and pos[-1] == "consistent":
-            lumped = False
-            pos = pos[:-1]
-        n_modes = int(_num(pos[0], "modes")) if pos else 4
-        result = self.session.modal(n_modes=n_modes, lumped=lumped)
-        lines = [
-            f"mode {i + 1}: {f:.4f} Hz"
-            for i, f in enumerate(result.frequencies)
-        ]
-        kind = "lumped" if lumped else "consistent"
-        return f"natural frequencies ({kind} mass):\n" + "\n".join(lines)
-
-    def _cmd_transient(self, args: List[str]) -> str:
-        if len(args) < 3:
-            raise CommandError("usage: transient SET DT STEPS [sine FREQ]")
-        name = args[0]
-        dt = _num(args[1], "dt")
-        n_steps = int(_num(args[2], "steps"))
-        excitation, freq = "step", 0.0
-        if len(args) >= 4:
-            if args[3] != "sine" or len(args) != 5:
-                raise CommandError("usage: transient SET DT STEPS [sine FREQ]")
-            excitation = "sine"
-            freq = _num(args[4], "frequency")
-        result = self.session.transient(name, dt, n_steps,
-                                        excitation=excitation,
-                                        frequency_hz=freq)
-        return (
-            f"transient {name}: {n_steps} steps of {dt:g}s ({excitation}), "
-            f"peak |u| = {result.peak_displacement():.4e}"
-        )
-
-    def _cmd_quality(self, args: List[str]) -> str:
-        q = self.session.check_quality()
-        return (
-            f"mesh quality: {q['elements']} elements, worst aspect "
-            f"{q['worst_aspect']:.2f}, worst min angle "
-            f"{q['worst_min_angle']:.1f} deg"
-        )
 
     def _cmd_solve(self, args: List[str]) -> str:
         pos, kw = _split_kwargs(args)

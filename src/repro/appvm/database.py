@@ -113,6 +113,29 @@ class ModelDatabase:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DatabaseError(f"cannot load database from {path}: {exc}") from exc
+        # the file comes from outside the program: hold it to what store()
+        # accepts and save() writes, or refuse it by key
+        if not isinstance(data, dict):
+            raise DatabaseError(
+                f"cannot load database from {path}: expected an object of "
+                f"entries, got {type(data).__name__}")
         for k, spec in data.items():
-            db._entries[k] = DBEntry(spec["value"], spec["version"], spec["kind"])
+            if not isinstance(spec, dict) or set(spec) != {"value", "version", "kind"}:
+                raise DatabaseError(
+                    f"database entry {k!r} in {path}: expected an object with "
+                    f"keys value, version, kind, got {spec!r:.80}")
+            value, version, kind = spec["value"], spec["version"], spec["kind"]
+            if not isinstance(value, dict):
+                raise DatabaseError(
+                    f"database entry {k!r} in {path}: value must be an "
+                    f"object, got {type(value).__name__}")
+            if type(version) is not int or version < 1:
+                raise DatabaseError(
+                    f"database entry {k!r} in {path}: version must be a "
+                    f"positive integer, got {version!r}")
+            if not isinstance(kind, str):
+                raise DatabaseError(
+                    f"database entry {k!r} in {path}: kind must be a string, "
+                    f"got {type(kind).__name__}")
+            db._entries[k] = DBEntry(value, version, kind)
         return db

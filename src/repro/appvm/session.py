@@ -15,9 +15,7 @@ measurable machine workload (experiment E12).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
-
-import numpy as np
+from typing import Any, Iterable, Optional
 
 from ..errors import AppVMError
 
@@ -26,9 +24,6 @@ from ..fem import (
     LoadSet,
     Material,
     cantilever_frame,
-    mesh_quality,
-    natural_frequencies,
-    newmark_transient,
     parallel_cg_solve,
     portal_frame,
     pratt_truss,
@@ -178,52 +173,6 @@ class WorkstationSession:
     def result(self, load_set: str, model_name: Optional[str] = None) -> AnalysisResult:
         name = model_name or self._model().name
         return self.workspace.get(f"result:{name}:{load_set}")
-
-    def modal(self, n_modes: int = 4, lumped: bool = True):
-        """Natural frequencies of the current model (host analysis)."""
-        model = self._model()
-        result = natural_frequencies(
-            model.require_mesh(), model.material, model.require_constraints(),
-            n_modes=n_modes, lumped=lumped,
-        )
-        self.workspace.put(f"modal:{model.name}", result)
-        return result
-
-    def check_quality(self) -> dict:
-        """Mesh quality summary of the current model's grid."""
-        return mesh_quality(self._model().require_mesh())
-
-    def transient(
-        self,
-        load_set: str,
-        dt: float,
-        n_steps: int,
-        excitation: str = "step",
-        frequency_hz: float = 0.0,
-    ):
-        """Time-history analysis: the load set applied as f(t).
-
-        ``excitation`` is ``"step"`` (constant from t=0) or ``"sine"``
-        (scaled by sin(2*pi*f*t) with *frequency_hz*).
-        """
-        model = self._model()
-        mesh = model.require_mesh()
-        constraints = model.require_constraints()
-        f0 = model.load_set(load_set).vector(mesh)
-        if excitation == "step":
-            force_fn = lambda t: f0
-        elif excitation == "sine":
-            if frequency_hz <= 0:
-                raise AppVMError("sine excitation needs frequency_hz > 0")
-            omega = 2.0 * np.pi * frequency_hz
-            force_fn = lambda t: f0 * np.sin(omega * t)
-        else:
-            raise AppVMError(f"unknown excitation {excitation!r}; step or sine")
-        result = newmark_transient(
-            mesh, model.material, constraints, force_fn, dt=dt, n_steps=n_steps
-        )
-        self.workspace.put(f"transient:{model.name}:{load_set}", result)
-        return result
 
     def set_gravity(self, load_set: str, gx: float, gy: float) -> None:
         """Add a uniform gravity field to a load set."""

@@ -1,23 +1,12 @@
 """Benchmark support: standard workloads and the experiment harness."""
 
-from .harness import Experiment, speedup_series, summarize_series
-from .workloads import (
-    BENCH_MATERIAL,
-    Problem,
-    default_config,
-    machine_sweep,
-    plane_stress_cantilever,
-    truss_bridge,
-)
+from .harness import Experiment, summarize_series
+from .workloads import BENCH_MATERIAL, Problem, plane_stress_cantilever
 
 __all__ = [
     "Experiment",
-    "speedup_series",
     "summarize_series",
     "BENCH_MATERIAL",
     "Problem",
-    "default_config",
-    "machine_sweep",
     "plane_stress_cantilever",
-    "truss_bridge",
 ]

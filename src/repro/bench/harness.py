@@ -1,16 +1,14 @@
 """Experiment harness: table printing and machine-readable run records.
 
-Every benchmark prints its table through :class:`Experiment` so the
-output format is uniform and EXPERIMENTS.md can quote it directly.
-Each experiment also exports as a plain-dict record (:meth:`to_record`/
-:meth:`to_json`) so ``benchmarks/run_all.py`` can write ``BENCH_*.json``
-artifacts that perf trajectories diff across commits.
+Every benchmark builds its table as an :class:`Experiment`, so the
+output format is uniform: :meth:`~Experiment.render` is the text table
+``benchmarks/conftest.py`` writes to ``benchmarks/results/`` for
+EXPERIMENTS.md to quote, and :meth:`~Experiment.to_record` the plain
+dict ``benchmarks/run_all.py`` writes as ``BENCH_*.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -70,44 +68,6 @@ class Experiment:
             "notes": list(self.notes),
             "spans": self.spans,
         }
-
-    @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "Experiment":
-        """Rebuild an experiment from :meth:`to_record` output (the
-        campaign layer round-trips per-point records through this)."""
-        return cls(
-            exp_id=record["exp_id"],
-            title=record["title"],
-            headers=list(record.get("headers", [])),
-            rows=[list(r) for r in record.get("rows", [])],
-            notes=list(record.get("notes", [])),
-            spans=record.get("spans"),
-        )
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_record(), indent=indent)
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
-    def show(self, file=None, json_path=None) -> None:
-        """Print the table; optionally also write the JSON record."""
-        print(self.render(), file=file or sys.stdout)
-        if json_path is not None:
-            self.write_json(json_path)
-
-    def column(self, header: str) -> List[Any]:
-        idx = self.headers.index(header)
-        return [r[idx] for r in self.rows]
-
-
-def speedup_series(cycles: Sequence[int]) -> List[float]:
-    """Speedups relative to the first entry of a cycle series."""
-    if not cycles:
-        return []
-    base = cycles[0]
-    return [base / c if c else float("inf") for c in cycles]
 
 
 def summarize_series(values: Sequence[float]) -> Dict[str, float]:

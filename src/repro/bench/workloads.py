@@ -8,10 +8,8 @@ reproducible run to run (everything here is deterministic).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
-from ..fem import Constraints, LoadSet, Material, Mesh, pratt_truss, rect_grid
-from ..hardware.machine import MachineConfig
+from ..fem import Constraints, LoadSet, Material, Mesh, rect_grid
 
 #: Material used by every benchmark problem.
 BENCH_MATERIAL = Material(e=70e9, nu=0.3, thickness=0.01, area=0.01, inertia=1e-5)
@@ -37,33 +35,3 @@ def plane_stress_cantilever(n: int, aspect: float = 2.0) -> Problem:
     loads = LoadSet("tip").add_nodal_many(mesh.nodes_on(x=aspect), 1, -1e4)
     return Problem(f"cantilever{n}x{ny}", mesh, constraints, loads)
 
-
-def truss_bridge(panels: int = 8) -> Problem:
-    """A Pratt truss under a midspan load."""
-    mesh = pratt_truss(panels, panel=2.0, height=2.0)
-    constraints = Constraints(mesh).fix(0)
-    constraints.prescribe(panels, 1, 0.0)  # roller at the far abutment
-    loads = LoadSet("mid").add_nodal(panels // 2, 1, -1e5)
-    return Problem(f"truss{panels}", mesh, constraints, loads)
-
-
-def machine_sweep(cluster_counts: Tuple[int, ...] = (1, 2, 4, 8),
-                  pes_per_cluster: int = 5) -> List[MachineConfig]:
-    """The configuration ladder used by the scaling experiments."""
-    return [
-        MachineConfig(
-            n_clusters=c,
-            pes_per_cluster=pes_per_cluster,
-            memory_words_per_cluster=16_000_000,
-            topology="complete" if c <= 2 else "hypercube" if (c & (c - 1)) == 0 else "complete",
-        )
-        for c in cluster_counts
-    ]
-
-
-def default_config(n_clusters: int = 4, pes: int = 5) -> MachineConfig:
-    return MachineConfig(
-        n_clusters=n_clusters,
-        pes_per_cluster=pes,
-        memory_words_per_cluster=16_000_000,
-    )

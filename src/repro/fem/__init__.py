@@ -7,7 +7,7 @@ FEM-2 machine through the numerical analyst's VM.
 """
 
 from .materials import ALUMINUM, STEEL, Material
-from .mesh import Mesh, cantilever_frame, portal_frame, pratt_truss, rect_grid, rect_grid_quad8
+from .mesh import Mesh, cantilever_frame, portal_frame, pratt_truss, rect_grid
 from .elements import element_type, known_types
 from .loads import LoadSet
 from .bc import Constraints
@@ -27,7 +27,7 @@ from .solvers import (
     solve_sparse_lu,
     sor,
 )
-from .stress import max_stress_summary, recover_stresses, stress_flops, von_mises_plane
+from .stress import max_stress_summary, recover_stresses, von_mises_plane
 from .solve import StaticResult, static_solve
 from .partition import (
     Subdomain,
@@ -48,17 +48,11 @@ from .parallel import (
     ParallelSolveInfo,
     collect_parallel_cg,
     parallel_cg_solve,
-    parallel_power_iteration,
-    parallel_stress_recovery,
     parallel_substructure_solve,
     register_parallel_cg,
     start_parallel_cg,
 )
 from .multilevel import MultilevelSolution, multilevel_substructure_solve
-from .mass import assemble_mass, element_mass, total_mass
-from .eigen import ModalResult, natural_frequencies, rayleigh_quotient, subspace_eigensolve
-from .quality import acceptable, element_quality, mesh_quality
-from .dynamics import TransientResult, energy_history, newmark_transient
 
 __all__ = [
     "ALUMINUM",
@@ -69,7 +63,6 @@ __all__ = [
     "portal_frame",
     "pratt_truss",
     "rect_grid",
-    "rect_grid_quad8",
     "element_type",
     "known_types",
     "LoadSet",
@@ -88,7 +81,6 @@ __all__ = [
     "sor",
     "max_stress_summary",
     "recover_stresses",
-    "stress_flops",
     "von_mises_plane",
     "StaticResult",
     "static_solve",
@@ -106,24 +98,9 @@ __all__ = [
     "ParallelSolveInfo",
     "collect_parallel_cg",
     "parallel_cg_solve",
-    "parallel_power_iteration",
-    "parallel_stress_recovery",
     "register_parallel_cg",
     "start_parallel_cg",
     "parallel_substructure_solve",
     "MultilevelSolution",
     "multilevel_substructure_solve",
-    "assemble_mass",
-    "element_mass",
-    "total_mass",
-    "ModalResult",
-    "natural_frequencies",
-    "rayleigh_quotient",
-    "subspace_eigensolve",
-    "acceptable",
-    "element_quality",
-    "mesh_quality",
-    "TransientResult",
-    "energy_history",
-    "newmark_transient",
 ]

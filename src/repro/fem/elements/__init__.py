@@ -5,7 +5,6 @@ from .bar import BAR2D, Bar2D
 from .beam import BEAM2D, Beam2D
 from .tri import TRI3, Tri3
 from .quad import GAUSS_POINTS, QUAD4, Quad4
-from .quad8 import GAUSS_POINTS_3x3, QUAD8, Quad8
 
 __all__ = [
     "ElementType",
@@ -21,7 +20,4 @@ __all__ = [
     "GAUSS_POINTS",
     "QUAD4",
     "Quad4",
-    "GAUSS_POINTS_3x3",
-    "QUAD8",
-    "Quad8",
 ]

@@ -235,33 +235,3 @@ def portal_frame(n_stories: int, n_bays: int, story_h: float = 3.0,
     mesh.add_elements("beam2d", np.array(members))
     return mesh
 
-
-def rect_grid_quad8(nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> Mesh:
-    """A structured grid of eight-node serendipity quads.
-
-    Nodes live on a half-step lattice (corners plus midside nodes; no
-    cell-center nodes), numbered column-major over the lattice.
-    """
-    if nx < 1 or ny < 1:
-        raise MeshError(f"grid needs nx, ny >= 1, got {nx}x{ny}")
-    node_id: Dict[Tuple[int, int], int] = {}
-    coords: List[Tuple[float, float]] = []
-    for i in range(2 * nx + 1):          # half-step columns
-        for j in range(2 * ny + 1):      # half-step rows
-            if i % 2 == 1 and j % 2 == 1:
-                continue                  # no center nodes in serendipity
-            node_id[(i, j)] = len(coords)
-            coords.append((i * lx / (2 * nx), j * ly / (2 * ny)))
-    mesh = Mesh(np.array(coords))
-    conn = []
-    for ix in range(nx):
-        for iy in range(ny):
-            i0, j0 = 2 * ix, 2 * iy
-            conn.append((
-                node_id[(i0, j0)], node_id[(i0 + 2, j0)],
-                node_id[(i0 + 2, j0 + 2)], node_id[(i0, j0 + 2)],
-                node_id[(i0 + 1, j0)], node_id[(i0 + 2, j0 + 1)],
-                node_id[(i0 + 1, j0 + 2)], node_id[(i0, j0 + 1)],
-            ))
-    mesh.add_elements("quad8", np.array(conn, dtype=int))
-    return mesh

@@ -456,166 +456,3 @@ def parallel_substructure_solve(
         worker_stats=out["stats"],
     )
 
-
-# -- distributed stress recovery ------------------------------------------------
-
-def _stress_worker(ctx, payload, u_win, band):
-    """Recover element stresses for one subdomain from the solution.
-
-    Reads the hull band of the displacement vector through a window,
-    evaluates element stresses locally, and returns the per-type peak
-    |stress| plus the element count — the reduction the workstation's
-    "calculate stresses" display needs.
-    """
-    material = Material(*payload["mat"])
-    u_hull = (yield ctx.read(u_win)).ravel()
-    peaks = {}
-    n_elements = 0
-    flops = 0
-    for name, part in payload["etypes"].items():
-        et = element_type(name)
-        dofs = part["dofs_rel"]
-        u_e = u_hull[dofs]
-        stresses = et.stress(part["coords"], material, u_e)
-        nd = et.dofs_per_element
-        flops += dofs.shape[0] * 4 * nd * max(1, len(et.stress_components))
-        peaks[name] = float(np.abs(stresses).max()) if stresses.size else 0.0
-        n_elements += dofs.shape[0]
-    yield ctx.compute(flops=flops)
-    return {"band": band, "peaks": peaks, "elements": n_elements}
-
-
-def parallel_stress_recovery(
-    program: Fem2Program,
-    mesh: Mesh,
-    material: Material,
-    u: np.ndarray,
-    n_workers: int = 4,
-    subs: Optional[List[Subdomain]] = None,
-) -> Dict[str, float]:
-    """"Calculate stresses" as a parallel phase on the simulated machine.
-
-    The solution vector *u* is placed in a root-owned array; one task
-    per subdomain reads its hull band, evaluates its elements, and
-    returns per-type stress peaks, which the root combines.  Returns
-    ``{etype: peak |stress|}`` — asserted equal to the host-side
-    recovery in the tests.
-    """
-    if subs is None:
-        subs = partition_strips(mesh, n_workers)
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != mesh.n_dofs:
-        raise FEMError(f"u has {u.shape[0]} dofs, mesh has {mesh.n_dofs}")
-    payloads = [_worker_payload(mesh, material, s, np.zeros(0, dtype=int))
-                for s in subs]
-    uid = _fresh_uid(program, "fem.stress_worker", "fem.stress_root")
-    worker_name = f"fem.stress_worker.{uid}"
-    root_name = f"fem.stress_root.{uid}"
-    program.define(worker_name, _stress_worker, code_words=384, locals_words=128)
-    n_clusters = program.machine.config.n_clusters
-
-    def root(ctx):
-        u_arr = yield ctx.create(u)
-        tids = []
-        for i, (sub, payload) in enumerate(zip(subs, payloads)):
-            got = yield ctx.initiate(
-                worker_name,
-                payload,
-                vec(u_arr, sub.dof_lo, sub.dof_hi),
-                i,
-                count=1,
-                index_arg=False,
-                cluster=i % n_clusters,
-            )
-            tids.extend(got)
-        results = yield ctx.wait(tids)
-        combined: Dict[str, float] = {}
-        for t in tids:
-            for name, peak in results[t]["peaks"].items():
-                combined[name] = max(combined.get(name, 0.0), peak)
-        yield ctx.compute(flops=len(tids))
-        return combined
-
-    program.define(root_name, root, code_words=512, locals_words=256)
-    return program.run(root_name, cluster=0)
-
-
-# -- distributed dominant-eigenvalue estimation -----------------------------------
-
-def parallel_power_iteration(
-    program: Fem2Program,
-    mesh: Mesh,
-    material: Material,
-    constraints: Constraints,
-    iterations: int = 30,
-    n_workers: int = 4,
-    subs: Optional[List[Subdomain]] = None,
-) -> Dict:
-    """Dominant eigenvalue of the constrained stiffness by distributed
-    power iteration.
-
-    Reuses the CG subdomain workers' matvec service verbatim — the same
-    assemble-once/serve-rounds protocol drives a different Krylov
-    method, which is the reusability story the analyst's VM promises.
-    Returns {"eigenvalue", "iterations", "elapsed_cycles"}.
-    """
-    if subs is None:
-        subs = partition_strips(mesh, n_workers)
-    n = mesh.n_dofs
-    fixed = constraints.fixed_dofs
-    payloads = [_worker_payload(mesh, material, s, fixed) for s in subs]
-    uid = _fresh_uid(program, "fem.pw_worker", "fem.pw_root")
-    worker_name = f"fem.pw_worker.{uid}"
-    root_name = f"fem.pw_root.{uid}"
-    program.define(worker_name, _cg_worker, code_words=512, locals_words=256)
-    n_clusters = program.machine.config.n_clusters
-
-    def root(ctx):
-        x_arr = yield ctx.create(np.zeros(n))
-        y_arr = yield ctx.create(np.zeros(n))
-        ctrl = yield ctx.create(np.zeros(1))
-        tids = []
-        for i, (sub, payload) in enumerate(zip(subs, payloads)):
-            got = yield ctx.initiate(
-                worker_name,
-                payload,
-                vec(x_arr, sub.dof_lo, sub.dof_hi),
-                vec(y_arr, sub.dof_lo, sub.dof_hi),
-                whole(ctrl),
-                i,
-                count=1,
-                index_arg=False,
-                cluster=i % n_clusters,
-            )
-            tids.extend(got)
-        for t in tids:
-            yield ctx.wait_pause(t)
-
-        x = np.ones(n)
-        x[fixed] = 0.0
-        x /= np.linalg.norm(x)
-        lam = 0.0
-        for _ in range(iterations):
-            yield ctx.write(whole(x_arr), x)
-            yield ctx.write(whole(y_arr), np.zeros(n))
-            for t in tids:
-                yield ctx.resume(t)
-            for t in tids:
-                yield ctx.wait_pause(t)
-            y = (yield ctx.read(whole(y_arr))).ravel()
-            yield ctx.compute(flops=4 * n)
-            lam = float(x @ y)
-            norm = float(np.linalg.norm(y))
-            if norm == 0.0:
-                raise SolverError("power iteration collapsed to zero")
-            x = y / norm
-        yield ctx.write(whole(ctrl), np.ones(1))
-        for t in tids:
-            yield ctx.resume(t)
-        yield ctx.wait(tids)
-        return {"eigenvalue": lam, "iterations": iterations}
-
-    program.define(root_name, root, code_words=768, locals_words=384)
-    out = program.run(root_name, cluster=0)
-    out["elapsed_cycles"] = program.now
-    return out

@@ -148,39 +148,22 @@ def _sor_sweep_factory(a, diag: np.ndarray, omega: float):
     each sweep becomes one sparse matvec plus one back-substitution —
     orders of magnitude faster than a Python loop over rows, with the
     same fixed point and the same iterate sequence up to float rounding
-    of the identical per-row recurrence.  Falls back to the explicit
-    row loop when the splu path is unavailable (e.g. a SciPy build
-    without SuperLU).
+    of the identical per-row recurrence.
     """
     import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
 
-    n = a.shape[0]
     lower = sp.tril(a, k=-1, format="csr")
     upper = sp.triu(a, k=1, format="csr")
     d = sp.diags(diag)
-    try:
-        from scipy.sparse.linalg import splu
+    m = (d / omega + lower).tocsc()
+    lu = splu(m, permc_spec="NATURAL")
+    rhs_mat = (upper + (1.0 - 1.0 / omega) * d).tocsr()
 
-        m = (d / omega + lower).tocsc()
-        lu = splu(m, permc_spec="NATURAL")
-        rhs_mat = (upper + (1.0 - 1.0 / omega) * d).tocsr()
+    def sweep(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return lu.solve(b - rhs_mat @ x)
 
-        def sweep(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return lu.solve(b - rhs_mat @ x)
-
-        return sweep
-    except ImportError:  # pragma: no cover - SuperLU is in every SciPy we target
-        indptr, indices, data = a.indptr, a.indices, a.data
-
-        def sweep(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-            x = x.copy()
-            for i in range(n):
-                row = slice(indptr[i], indptr[i + 1])
-                sigma = data[row] @ x[indices[row]] - diag[i] * x[i]
-                x[i] += omega * ((b[i] - sigma) / diag[i] - x[i])
-            return x
-
-        return sweep
+    return sweep
 
 
 def sor(

@@ -43,12 +43,3 @@ def max_stress_summary(stresses: Dict[str, np.ndarray]) -> Dict[str, float]:
         out[name] = float(np.abs(s).max()) if s.size else 0.0
     return out
 
-
-def stress_flops(mesh: Mesh) -> int:
-    """Estimated recovery cost: one B-matrix application per element."""
-    total = 0
-    for name, conn in mesh.groups.items():
-        et = element_type(name)
-        nd = et.dofs_per_element
-        total += conn.shape[0] * 4 * nd * len(et.stress_components or (1,))
-    return total

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List
 
 from . import store
-from .api import check_package_api, check_public_api
+from .api import check_public_api
 from .astutil import TaskInfo, analyze_task, collect_tasks
 from .cli import lint_files, lint_paths, lint_source, main
 from .cost import (
@@ -118,7 +118,6 @@ __all__ = [
     "calibrate",
     "check_compilable",
     "check_layering",
-    "check_package_api",
     "check_public_api",
     "check_snapshots",
     "check_soundness",

@@ -11,7 +11,6 @@ resolve.
 from __future__ import annotations
 
 import ast
-import pathlib
 from typing import List, Optional, Set
 
 from .findings import Finding
@@ -80,18 +79,3 @@ def check_public_api(tree: ast.Module, file: str) -> List[Finding]:
             ))
     return findings
 
-
-def check_package_api(root: pathlib.Path) -> List[Finding]:
-    """A3 over every ``__init__.py`` under *root*."""
-    findings: List[Finding] = []
-    for init in sorted(root.rglob("__init__.py")):
-        try:
-            tree = ast.parse(init.read_text())
-        except SyntaxError as exc:
-            findings.append(Finding(
-                "E0", f"cannot parse: {exc.msg}", str(init),
-                exc.lineno or 1,
-            ))
-            continue
-        findings.extend(check_public_api(tree, str(init)))
-    return findings

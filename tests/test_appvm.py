@@ -104,6 +104,22 @@ class TestDatabase:
         assert db2.retrieve("a") == {"x": 1}
         assert db2.version("a") == 1
 
+    @pytest.mark.parametrize("text, match", [
+        ("[]", "expected an object of entries, got list"),
+        ('{"k": {}}', "entry 'k'.*keys value, version, kind"),
+        ('{"k": 3}', "entry 'k'.*keys value, version, kind"),
+        ('{"k": {"value": [1], "version": 1, "kind": "model"}}',
+         "entry 'k'.*value must be an object, got list"),
+    ])
+    def test_load_refuses_wrong_shape(self, tmp_path, text, match):
+        """A database file comes from outside the program: a wrong shape
+        is a typed error naming the key, never an AttributeError /
+        KeyError / TypeError, and never an entry store() would refuse."""
+        path = tmp_path / "db.json"
+        path.write_text(text)
+        with pytest.raises(DatabaseError, match=match):
+            ModelDatabase.load(str(path))
+
     def test_non_dict_rejected(self):
         with pytest.raises(DatabaseError):
             ModelDatabase().store("a", [1, 2])

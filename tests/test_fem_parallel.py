@@ -131,32 +131,3 @@ class TestScaling:
 
         assert cycles(4, 4) < cycles(1, 1)
 
-
-class TestParallelPowerIteration:
-    def test_dominant_eigenvalue_matches_numpy(self):
-        from repro.fem import assemble_stiffness, parallel_power_iteration
-
-        m, c, loads = problem(6, 3)
-        prog = make_program()
-        out = parallel_power_iteration(prog, m, MAT, c, iterations=150,
-                                       n_workers=3)
-        # oracle: dominant eigenvalue of K with fixed rows/cols zeroed
-        k = assemble_stiffness(m, MAT, fmt="dense")
-        fixed = c.fixed_dofs
-        k[fixed, :] = 0.0
-        k[:, fixed] = 0.0
-        exact = float(np.linalg.eigvalsh(k).max())
-        # power iteration converges like (lam2/lam1)^k ~ 0.97^k: accept 0.1%
-        assert out["eigenvalue"] == pytest.approx(exact, rel=1e-3)
-        assert out["elapsed_cycles"] > 0
-
-    def test_reuses_cg_worker_protocol(self):
-        from repro.fem import parallel_power_iteration
-
-        m, c, loads = problem(4, 2)
-        prog = make_program()
-        parallel_power_iteration(prog, m, MAT, c, iterations=10, n_workers=2)
-        metr = prog.metrics
-        # the same pause/resume round structure as CG
-        assert metr.get("task.pauses") >= 2 * 10
-        assert metr.get("comm.messages.resume_task") >= 2 * 10

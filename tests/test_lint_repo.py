@@ -33,7 +33,8 @@ def test_benchmarks_lint_green():
 #: harness (DESIGN.md §11); the second tracer, the no-op tracer, span
 #: sampling and the CSV exporter (DESIGN.md §18); the unused task-graph
 #: IR, the per-rule re-analysis entry points and the file cache of the
-#: lint pipeline (DESIGN.md §9)
+#: lint pipeline (DESIGN.md §9); the FEM add-ons and helpers the use
+#: ledger found no entry point reaching (DESIGN.md §19)
 DELETED = {
     "engine_fork": ("FEM2_ENGINE", "forced_engine", "FastEventEngine",
                     "calqueue", "repro.perf"),
@@ -43,6 +44,11 @@ DELETED = {
     "lint_ir_and_cache": ("TaskGraph", "build_graph", "flow.ir",
                           "LintCache", "lint-cache", "--cache",
                           "cache_hits", "check_w2_flow", "check_cost"),
+    "fem_additions": ("natural_frequencies", "newmark_transient",
+                      "assemble_mass", "subspace_eigensolve", "mesh_quality",
+                      "Quad8", "rect_grid_quad8", "parallel_power_iteration",
+                      "parallel_stress_recovery", "check_package_api",
+                      "speedup_series"),
 }
 
 
