@@ -1,14 +1,23 @@
 #!/usr/bin/env python
-"""The use ledger: which entry points reach each ``src/repro`` function.
+"""The use ledger: which entry points reach each ``src/repro`` function,
+and which of them vary each of its keywords.
 
 Every entry point the repo claims runs in a fresh interpreter under a
 ``sys.setprofile`` hook that records the code objects it calls,
 campaign worker processes included.  The result is
-``benchmarks/results/reach.json``: each function, keyed by
-``module:qualname`` (never by line number, so an edit elsewhere does
-not move it), with its length and the entry points that reach it, plus
-the totals.  Tests are deliberately not an entry point: a function only
-its own tests call serves no one.
+``benchmarks/results/reach.json`` (``fem2-reach/2``), two sections:
+
+* ``functions``: each function, keyed by ``module:qualname`` (never by
+  line number, so an edit elsewhere does not move it), with its length
+  and the entry points that reach it;
+* ``knobs``: each defaulted parameter of a reached public function, and
+  each defaulted field of a reached ``repro`` dataclass, keyed
+  ``module:qualname|param``, with its default and the entry points that
+  passed it another value (``varied_by``).  A knob no entry point varies
+  is a constant spelled as a setting.
+
+plus the totals.  Tests are deliberately not an entry point: a function
+only its own tests call, or a keyword only its tests set, serves no one.
 
 Usage::
 
@@ -25,12 +34,32 @@ Three ways the hook under-counts, each guarded here:
   ``Pool.__exit__`` terminates its workers;
 * set iteration order follows the hash seed, so every child runs with
   ``PYTHONHASHSEED=0``.
+
+Three pitfalls of the knob half, each handled here:
+
+* a frame does not carry its function object, so the hook maps a code
+  object to its function's defaults once, by scanning the namespace of
+  the module that defines it (methods, class and static methods and
+  property getters included) the first time the code is called, and
+  reads ``f_locals`` only for code objects in that map;
+* a dataclass's generated ``__init__`` has ``co_filename ==
+  "<string>"``: it is matched through ``type(self)`` and its defaults
+  come from ``dataclasses.fields`` (``default``, or
+  ``default_factory()``);
+* a passed value is compared with the default by ``is`` first, then by
+  a guarded ``==``; an ambiguous truth value (a numpy array) counts as
+  varied.  A resumed generator also fires ``call``: only its first
+  entry is compared, since the body may have rebound a parameter.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
+import dis
 import functools
+import inspect
 import json
 import multiprocessing.util
 import os
@@ -41,7 +70,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -49,7 +78,7 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 OUT = HERE / "results" / "reach.json"
 
-SCHEMA = "fem2-reach/1"
+SCHEMA = "fem2-reach/2"
 
 #: the seed the host workloads draw their inputs from
 HOST_SEED = 1984
@@ -111,21 +140,190 @@ def universe() -> Tuple[Dict[str, int], Dict[Tuple[str, int, str], str]]:
     return lines, where
 
 
+# -- knobs: the defaulted parameters of the public surface -----------------------
+
+_GENERATOR = (inspect.CO_GENERATOR | inspect.CO_COROUTINE
+              | inspect.CO_ASYNC_GENERATOR)
+
+#: a code object the hook has resolved and found without knobs
+_UNSEEN = object()
+
+
+def public(qualname: str) -> bool:
+    """True unless a component is ``<locals>`` or private (a leading
+    ``_``; dunders such as ``__init__`` are public)."""
+    return all(part != "<locals>" and (
+        not part.startswith("_") or (part.startswith("__")
+                                     and part.endswith("__")))
+        for part in qualname.split("."))
+
+
+def shown(value: object) -> str:
+    """A default as the ledger shows it: its repr, or its type name when
+    the repr would carry an address."""
+    text = repr(value)
+    return type(value).__name__ if " at 0x" in text else text
+
+
+def same(passed: object, default: object) -> bool:
+    """Whether a passed value equals the default; an ``==`` that raises
+    or has no truth value (a numpy array) counts as varied."""
+    if passed is default:
+        return True
+    try:
+        return bool(passed == default)
+    except Exception:
+        return False
+
+
+class Knobs:
+    """One function's defaulted parameters, as seen in one process:
+    *pending* holds those no call has varied yet, each with the object
+    a call that omits it receives and the value it compares against."""
+
+    __slots__ = ("key", "shown", "pending", "start", "reached")
+
+    def __init__(self, key: str, defaults: Dict[str, Tuple[object, object]],
+                 code) -> None:
+        self.key = key
+        self.shown = {param: shown(value)
+                      for param, (_, value) in defaults.items()}
+        self.pending = dict(defaults)
+        # a generator fires "call" on every resume: compare only its
+        # first entry, the offset of its first RESUME
+        self.start = None
+        if code.co_flags & _GENERATOR:
+            self.start = next(ins.offset for ins in dis.get_instructions(code)
+                              if ins.opname == "RESUME")
+        self.reached = False
+
+
+def function_knobs(key: str, fn, cls=None) -> Optional[Knobs]:
+    """The :class:`Knobs` of *fn*, or None when it has no defaulted
+    parameter.  *cls* is the dataclass whose generated ``__init__`` *fn*
+    is: a ``default_factory`` field then compares against a fresh
+    ``default_factory()``."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    positional = fn.__defaults__ or ()
+    defaults: Dict[str, Tuple[object, object]] = {}
+    for name, value in zip(names[code.co_argcount - len(positional):],
+                           positional):
+        defaults[name] = (value, value)
+    for name, value in (fn.__kwdefaults__ or {}).items():
+        defaults[name] = (value, value)
+    if cls is not None:
+        for f in dataclasses.fields(cls):
+            if f.name in defaults and f.default is dataclasses.MISSING:
+                defaults[f.name] = (defaults[f.name][0], f.default_factory())
+    return Knobs(key, defaults, code) if defaults else None
+
+
+def _is_dataclass_init(cls, fn) -> bool:
+    return (dataclasses.is_dataclass(cls) and fn.__name__ == "__init__"
+            and fn.__code__.co_filename == "<string>")
+
+
+def module_knobs(module) -> Dict[object, Knobs]:
+    """``{code: Knobs}`` for every public function *module* defines:
+    module functions, methods, class and static methods, property
+    getters and generated dataclass ``__init__`` methods."""
+    name = module.__name__
+    out: Dict[object, Knobs] = {}
+    stack = [(vars(module), None)]
+    seen_classes = set()
+    while stack:
+        namespace, owner = stack.pop()
+        for obj in list(namespace.values()):
+            if isinstance(obj, (staticmethod, classmethod)):
+                obj = obj.__func__
+            elif isinstance(obj, property):
+                obj = obj.fget
+            if isinstance(obj, type):
+                if obj.__module__ == name and obj not in seen_classes:
+                    seen_classes.add(obj)
+                    stack.append((vars(obj), obj))
+                continue
+            if not inspect.isfunction(obj):
+                continue
+            fn = inspect.unwrap(obj)
+            if fn.__module__ != name or not public(fn.__qualname__):
+                continue
+            dataclass_init = owner is not None and _is_dataclass_init(owner, fn)
+            if not (dataclass_init or fn.__code__.co_filename.startswith(
+                    str(PACKAGE) + os.sep)):
+                continue
+            knobs = function_knobs(f"{name}:{fn.__qualname__}", fn,
+                                   owner if dataclass_init else None)
+            if knobs is not None:
+                out.setdefault(fn.__code__, knobs)
+    return out
+
+
 # -- the hook -------------------------------------------------------------------
 
 class Recorder:
     """Records every code object called in this process and in the
-    processes ``multiprocessing`` forks from it, and writes one
-    ``<pid>.txt`` per process into *out_dir*: ``file:line:name`` per
-    ``src/repro`` code object."""
+    processes ``multiprocessing`` forks from it, and writes two files
+    per process into *out_dir*: ``<pid>.txt``, ``file:line:name`` per
+    ``src/repro`` code object, and ``<pid>.knobs``, one JSON line
+    ``[knob, default, varied]`` per parameter of a called function with
+    knobs."""
 
     def __init__(self, out_dir: pathlib.Path) -> None:
         self.out_dir = out_dir
         self.seen: Set = set()
+        #: code object -> its Knobs, or None once it has none left
+        self.knobs: Dict[object, Optional[Knobs]] = {}
+        self.reached: List[Knobs] = []
 
     def _hook(self, frame, event, arg) -> None:
         if event == "call":
-            self.seen.add(frame.f_code)
+            code = frame.f_code
+            self.seen.add(code)
+            knobs = self.knobs.get(code, _UNSEEN)
+            if knobs is _UNSEEN:
+                knobs = self._resolve(frame)
+            if knobs is not None:
+                self._compare(code, knobs, frame)
+
+    def _resolve(self, frame) -> Optional[Knobs]:
+        """Map a code object seen for the first time to its knobs."""
+        code = frame.f_code
+        if code.co_filename.startswith(str(PACKAGE) + os.sep):
+            module = sys.modules.get(module_of(pathlib.Path(code.co_filename)))
+            if module is not None:
+                for found, knobs in module_knobs(module).items():
+                    self.knobs.setdefault(found, knobs)
+        elif code.co_filename == "<string>" and code.co_name == "__init__" \
+                and code.co_varnames:
+            # a dataclass __init__: find its class through the instance
+            owner = frame.f_locals.get(code.co_varnames[0])
+            for cls in type(owner).__mro__:
+                fn = cls.__dict__.get("__init__")
+                if getattr(fn, "__code__", None) is code:
+                    if cls.__module__.startswith("repro.") \
+                            and public(fn.__qualname__) \
+                            and _is_dataclass_init(cls, fn):
+                        self.knobs[code] = function_knobs(
+                            f"{cls.__module__}:{fn.__qualname__}", fn, cls)
+                    break
+        return self.knobs.setdefault(code, None)
+
+    def _compare(self, code, knobs: Knobs, frame) -> None:
+        if knobs.start is not None and frame.f_lasti != knobs.start:
+            return
+        if not knobs.reached:
+            knobs.reached = True
+            self.reached.append(knobs)
+        passed = frame.f_locals
+        pending = knobs.pending
+        for param, (omitted, default) in list(pending.items()):
+            value = passed.get(param, omitted)
+            if value is not omitted and not same(value, default):
+                del pending[param]
+        if not pending:
+            self.knobs[code] = None
 
     def start(self) -> None:
         sys.setprofile(self._hook)
@@ -156,6 +354,11 @@ class Recorder:
             for c in list(self.seen) if c.co_filename.startswith(prefix)})
         (self.out_dir / f"{os.getpid()}.txt").write_text("".join(
             row + "\n" for row in rows))
+        knobs = sorted(
+            json.dumps([f"{k.key}|{param}", default, param not in k.pending])
+            for k in self.reached for param, default in k.shown.items())
+        (self.out_dir / f"{os.getpid()}.knobs").write_text("".join(
+            row + "\n" for row in knobs))
 
 
 def trace_call(fn: Callable[[], object], out_dir: pathlib.Path) -> None:
@@ -176,6 +379,20 @@ def collect(out_dir: pathlib.Path) -> Set[Tuple[str, int, str]]:
             rel, line, name = row.rsplit(":", 2)
             got.add((rel, int(line), name))
     return got
+
+
+def collect_knobs(out_dir: pathlib.Path) -> Tuple[Dict[str, str], Set[str]]:
+    """The knobs the processes of one traced run reached, each with its
+    default, and those any of them varied."""
+    defaults: Dict[str, str] = {}
+    varied: Set[str] = set()
+    for path in out_dir.glob("*.knobs"):
+        for row in path.read_text().splitlines():
+            knob, default, was_varied = json.loads(row)
+            defaults[knob] = default
+            if was_varied:
+                varied.add(knob)
+    return defaults, varied
 
 
 # -- the entry points, as run inside one traced child ------------------------------
@@ -263,8 +480,10 @@ def run_child(name: str, out_dir: pathlib.Path) -> None:
 
 # -- the ledger ------------------------------------------------------------------------
 
-def ledger(reached: Dict[str, Set[Tuple[str, int, str]]]) -> dict:
-    """The ``fem2-reach/1`` document from each entry point's records."""
+def ledger(reached: Dict[str, Set[Tuple[str, int, str]]],
+           knobs: Dict[str, Tuple[Dict[str, str], Set[str]]]) -> dict:
+    """The ``fem2-reach/2`` document from each entry point's records:
+    *reached* its function records, *knobs* its ``(defaults, varied)``."""
     lines, where = universe()
     by: Dict[str, List[str]] = {key: [] for key in lines}
     for name in sorted(reached):
@@ -275,6 +494,14 @@ def ledger(reached: Dict[str, Set[Tuple[str, int, str]]]) -> dict:
     for key in unreached:
         package = (key.split(":")[0].split(".") + ["repro"])[1]
         packages[package] = packages.get(package, 0) + lines[key]
+    knob_rows: Dict[str, dict] = {}
+    for name in sorted(knobs):
+        defaults, varied = knobs[name]
+        for knob, default in defaults.items():
+            row = knob_rows.setdefault(knob, {"default": default,
+                                              "varied_by": []})
+            if knob in varied:
+                row["varied_by"].append(name)
     return {
         "schema": SCHEMA,
         "entry_points": {name: command
@@ -288,23 +515,32 @@ def ledger(reached: Dict[str, Set[Tuple[str, int, str]]]) -> dict:
             "functions_by_entry_point": {
                 name: sum(1 for key in lines if name in by[key])
                 for name in sorted(reached)},
+            "knobs": len(knob_rows),
+            "idle_knobs": sum(1 for row in knob_rows.values()
+                              if not row["varied_by"]),
         },
         "functions": {key: {"lines": lines[key], "reached_by": by[key]}
                       for key in sorted(lines)},
+        "knobs": dict(sorted(knob_rows.items())),
     }
 
 
 def render(doc: dict) -> str:
-    """JSON with one function per line, so a diff names the function."""
-    head = {k: v for k, v in doc.items() if k != "functions"}
+    """JSON with one function or knob per line, so a diff names it."""
+    head = {k: v for k, v in doc.items() if k not in ("functions", "knobs")}
     text = json.dumps(head, indent=1)[:-2]
-    rows = [f"  {json.dumps(key)}: {json.dumps(value)}"
-            for key, value in doc["functions"].items()]
-    return text + ',\n "functions": {\n' + ",\n".join(rows) + "\n }\n}\n"
+    for section in ("functions", "knobs"):
+        rows = [f"  {json.dumps(key)}: {json.dumps(value)}"
+                for key, value in doc[section].items()]
+        text += f',\n "{section}": {{\n' + ",\n".join(rows) + "\n }"
+    return text + "\n}\n"
 
 
-def main() -> int:
-    reached = {}
+def main(argv: Optional[List[str]] = None) -> int:
+    argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
+    reached, knobs = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in ENTRY_POINTS:
             print(f"[reach] {name} ...", file=sys.stderr, flush=True)
@@ -312,13 +548,15 @@ def main() -> int:
             out_dir.mkdir()
             run_child(name, out_dir)
             reached[name] = collect(out_dir)
-    doc = ledger(reached)
+            knobs[name] = collect_knobs(out_dir)
+    doc = ledger(reached, knobs)
     OUT.write_text(render(doc))
     totals = doc["totals"]
     print(f"[reach] {totals['unreached_functions']} of {totals['functions']} "
           f"functions ({totals['unreached_lines']} of "
           f"{totals['function_lines']} lines) reached by no entry point; "
-          f"wrote {OUT.relative_to(ROOT)}", file=sys.stderr)
+          f"{totals['idle_knobs']} of {totals['knobs']} knobs varied by "
+          f"none; wrote {OUT.relative_to(ROOT)}", file=sys.stderr)
     return 0
 
 
