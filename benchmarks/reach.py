@@ -76,6 +76,8 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+#: what every src/repro code object's co_filename starts with
+PREFIX = str(PACKAGE) + os.sep
 OUT = HERE / "results" / "reach.json"
 
 SCHEMA = "fem2-reach/2"
@@ -250,8 +252,8 @@ def module_knobs(module) -> Dict[object, Knobs]:
             if fn.__module__ != name or not public(fn.__qualname__):
                 continue
             dataclass_init = owner is not None and _is_dataclass_init(owner, fn)
-            if not (dataclass_init or fn.__code__.co_filename.startswith(
-                    str(PACKAGE) + os.sep)):
+            if not (dataclass_init
+                    or fn.__code__.co_filename.startswith(PREFIX)):
                 continue
             knobs = function_knobs(f"{name}:{fn.__qualname__}", fn,
                                    owner if dataclass_init else None)
@@ -288,26 +290,25 @@ class Recorder:
                 self._compare(code, knobs, frame)
 
     def _resolve(self, frame) -> Optional[Knobs]:
-        """Map a code object seen for the first time to its knobs."""
+        """Map a code object seen for the first time to its knobs, by
+        scanning the module that defines it."""
         code = frame.f_code
-        if code.co_filename.startswith(str(PACKAGE) + os.sep):
-            module = sys.modules.get(module_of(pathlib.Path(code.co_filename)))
-            if module is not None:
-                for found, knobs in module_knobs(module).items():
-                    self.knobs.setdefault(found, knobs)
+        name = None
+        if code.co_filename.startswith(PREFIX):
+            name = module_of(pathlib.Path(code.co_filename))
         elif code.co_filename == "<string>" and code.co_name == "__init__" \
                 and code.co_varnames:
             # a dataclass __init__: find its class through the instance
             owner = frame.f_locals.get(code.co_varnames[0])
             for cls in type(owner).__mro__:
-                fn = cls.__dict__.get("__init__")
-                if getattr(fn, "__code__", None) is code:
-                    if cls.__module__.startswith("repro.") \
-                            and public(fn.__qualname__) \
-                            and _is_dataclass_init(cls, fn):
-                        self.knobs[code] = function_knobs(
-                            f"{cls.__module__}:{fn.__qualname__}", fn, cls)
+                if getattr(cls.__dict__.get("__init__"), "__code__",
+                           None) is code:
+                    name = cls.__module__
                     break
+        module = sys.modules.get(name) if name else None
+        if module is not None and name.split(".")[0] == "repro":
+            for found, knobs in module_knobs(module).items():
+                self.knobs.setdefault(found, knobs)
         return self.knobs.setdefault(code, None)
 
     def _compare(self, code, knobs: Knobs, frame) -> None:
@@ -347,11 +348,10 @@ class Recorder:
         # off first: with the hook on, writing the file grows the set
         sys.setprofile(None)
         threading.setprofile(None)
-        prefix = str(PACKAGE) + os.sep
         rows = sorted({
             f"{pathlib.Path(c.co_filename).relative_to(SRC).as_posix()}:"
             f"{c.co_firstlineno}:{c.co_name}"
-            for c in list(self.seen) if c.co_filename.startswith(prefix)})
+            for c in list(self.seen) if c.co_filename.startswith(PREFIX)})
         (self.out_dir / f"{os.getpid()}.txt").write_text("".join(
             row + "\n" for row in rows))
         knobs = sorted(

@@ -13,23 +13,21 @@ Two clock domains exist.  Each machine's program keeps its own
 simulated cycle clock; the pool keeps a *global service clock* that
 advances in ``quantum``-cycle scheduling rounds, with every busy
 machine running its slice of each round concurrently.  Queue-wait
-latency, quota windows, and fair-share accounting are all measured in
-global service cycles.
+latency and fair-share accounting are both measured in global service
+cycles.  Every pool machine is journaled, so any running job can be
+checkpointed away.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from typing import Any, Dict, Iterable, List, Optional
 
 from ...errors import AppVMError
 from ...hardware.machine import MachineConfig
-from ...langvm import Fem2Program
-from ...lint import cost_report, machine_env
 from .dispatch import FairShareQueue
 from .handle import JobHandle
-from .machine import PoolMachine, _lint_gate, _register_solve
+from .machine import PoolMachine, _lint_gate
 from .quota import TenantTable, admission_reason, fairness_index, jain_index
 from .spec import JobSpec, JobState, Tenant
 
@@ -45,7 +43,6 @@ class ServicePool:
         *,
         tracer=None,
         quantum: int = 2000,
-        checkpointing: bool = True,
     ) -> None:
         if n_machines < 1:
             raise AppVMError("a pool needs at least one machine")
@@ -57,14 +54,11 @@ class ServicePool:
             memory_words_per_cluster=8_000_000,
         )
         self.quantum = quantum
-        #: journaled machines can be checkpointed, which is what
-        #: preemption needs
-        self.checkpointing = checkpointing
         # the tracer records sched.* spans on the global service clock;
         # machines keep their own clocks and are not traced
         self.tracer = tracer
         self.machines = [
-            PoolMachine(i, self.config, journal=checkpointing)
+            PoolMachine(i, self.config, journal=True)
             for i in range(n_machines)
         ]
         self.tenants = TenantTable()
@@ -80,8 +74,6 @@ class ServicePool:
         }
         self._ids = itertools.count(1)
         self._finished_unclaimed: List[JobHandle] = []
-        #: predicted cost units per (model, load set, workers, tol)
-        self._cost_cache: Dict[tuple, int] = {}
 
     # -- submission ---------------------------------------------------------
 
@@ -99,12 +91,11 @@ class ServicePool:
         spec.validate_model()
         # the gate reads the front machine's registry
         _lint_gate(self.machines[0].program, spec.lint)
-        cost = self._cost_units(spec)
         handle = JobHandle(spec, owner=self, job_id=next(self._ids))
         handle.submit_time = self.now
         self.handles.append(handle)
         ledger = self.tenants.get(spec.tenant)
-        reason = admission_reason(ledger, self.now, cost=cost)
+        reason = admission_reason(ledger)
         if reason is not None:
             handle._finish(JobState.REJECTED)
             handle.reason = reason
@@ -130,45 +121,6 @@ class ServicePool:
                 priority=handle.spec.priority,
             )
         self.queue.push(handle)
-
-    # -- predicted cost ------------------------------------------------------
-
-    def _cost_units(self, spec: JobSpec) -> int:
-        """The job's admission cost in cycles: the declared
-        ``cost_units`` override when present (cross-checked against the
-        model under the lint gate), else the static cost model's
-        predicted lower bound — the cycles the job *provably* consumes,
-        so admission never over-rejects on a loose upper bound."""
-        if spec.cost_units is None:
-            return self._predicted_cost_units(spec)
-        if spec.lint != "off":
-            predicted = self._predicted_cost_units(spec)
-            if spec.cost_units < predicted:
-                msg = (f"declared cost_units={spec.cost_units} is below "
-                       f"the predicted lower bound of {predicted} cycles "
-                       f"for {spec.model.name!r}")
-                if spec.lint == "error":
-                    raise AppVMError(f"job rejected by cost check: {msg}")
-                warnings.warn(msg, UserWarning, stacklevel=3)
-        return spec.cost_units
-
-    def _predicted_cost_units(self, spec: JobSpec) -> int:
-        """Predicted guaranteed-minimum cycles of one solve, from the
-        ``fem2-cost/1`` report of the job's task types registered on a
-        scratch program (cached per solve shape).  Unresolved program
-        parameters evaluate at zero — sound for a lower bound, since
-        every cost parameter is non-negative."""
-        key = (spec.model.name, spec.load_set, spec.workers, spec.tol)
-        cached = self._cost_cache.get(key)
-        if cached is None:
-            scratch = Fem2Program(self.config)
-            _register_solve(scratch, spec.model, spec.load_set, spec.workers,
-                            spec.tol, "cost.cg_worker", "cost.cg_root")
-            lo, _hi = cost_report(scratch).cycles.evaluate(
-                machine_env(self.config), default=0.0)
-            cached = max(1, int(lo))
-            self._cost_cache[key] = cached
-        return cached
 
     # -- dispatch -----------------------------------------------------------
 
@@ -228,8 +180,6 @@ class ServicePool:
     def _preemption_victim(self) -> Optional[PoolMachine]:
         """The machine to checkpoint away for the best queued job, or
         None when nothing queued outranks every running job."""
-        if not self.checkpointing:
-            return None
         best = self.queue.best_priority()
         if best is None:
             return None
@@ -302,7 +252,7 @@ class ServicePool:
         """Account a slice's cycles to the resident job's tenant."""
         if delta > 0 and machine.jobs:
             (handle,) = machine.jobs
-            self.tenants.get(handle.spec.tenant).charge(delta, self.now)
+            self.tenants.get(handle.spec.tenant).charge(delta)
 
     def _resolve(self, machine: PoolMachine) -> None:
         for handle in machine.collect_finished():

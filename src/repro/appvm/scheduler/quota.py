@@ -1,10 +1,10 @@
-"""Admission control: per-tenant quotas over a rolling cycle window.
+"""Admission control: a per-tenant concurrency quota.
 
 Each tenant has a mutable :class:`TenantLedger` — in-flight job count,
-cycles consumed in the current quota window, lifetime cycles, and the
-stride-scheduling pass value the dispatcher orders by.  Admission is a
-pure check over (ledger, tenant, now): it never mutates, so a rejected
-submit leaves no trace beyond the REJECTED handle.
+lifetime cycles, and the stride-scheduling pass value the dispatcher
+orders by.  Admission is a pure check over (ledger, tenant): it never
+mutates, so a rejected submit leaves no trace beyond the REJECTED
+handle.
 """
 
 from __future__ import annotations
@@ -21,26 +21,14 @@ class TenantLedger:
 
     tenant: Tenant
     in_flight: int = 0          # admitted + running + preempted jobs
-    window_start: int = 0       # global cycle the current window opened
-    window_used: int = 0        # cycles consumed in the current window
     consumed: int = 0           # lifetime cycles consumed
     jobs_done: int = 0
     jobs_rejected: int = 0
     pass_value: float = 0.0     # stride pass: consumed / share
     wait_cycles: int = 0        # summed queue wait of finished jobs
 
-    def roll_window(self, now: int) -> None:
-        """Open a fresh quota window if *now* has moved past this one."""
-        width = self.tenant.window_cycles
-        if now >= self.window_start + width:
-            # jump straight to the window containing `now`
-            self.window_start = now - (now - self.window_start) % width
-            self.window_used = 0
-
-    def charge(self, cycles: int, now: int) -> None:
-        """Account *cycles* of machine time consumed at global *now*."""
-        self.roll_window(now)
-        self.window_used += cycles
+    def charge(self, cycles: int) -> None:
+        """Account *cycles* of machine time consumed."""
         self.consumed += cycles
         self.pass_value += cycles / self.tenant.share
 
@@ -56,33 +44,13 @@ class TenantLedger:
         self.pass_value += cycles / self.tenant.share
 
 
-def admission_reason(ledger: TenantLedger, now: int,
-                     cost: Optional[int] = None) -> Optional[str]:
-    """Why a new submit must be rejected right now, or None to admit.
-
-    *cost* is the job's cost in cycles — the static cost model's
-    predicted lower bound, or the spec's declared ``cost_units``
-    override.  A job whose cost provably exceeds what remains of the
-    tenant's window quota is rejected up front instead of being queued
-    and starving the window mid-run.
-    """
+def admission_reason(ledger: TenantLedger) -> Optional[str]:
+    """Why a new submit must be rejected right now, or None to admit."""
     tenant = ledger.tenant
     if tenant.max_concurrent is not None \
             and ledger.in_flight >= tenant.max_concurrent:
         return (f"tenant {tenant.name!r} is at its concurrency quota "
                 f"({ledger.in_flight}/{tenant.max_concurrent} jobs in flight)")
-    ledger.roll_window(now)
-    if tenant.max_cycles_per_window is not None:
-        if ledger.window_used >= tenant.max_cycles_per_window:
-            return (f"tenant {tenant.name!r} exhausted its cycle quota for "
-                    f"this window ({ledger.window_used}/"
-                    f"{tenant.max_cycles_per_window} cycles used)")
-        if cost is not None \
-                and ledger.window_used + cost > tenant.max_cycles_per_window:
-            return (f"tenant {tenant.name!r} cannot fit a job costing "
-                    f"{cost} cycles in this window "
-                    f"({ledger.window_used}/{tenant.max_cycles_per_window} "
-                    f"cycles used)")
     return None
 
 

@@ -17,8 +17,8 @@ A submitted job moves through an explicit lifecycle::
                   v
                REJECTED                   (quota or admission failure)
 
-:class:`Tenant` declares a tenant's fair-share weight and quotas; the
-pool's admission control and stride dispatcher consume it.
+:class:`Tenant` declares a tenant's fair-share weight and concurrency
+quota; the pool's admission control and stride dispatcher consume it.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ class JobSpec:
     priority: int = 0
     tenant: str = "default"
     lint: str = "off"
-    #: ServicePool admission only: declared cost in machine cycles,
-    #: overriding the cost model's prediction for window quotas.  Under
-    #: the lint gate a declaration below the predicted lower bound is
-    #: rejected (``lint="error"``) or warned about, never trusted.
-    cost_units: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.user, str) or not self.user:
@@ -89,10 +84,6 @@ class JobSpec:
         if self.lint not in LINT_MODES:
             raise AppVMError(
                 f"lint must be one of {LINT_MODES}, got {self.lint!r}")
-        if self.cost_units is not None and self.cost_units < 1:
-            raise AppVMError(
-                f"JobSpec.cost_units must be >= 1 when set, "
-                f"got {self.cost_units}")
 
     def validate_model(self) -> None:
         """Fail fast at submit time on an unsolvable model."""
@@ -107,26 +98,18 @@ class Tenant:
 
     ``share`` is the stride-scheduling weight: over any contended
     stretch, a tenant with share 2 receives twice the machine cycles of
-    a tenant with share 1.  The quotas are admission-control limits:
+    a tenant with share 1.  The quota is an admission-control limit:
     ``max_concurrent`` caps jobs simultaneously in flight
-    (admitted/running/preempted), ``max_cycles_per_window`` caps cycles
-    consumed inside each ``window_cycles``-long window of service time;
-    a submit that would exceed either is REJECTED, not queued.
+    (admitted/running/preempted); a submit that would exceed it is
+    REJECTED, not queued.
     """
 
     name: str
     share: int = 1
     max_concurrent: Optional[int] = None
-    max_cycles_per_window: Optional[int] = None
-    window_cycles: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.share < 1:
             raise AppVMError(f"tenant share must be >= 1, got {self.share}")
         if self.max_concurrent is not None and self.max_concurrent < 1:
             raise AppVMError("max_concurrent must be >= 1 when set")
-        if self.max_cycles_per_window is not None \
-                and self.max_cycles_per_window < 1:
-            raise AppVMError("max_cycles_per_window must be >= 1 when set")
-        if self.window_cycles < 1:
-            raise AppVMError("window_cycles must be >= 1")

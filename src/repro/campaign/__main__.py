@@ -91,7 +91,12 @@ def main(argv=None) -> int:
             if args.axis:
                 raise CampaignError(
                     "--points-file and --axis are mutually exclusive")
-            points = json.loads(args.points_file.read_text())
+            try:
+                points = json.loads(args.points_file.read_text())
+            except (OSError, json.JSONDecodeError) as exc:
+                raise CampaignError(
+                    f"cannot read --points-file {args.points_file}: "
+                    f"{exc}") from exc
             space = ParamSpace.explicit(points)
         elif args.axis:
             axes = dict(parse_axis(spec) for spec in args.axis)

@@ -44,17 +44,10 @@ from .runner import (
 )
 from .space import ParamSpace, Point, point_key
 
-#: fork shares the parent's loaded module pages; fall back to the
-#: platform default elsewhere
-_PREFERRED_START = "fork"
-
-
-def _start_method(explicit: Optional[str]) -> Optional[str]:
-    if explicit is not None:
-        return explicit
-    if _PREFERRED_START in multiprocessing.get_all_start_methods():
-        return _PREFERRED_START
-    return None
+#: fork shares the parent's loaded module pages; elsewhere the
+#: platform default (None)
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else None)
 
 
 class Campaign:
@@ -73,7 +66,6 @@ class Campaign:
         defaults: Optional[Dict[str, Any]] = None,
         trace: bool = True,
         runner: Optional[Callable[[Point, RunOptions], Dict[str, Any]]] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 0:
             raise CampaignError(f"workers must be >= 0, got {workers}")
@@ -108,7 +100,6 @@ class Campaign:
         #: custom point runner (synthetic spaces, tests); custom runners
         #: always run in-process — only the default runner fans out
         self.runner = runner
-        self.start_method = _start_method(start_method)
         #: mid-run fem2-ckpt/1 blobs of warm-restarted points, keyed by
         #: canonical point key — re-resume material for refined points
         self.restart_blobs: Dict[Tuple, bytes] = {}
@@ -167,8 +158,7 @@ class Campaign:
         pool = None
         try:
             if self.workers > 0 and self.runner is None:
-                ctx = (multiprocessing.get_context(self.start_method)
-                       if self.start_method else multiprocessing)
+                ctx = multiprocessing.get_context(_START_METHOD)
                 pool = ctx.Pool(processes=self.workers)
             for wave in range(self.waves):
                 if wave > 0:

@@ -19,7 +19,7 @@ the space); categorical axes admit only their declared members.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
 
@@ -105,9 +105,18 @@ class ParamSpace:
                 raise CampaignError("explicit point list is empty")
 
     @classmethod
-    def explicit(cls, points: Iterable[Point]) -> "ParamSpace":
+    def explicit(cls, points: Sequence[Point]) -> "ParamSpace":
         """A space declared as a point list; axes are inferred from the
         union of observed values per axis name."""
+        if not isinstance(points, (list, tuple)):
+            raise CampaignError(
+                f"explicit points must be a list of {{axis: value}} "
+                f"mappings, got {type(points).__name__}")
+        for p in points:
+            if not isinstance(p, Mapping):
+                raise CampaignError(
+                    f"explicit point must be an {{axis: value}} mapping, "
+                    f"got {type(p).__name__} {p!r}")
         points = [dict(p) for p in points]
         if not points:
             raise CampaignError("explicit point list is empty")

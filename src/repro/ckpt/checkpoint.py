@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from ..errors import CkptError
 from .codec import from_bytes, to_bytes
@@ -50,13 +50,11 @@ class Checkpointer:
     *scheduled*, final cycle counts match the plain run exactly.
     """
 
-    def __init__(self, program, interval: int, keep: Optional[int] = None) -> None:
+    def __init__(self, program, interval: int) -> None:
         if interval <= 0:
             raise CkptError(f"checkpoint interval must be positive, got {interval}")
         self.program = program
         self.interval = interval
-        #: retain at most this many checkpoints (oldest dropped); None = all
-        self.keep = keep
         self.checkpoints: List[Checkpoint] = []
         #: wall-clock seconds spent snapshotting + serializing (host
         #: overhead — simulated time is never charged)
@@ -74,9 +72,6 @@ class Checkpointer:
         elapsed = _time.perf_counter() - t0
         ckpt = Checkpoint(time=engine.now, blob=blob)
         self.checkpoints.append(ckpt)
-        if self.keep is not None:
-            while len(self.checkpoints) > self.keep:
-                self.checkpoints.pop(0)
         self.host_seconds += elapsed
         metrics = self.program.metrics
         metrics.incr("ckpt.snapshots")

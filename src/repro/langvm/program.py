@@ -46,19 +46,11 @@ class TaskContext(SimpleContext):
 
     # -- data and windows ----------------------------------------------------
 
-    def create(self, data: Any,
-               capacity: Optional[int] = None) -> fx.CreateArray:
-        """Create an array owned by this task in the local cluster.
-
-        *capacity* is an analysis-only annotation — the declared writer
-        fan-in the static cost checker (rule C2) cross-checks against
-        predicted activations; the run-time ignores it."""
-        del capacity
+    def create(self, data: Any) -> fx.CreateArray:
+        """Create an array owned by this task in the local cluster."""
         return fx.CreateArray(np.asarray(data, dtype=float))
 
-    def zeros(self, *shape: int,
-              capacity: Optional[int] = None) -> fx.CreateArray:
-        del capacity
+    def zeros(self, *shape: int) -> fx.CreateArray:
         return fx.CreateArray(np.zeros(shape))
 
     def free(self, handle) -> fx.FreeArray:

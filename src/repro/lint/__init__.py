@@ -18,8 +18,8 @@ each pass run once.  Its callers:
 
 Program findings carry stable codes (W1/W3 write-write races, W2
 unwaited read-write race, D1/D2 unmatched waits and initiate cycles, O1
-raw storage on a non-owned handle, X1 unreachable task, C1/C2 cost
-bounds); architecture findings use A1 (layering), A2 (span balance), A3
+raw storage on a non-owned handle, X1 unreachable task, C1 unbounded
+cost); architecture findings use A1 (layering), A2 (span balance), A3
 (public-API drift), S1 (snapshot/restore completeness for the
 :mod:`repro.ckpt` spine).  Every finding has file:line and a severity,
 and the report exports to the same plain-record form as the

@@ -188,8 +188,7 @@ class Event:
                        ``+=``); ``name`` None = unknown source
     ``clobber``        ``names`` re-bound to something untrackable
     ``window``         ``names`` alias the array/window ``name``; on
-                       create/zeros sites ``args`` = size refs and
-                       ``value`` = declared ``capacity`` (C2)
+                       create/zeros sites ``args`` = size refs
     """
 
     kind: str
@@ -516,9 +515,7 @@ class _TaskVisitor:
             self.emit(Event("read", line, name=first_name))
         elif tail in ("create", "zeros"):
             info.created.update(assigned)
-            cap = keyword_arg(call, "capacity")
             self.emit(Event("window", line, names=assigned,
-                            value=literal_int(cap) if cap is not None else None,
                             args=self._size_refs(call, tail)))
             return True
         elif tail == "window" and first_name:

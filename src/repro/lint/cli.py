@@ -8,10 +8,10 @@ Usage::
     python -m repro.lint --json ...         # machine-readable report
     python -m repro.lint --strict ...       # warnings also fail
     python -m repro.lint --select W1,C1 ... # only these rule codes
-    python -m repro.lint --ignore C2 ...    # all but these codes
+    python -m repro.lint --ignore X1 ...    # all but these codes
     python -m repro.lint --cost ...         # fem2-cost/1 bounds too
 
-Program checkers (W1/W2/W3/D1/D2/O1/X1/C1/C2) run over every task
+Program checkers (W1/W2/W3/D1/D2/O1/X1/C1) run over every task
 function found in the given files, as one
 :func:`~repro.lint.program.analyze_tasks` over the assembled task set;
 task registries are resolved across *all* given files, so a program

@@ -6,7 +6,7 @@ non-negative integer coefficients over named non-negative parameters —
 for executed burst cycles, messages per kind, peak ``arrays``
 allocation, and dispatches.  :mod:`.report` composes them over the
 resolved spawn graph into the versioned ``fem2-cost/1``
-:class:`CostReport`; :mod:`.checks` derives the C1/C2 lint rules; and
+:class:`CostReport`; :mod:`.checks` derives the C1 lint rule; and
 :mod:`.calibrate` replays real executions against the predicted
 intervals to keep the model honest.
 """
@@ -22,7 +22,7 @@ from .calibrate import (
     compare,
     observed_costs,
 )
-from .checks import check_c1, check_c2
+from .checks import check_c1
 from .expr import CostExpr, Interval, TOP, ZERO
 from .model import MESSAGE_KINDS, CostAnalyzer, TaskCost, analyze_costs
 from .report import (
@@ -52,7 +52,6 @@ __all__ = [
     "build_cost_report",
     "calibrate",
     "check_c1",
-    "check_c2",
     "compare",
     "machine_env",
     "observed_costs",

@@ -85,11 +85,10 @@ class SpawnBound:
 
 @dataclass
 class WindowDecl:
-    """A create/zeros site, with its C2 capacity annotation if any."""
+    """A create/zeros site: its target and its size."""
 
     name: Optional[str]
     line: int
-    capacity: Optional[int]
     size: Interval
 
 
@@ -141,7 +140,6 @@ class TaskCost:
                         "count": s.count.to_record()}
                        for s in self.spawns],
             "windows": [{"name": w.name, "line": w.line,
-                         "capacity": w.capacity,
                          "size": w.size.to_record()}
                         for w in self.windows],
             "unbounded": [{"line": u.line, "reason": u.reason}
@@ -513,7 +511,7 @@ class _CostInterpreter:
                     env.winsize[name] = size
             self.windows.append(WindowDecl(
                 name=ev.names[0] if ev.names else None,
-                line=ev.line, capacity=ev.value, size=size))
+                line=ev.line, size=size))
             vec.cycles = size * Interval.exact(_WTC)
             vec.alloc = size + Interval.exact(ARRAY_DESCRIPTOR_WORDS)
         elif ev.name:  # ctx.window(h): targets alias the handle

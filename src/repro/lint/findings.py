@@ -34,7 +34,6 @@ CODES: Dict[str, str] = {
     "X1": "task registered but unreachable from any entry task",
     "C1": "statically unbounded cost: unresolvable replication in an "
           "unresolvable loop",
-    "C2": "predicted window fan-in exceeds its declared capacity",
     "P1": "task type has a statically unresolved spawn target or "
           "replication count",
 }

@@ -51,7 +51,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .astutil import InitiateSite, TaskInfo, task_index
-from .cost.checks import check_c1, check_c2
+from .cost.checks import check_c1
 from .cost.model import TaskCost, analyze_costs
 from .cost.report import CostReport, build_cost_report
 from .findings import Finding
@@ -247,5 +247,4 @@ def analyze_tasks(tasks: Sequence[TaskInfo]) -> Analysis:
     findings.extend(check_d1(tasks, index))
     findings.extend(check_o1(tasks))
     findings.extend(check_c1(costs))
-    findings.extend(check_c2(costs, cost, tasks, flow))
     return Analysis(tuple(tasks), tuple(findings), flow, tuple(costs), cost)

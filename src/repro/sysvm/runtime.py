@@ -131,7 +131,6 @@ class Runtime:
     def __init__(
         self,
         machine: Machine,
-        registry: Optional[CodeRegistry] = None,
         dispatch_policy: Optional[DispatchPolicy] = None,
         placement: str = "round_robin",
         strict: bool = True,
@@ -139,7 +138,7 @@ class Runtime:
         if placement not in PLACEMENTS:
             raise SchedulingError(f"unknown placement {placement!r}; one of {PLACEMENTS}")
         self.machine = machine
-        self.registry = registry or CodeRegistry()
+        self.registry = CodeRegistry()
         self.dispatch_policy = dispatch_policy or AnyPEDispatch()
         self.placement = placement
         self.strict = strict

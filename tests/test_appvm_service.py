@@ -102,16 +102,15 @@ class TestNoCostPrediction:
     @pytest.fixture
     def cost_calls(self, monkeypatch):
         import repro.lint
-        from repro.appvm.scheduler import machine, pool
+        from repro.appvm.scheduler import machine
         calls = []
 
         def counting(program, *args, **kwargs):
             calls.append(program)
             return repro.lint.cost_report(program, *args, **kwargs)
 
-        # every appvm module that imports cost_report
-        for module in (machine, pool):
-            monkeypatch.setattr(module, "cost_report", counting)
+        # the only appvm module that imports cost_report
+        monkeypatch.setattr(machine, "cost_report", counting)
         return calls
 
     def test_lint_off_submit_runs_no_cost_report(self, cost_calls):
@@ -122,14 +121,6 @@ class TestNoCostPrediction:
         service = make_service()
         service.submit(spec_for("u", make_model("m"), lint="warn"))
         assert cost_calls == [service.program]
-
-    def test_declared_cost_is_not_cross_checked(self):
-        """cost_units is a ServicePool admission field (see
-        tests/test_scheduler.py for the cross-check there)."""
-        service = make_service()
-        handle = service.submit(
-            spec_for("u", make_model("m"), cost_units=1, lint="error"))
-        assert handle.state is JobState.RUNNING
 
     def test_service_module_does_not_import_the_pool(self):
         from repro.appvm import service as service_mod

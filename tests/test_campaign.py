@@ -115,6 +115,23 @@ class TestSpaceExpansion:
         with pytest.raises(CampaignError):
             ParamSpace.explicit([{"nx": 2}, {"ny": 2}])
 
+    @pytest.mark.parametrize("text, complaint", [
+        ("[{", "cannot read"),                          # malformed JSON
+        (None, "cannot read"),                          # no such file
+        ('{"a": 1}', "must be a list"),                 # not a point list
+        ("[1, 2]", "must be an {axis: value} mapping"),  # not points
+    ])
+    def test_cli_points_file_fails_typed(self, tmp_path, capsys, text,
+                                         complaint):
+        from repro.campaign.__main__ import main
+        path = tmp_path / "points.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["--points-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("campaign failed: ")
+        assert complaint in err
+
     def test_contains_midpoints_of_numeric_axes(self):
         space = ParamSpace({"nx": [2, 8], "topology": ["ring"]})
         assert space.contains({"nx": 5, "topology": "ring"})

@@ -148,16 +148,6 @@ class TestProgramSnapshot:
         assert ck_prog.metrics.get("ckpt.snapshots") == len(ck.checkpoints)
         assert ck.host_seconds > 0.0
 
-    def test_keep_bounds_retained_checkpoints(self):
-        # n=24 on 6 workers -> four ~10k-cycle waves -> four checkpoints
-        build = farm_factory(n=24)
-        prog = build()
-        prog.start("driver", cluster=0)
-        ck = Checkpointer(prog, interval=500, keep=2)
-        ck.run()
-        assert len(ck.checkpoints) == 2
-        assert prog.metrics.get("ckpt.snapshots") > 2
-
     def test_interval_must_be_positive(self):
         prog = farm_factory()()
         with pytest.raises(CkptError):

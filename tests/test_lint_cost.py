@@ -1,6 +1,6 @@
 """Tests for repro.lint.cost: the symbolic cost algebra (CostExpr /
 Interval), the abstract cost interpreter over the event IR, program
-composition into the ``fem2-cost/1`` report, the C1/C2 lint rules, and
+composition into the ``fem2-cost/1`` report, the C1 lint rule, and
 trace calibration of predicted bounds against the running machine."""
 
 import ast
@@ -46,9 +46,9 @@ def costs_of(source):
 
 
 def cost_findings(source):
-    """The C1 / C2 findings of one source's task set."""
+    """The C1 findings of one source's task set."""
     return [f for f in analyze_tasks(tasks_of(source)).findings
-            if f.code in ("C1", "C2")]
+            if f.code == "C1"]
 
 
 def report_of(source, entries=None):
@@ -330,7 +330,7 @@ class TestCostReport:
         assert [t["task"] for t in record["tasks"]] == ["root", "worker"]
 
 
-# -- the C1 / C2 rules --------------------------------------------------------
+# -- the C1 rule --------------------------------------------------------------
 
 
 class TestCostRules:
@@ -355,29 +355,9 @@ class TestCostRules:
         bounded_count = self.C1_SOURCE.replace("count=n", "count=4")
         assert cost_findings(bounded_count) == []
 
-    C2_SOURCE = """
-        def worker(ctx, w, index):
-            yield ctx.accumulate(w, [1.0])
-
-        def root(ctx):
-            h = yield ctx.zeros(4, capacity=%d)
-            w = ctx.window(h)
-            tids = yield ctx.initiate("worker", w, count=5)
-            yield ctx.wait(tids)
-    """
-
-    def test_c2_fires_when_predicted_fan_in_exceeds_capacity(self):
-        findings = cost_findings(self.C2_SOURCE % 2)
-        assert [f.code for f in findings] == ["C2"]
-        assert "capacity=2" in findings[0].message
-        assert "5" in findings[0].message
-
-    def test_c2_silent_when_capacity_suffices(self):
-        assert cost_findings(self.C2_SOURCE % 5) == []
-
     def test_rules_ride_lint_source(self):
-        report = lint_source(textwrap.dedent(self.C2_SOURCE % 1), "<test>")
-        assert "C2" in {f.code for f in report.findings}
+        report = lint_source(textwrap.dedent(self.C1_SOURCE), "<test>")
+        assert "C1" in {f.code for f in report.findings}
 
 
 # -- calibration --------------------------------------------------------------

@@ -10,7 +10,13 @@ import pathlib
 
 import pytest
 
+from repro.appvm import JobSpec, ServicePool, Tenant
+from repro.campaign import Campaign
+from repro.ckpt import Checkpointer
+from repro.langvm.program import TaskContext
 from repro.lint import lint_paths
+from repro.lint.findings import CODES
+from repro.sysvm.runtime import Runtime
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -34,7 +40,8 @@ def test_benchmarks_lint_green():
 #: sampling and the CSV exporter (DESIGN.md §18); the unused task-graph
 #: IR, the per-rule re-analysis entry points and the file cache of the
 #: lint pipeline (DESIGN.md §9); the FEM add-ons and helpers the use
-#: ledger found no entry point reaching (DESIGN.md §19)
+#: ledger found no entry point reaching, and the knobs it found no entry
+#: point varying, with the code only they reached (DESIGN.md §19)
 DELETED = {
     "engine_fork": ("FEM2_ENGINE", "forced_engine", "FastEventEngine",
                     "calqueue", "repro.perf"),
@@ -49,7 +56,39 @@ DELETED = {
                       "Quad8", "rect_grid_quad8", "parallel_power_iteration",
                       "parallel_stress_recovery", "check_package_api",
                       "speedup_series"),
+    "idle_knobs": ("max_cycles_per_window", "window_cycles", "cost_units",
+                   "roll_window", "_predicted_cost_units", "_cost_cache",
+                   "check_c2"),
 }
+
+
+#: settings the use ledger's knob half found no entry point varying,
+#: made constants (DESIGN.md §19): each call passes one as a keyword
+IDLE_KNOBS = {
+    "Tenant(max_cycles_per_window=)":
+        lambda: Tenant("t", max_cycles_per_window=1),
+    "Tenant(window_cycles=)": lambda: Tenant("t", window_cycles=1),
+    "JobSpec(cost_units=)":
+        lambda: JobSpec(user="u", model=None, load_set="l", cost_units=1),
+    "ServicePool(checkpointing=)": lambda: ServicePool(checkpointing=True),
+    "TaskContext.create(capacity=)":
+        lambda: TaskContext.create(None, [1.0], capacity=1),
+    "TaskContext.zeros(capacity=)":
+        lambda: TaskContext.zeros(None, 4, capacity=1),
+    "Checkpointer(keep=)": lambda: Checkpointer(None, 10, keep=1),
+    "Campaign(start_method=)": lambda: Campaign(None, start_method="fork"),
+    "Runtime(registry=)": lambda: Runtime(None, registry=None),
+}
+
+
+@pytest.mark.parametrize("knob", sorted(IDLE_KNOBS))
+def test_idle_knobs_are_constants(knob):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        IDLE_KNOBS[knob]()
+
+
+def test_c2_is_not_a_rule():
+    assert "C2" not in CODES
 
 
 @pytest.mark.parametrize("fork", sorted(DELETED))

@@ -66,23 +66,6 @@ class TestAdmissionQuotas:
         pool.run()
         assert h4.done
 
-    def test_cycle_window_quota(self):
-        pool = ServicePool(
-            n_machines=1, config=small_config(),
-            tenants=[Tenant("greedy", max_cycles_per_window=1000,
-                            window_cycles=10**12)],
-        )
-        h1 = pool.submit(spec_for("a", make_model("m1"), tenant="greedy"))
-        pool.run()
-        assert h1.done
-        assert pool.tenants.get("greedy").window_used > 1000
-        h2 = pool.submit(spec_for("b", make_model("m2"), tenant="greedy"))
-        assert h2.state is JobState.REJECTED
-        assert "cycle quota" in h2.reason
-        # an unthrottled tenant is unaffected
-        h3 = pool.submit(spec_for("c", make_model("m3"), tenant="other"))
-        assert h3.state is not JobState.REJECTED
-
     def test_rejection_leaves_no_queue_trace(self):
         pool = ServicePool(n_machines=1, config=small_config(),
                            tenants=[Tenant("t", max_concurrent=1)])
@@ -95,71 +78,6 @@ class TestAdmissionQuotas:
 
 
 class TestCostAdmission:
-    def window_pool(self, cap):
-        return ServicePool(
-            n_machines=1, config=small_config(),
-            tenants=[Tenant("capped", max_cycles_per_window=cap,
-                            window_cycles=10**12)],
-        )
-
-    def test_declared_cost_that_cannot_fit_rejects(self):
-        pool = self.window_pool(5000)
-        h = pool.submit(spec_for("a", make_model("m1"), tenant="capped",
-                                 cost_units=6000))
-        assert h.state is JobState.REJECTED
-        assert "cannot fit a job costing 6000" in h.reason
-        h2 = pool.submit(spec_for("b", make_model("m2"), tenant="capped",
-                                  cost_units=4000))
-        assert h2.state is not JobState.REJECTED
-        pool.run()
-        assert h2.done
-
-    def test_predicted_cost_gates_admission_when_undeclared(self):
-        probe = ServicePool(n_machines=1, config=small_config())
-        spec = spec_for("a", make_model("m1"))
-        predicted = probe._predicted_cost_units(spec)
-        assert predicted > 1  # the job provably consumes real cycles
-
-        pool = self.window_pool(predicted - 1)
-        h = pool.submit(spec_for("a", make_model("m1"), tenant="capped"))
-        assert h.state is JobState.REJECTED
-        assert "cannot fit" in h.reason
-
-        roomy = self.window_pool(10**9)
-        h2 = roomy.submit(spec_for("a", make_model("m1"), tenant="capped"))
-        assert h2.state is not JobState.REJECTED
-        roomy.run()
-        assert h2.done
-        # the run costs at least what the model guaranteed
-        assert roomy.tenants.get("capped").consumed >= predicted
-
-    def test_predicted_cost_is_cached_per_solve_shape(self):
-        pool = ServicePool(n_machines=1, config=small_config())
-        spec = spec_for("a", make_model("m1"))
-        first = pool._predicted_cost_units(spec)
-        assert pool._predicted_cost_units(spec) == first
-        assert len(pool._cost_cache) == 1
-
-    def test_declared_below_predicted_bound_is_lint_checked(self):
-        pool = ServicePool(n_machines=1, config=small_config())
-        model = make_model("m1")
-        predicted = pool._predicted_cost_units(spec_for("a", model))
-        assert predicted > 1
-        with pytest.raises(AppVMError, match="below the predicted"):
-            pool.submit(spec_for("a", model, cost_units=predicted - 1,
-                                 lint="error"))
-        with pytest.warns(UserWarning, match="below the predicted"):
-            h = pool.submit(spec_for("a", model, cost_units=predicted - 1,
-                                     lint="warn"))
-        assert h.state is not JobState.REJECTED
-        # a plausible declaration passes the check silently
-        import warnings as _warnings
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            pool.submit(spec_for("b", make_model("m2"),
-                                 cost_units=predicted + 10**6, lint="warn"))
-        pool.run()
-
     def test_lint_gate_caches_cost_report(self):
         """The gate's reports are views of the process-wide analysis
         store: a second fresh pool holding the same task set is served
@@ -186,11 +104,6 @@ class TestCostAdmission:
         assert again.to_record() == cost.to_record()
         for pool in pools:
             pool.run()
-
-    def test_bad_cost_units_rejected_at_spec(self):
-        with pytest.raises(AppVMError, match="cost_units"):
-            JobSpec(user="a", model=make_model("m"), load_set="case",
-                    cost_units=0)
 
 
 class TestLifecycle:
@@ -325,17 +238,6 @@ class TestPreemption:
         assert second.state is JobState.ADMITTED
         assert pool.stats["preemptions"] == 0
         pool.run()
-
-    def test_no_preemption_without_checkpointing(self):
-        pool = ServicePool(n_machines=1, config=small_config(), quantum=500,
-                           checkpointing=False)
-        pool.submit(spec_for("a", make_model("m1")))
-        pool.advance(1000)
-        urgent = pool.submit(spec_for("b", make_model("m2"), priority=9))
-        assert urgent.state is JobState.ADMITTED
-        assert pool.stats["preemptions"] == 0
-        pool.run()
-        assert urgent.done
 
     def test_sched_spans_tell_the_story(self):
         tracer = Tracer()
