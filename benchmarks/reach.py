@@ -92,11 +92,14 @@ EXAMPLES = ("design_method_walkthrough", "fault_tolerant_run",
             "machine_study", "multiuser_workstation", "parallel_program",
             "quickstart", "substructure_analysis")
 
+#: the two CLIs run as CI runs them; ``<tmp>`` is a file in a fresh temporary
+#: directory, so the records they write are built and then discarded
 CAMPAIGN_ARGS = ("--axis", "n_clusters=2,4", "--axis", "nx=2,4",
                  "--campaign-workers", "2", "--waves", "2", "--refine", "2",
-                 "--restart-events", "200")
+                 "--restart-events", "200", "--out", "<tmp>")
 
-LINT_ARGS = ("src", "examples", "--cost")
+LINT_ARGS = ("src", "examples", "benchmarks", "--strict", "--json",
+             "--cost-out", "<tmp>")
 
 
 # -- the universe: every function defined under src/repro ---------------------
@@ -407,12 +410,14 @@ def _run_script(path: pathlib.Path, *args: str) -> None:
 
 
 def _run_module(name: str, *args: str) -> None:
-    sys.argv = [name, *args]
-    try:
-        runpy.run_module(name, run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        if exc.code:
-            raise
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        sys.argv = [name, *(out if arg == "<tmp>" else arg for arg in args)]
+        try:
+            runpy.run_module(name, run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            if exc.code:
+                raise
 
 
 def _run_host(name: str) -> None:

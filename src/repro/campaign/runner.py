@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..appvm import JobSpec, MachineService, StructureModel
 from ..bench import Experiment
-from ..ckpt import content_fingerprint, fingerprint
+from ..ckpt import fingerprint, to_bytes
 from ..errors import CampaignError
 from ..fem import LoadSet, Material, rect_grid
 from ..hardware import MachineConfig
@@ -192,11 +192,8 @@ def run_point(point: Point, options: RunOptions
         },
         "spans": tracer.kind_summary() if tracer is not None else None,
         "restart": restart,
-        # content digest, not blob bytes: a restored program aliases
-        # its objects differently than the original, so only a
-        # topology-independent fingerprint can equate warm and cold
         "final_ckpt_sha256": (
-            content_fingerprint(service.program.snapshot())
+            fingerprint(to_bytes(service.program.snapshot()))
             if journal else None),
     }
     return payload, blob

@@ -7,7 +7,6 @@ specification (:func:`fem2_stack`) wired to this repository's
 executable artifacts and H-graph formal models.
 """
 
-from .state import Snapshottable, is_snapshottable
 from .vm_spec import ComponentKind, SpecItem, VMSpec
 from .layers import LayerStack
 from .refinement import (
@@ -33,8 +32,6 @@ from .specs import fem2_grammars, fem2_stack, fem2_transforms
 from .report import render_stack, render_traceability
 
 __all__ = [
-    "Snapshottable",
-    "is_snapshottable",
     "ComponentKind",
     "SpecItem",
     "VMSpec",

@@ -1,9 +1,9 @@
 """Serialization of H-graphs to plain dictionaries.
 
-Used by the application-level model database (``repro.appvm.database``)
-to store formally-specified data objects, and by tests as a structural
-equality oracle.  Node identity, shared substructure, and cycles are
-preserved because the encoding is id-based.
+Node identity, shared substructure, and cycles are preserved because
+the encoding is id-based.  Only the tests round-trip H-graphs through
+it: the application model database (``repro.appvm.database``) stores
+plain dicts of its own and imports nothing from ``repro.hgraph``.
 """
 
 from __future__ import annotations

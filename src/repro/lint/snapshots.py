@@ -7,8 +7,9 @@ fields — must be mentioned, either as a ``self.<field>`` access or as
 a ``"<field>"`` string key.  Fields that are deliberately rebuilt
 rather than serialized (coroutines, hardware back-references) are
 declared in a class-body ``_snapshot_exempt`` tuple; see
-:mod:`repro.core.state` for the convention and
-:class:`repro.sysvm.scheduler.TCB` for the live exemplar.
+:class:`repro.sysvm.scheduler.TCB` for the live exemplar.  What a
+snapshot may *contain* is enforced at run time instead, by the
+checkpoint codec's vocabulary (:data:`repro.ckpt.codec.VOCABULARY`).
 """
 
 from __future__ import annotations

@@ -1067,7 +1067,7 @@ class Runtime:
     # -- checkpoint/restore --------------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        """Every piece of OS state as plain data.  Requires journaling —
+        """Every piece of OS state as checkpoint data.  Requires journaling —
         task coroutines cannot be serialized, so restore recreates them
         from the registered bodies and replays the journals.
 

@@ -108,7 +108,7 @@ class TCB:
     _snapshot_exempt = ("coro", "pe", "record")
 
     def snapshot(self) -> Dict[str, Any]:
-        """Every TCB field as plain data (lint rule S1 audits this list
+        """Every TCB field as checkpoint data (lint rule S1 audits this list
         against the dataclass fields above)."""
         rec = self.record
         return {

@@ -93,7 +93,7 @@ class TestWarmRestart:
         # identical observables...
         assert warm_payload["metrics"] == cold_payload["metrics"]
         assert warm_payload["result"] == cold_payload["result"]
-        # ...and identical final machine state, via ckpt fingerprints
+        # ...and identical final machine state: byte-identical blobs
         assert warm_payload["final_ckpt_sha256"] is not None
         assert (warm_payload["final_ckpt_sha256"]
                 == cold_payload["final_ckpt_sha256"])

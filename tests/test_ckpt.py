@@ -7,14 +7,17 @@ cycle counts versus the fault-free run.
 """
 
 import hashlib
+import pickle
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.ckpt import (
+    MAGIC,
+    VERSION,
     Checkpoint,
     Checkpointer,
-    content_fingerprint,
     fingerprint,
     from_bytes,
     restore_program,
@@ -61,30 +64,138 @@ class TestCodec:
         with pytest.raises(CkptError):
             fingerprint(b"NOTACKPT" + blob)
 
-    def test_content_fingerprint_sees_state_not_aliasing(self):
+    def test_blob_sees_state_not_aliasing(self):
         shared = np.arange(6.0)
         aliased = {"a": shared, "b": shared}
         copied = {"a": np.arange(6.0), "b": np.arange(6.0)}
-        # same state, different host object graphs: blob bytes differ
-        # (pickle memoizes the shared array), content digests agree
-        assert to_bytes(aliased) != to_bytes(copied)
-        assert content_fingerprint(aliased) == content_fingerprint(copied)
+        # same state, different host object graphs: no memo, equal bytes
+        assert to_bytes(aliased) == to_bytes(copied)
 
-    def test_content_fingerprint_sees_every_change(self):
+    def test_blob_sees_every_change(self):
         base = {"m": {"x": 1, "y": [1, 2.5]}, "v": np.arange(3.0)}
-        digest = content_fingerprint(base)
-        assert content_fingerprint({"m": {"x": 1, "y": [1, 2.5]},
-                                    "v": np.arange(3.0)}) == digest
+        blob = to_bytes(base)
+        assert to_bytes({"m": {"x": 1, "y": [1, 2.5]},
+                         "v": np.arange(3.0)}) == blob
         changed = {"m": {"x": 1, "y": [1, 2.5]}, "v": np.arange(4.0)}
-        assert content_fingerprint(changed) != digest
-        assert content_fingerprint({"m": base["m"]}) != digest
+        assert to_bytes(changed) != blob
+        assert to_bytes({"m": base["m"]}) != blob
+        assert to_bytes({"m": {"x": 1, "y": [1, 2.5]},
+                         "v": np.arange(3.0).astype(np.float32)}) != blob
 
-    def test_content_fingerprint_sequences_are_ordered(self):
-        assert (content_fingerprint([1, 2, 3])
-                != content_fingerprint([3, 2, 1]))
-        # mappings hash key-sorted: insertion order is host history
-        assert (content_fingerprint({"a": 1, "b": 2})
-                == content_fingerprint({"b": 2, "a": 1}))
+    def test_blob_sequences_are_ordered(self):
+        assert to_bytes([1, 2, 3]) != to_bytes([3, 2, 1])
+
+    def test_dict_key_order_is_part_of_identity(self):
+        # the codec never sorts: a snapshot() owns its key order
+        assert to_bytes({"a": 1, "b": 2}) != to_bytes({"b": 2, "a": 1})
+        assert from_bytes(to_bytes({"b": 2, "a": 1})) == {"a": 1, "b": 2}
+
+    def test_arrays_and_numpy_scalars_round_trip(self):
+        tree = {"f": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+                "empty": np.zeros((0, 3), dtype=np.int64),
+                "flags": np.array([True, False]),
+                "scalar": np.float64(2.5), "count": np.int64(7)}
+        back = from_bytes(to_bytes(tree))
+        for key, value in tree.items():
+            assert type(back[key]) is type(value)
+            assert back[key].dtype == value.dtype
+            assert np.array_equal(back[key], value)
+        assert back["f"].flags.f_contiguous
+        assert back["f"].flags.writeable
+
+    @pytest.mark.parametrize("value", [
+        np.array([object()]), np.array(["text"]), 1 + 2j, len])
+    def test_encoder_refuses_what_the_decoder_would(self, value):
+        with pytest.raises(CkptError, match="cannot checkpoint"):
+            to_bytes({"x": value})
+
+    def test_cyclic_tree_refused(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(CkptError, match="cyclic"):
+            to_bytes(loop)
+
+    def test_v1_blob_refused(self):
+        blob = MAGIC + bytes([1]) + zlib.compress(pickle.dumps({}))
+        with pytest.raises(CkptError, match="version 1 not supported"):
+            from_bytes(blob)
+
+
+# ---------------------------------------------------------------------------
+# the decoder's vocabulary
+
+
+CALLS = []
+
+
+def record_call(*args):
+    """A global no checkpoint may name: it records that it ran."""
+    CALLS.append(args)
+    return {}
+
+
+class _Reduce:
+    """Pickles as ``func(*args)``: how a forged blob names a global."""
+
+    def __init__(self, func, *args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+def forged(tree):
+    """A blob with a valid header around an arbitrary pickle."""
+    return MAGIC + bytes([VERSION]) + zlib.compress(
+        pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestVocabulary:
+    NAME = f"{record_call.__module__}.record_call"
+
+    def test_foreign_global_is_refused_uncalled(self):
+        CALLS.clear()
+        with pytest.raises(CkptError, match=self.NAME):
+            from_bytes(forged(_Reduce(record_call, "ran")))
+        assert CALLS == []
+
+    @pytest.mark.parametrize("entry", ["resume", "restore_blob"])
+    def test_foreign_global_fails_typed_at_every_restore(self, entry):
+        from repro.appvm import MachineService
+        from repro.appvm.scheduler import PoolMachine
+        CALLS.clear()
+        blob = forged({"schema": "fem2-ckpt/1",
+                       "program": _Reduce(record_call, "ran")})
+        with pytest.raises(CkptError, match=self.NAME):
+            if entry == "resume":
+                MachineService.resume(blob)
+            else:
+                PoolMachine(0, MachineConfig(), journal=True).restore_blob(
+                    blob, [], 0)
+        assert CALLS == []
+
+    def test_numpy_reconstructors_are_refused(self):
+        # numpy's own pickle path names numpy globals, never _array
+        with pytest.raises(CkptError, match="numpy"):
+            from_bytes(forged({"v": np.arange(3.0)}))
+
+    @pytest.mark.parametrize("args, complaint", [
+        (("|O", (1,), "C", b"\0" * 8, False), "bad array"),
+        (("<f8", (2,), "C", b"\0" * 8, False), "needs 16 bytes, has 8"),
+        (("<f8", (-1,), "C", b"", False), "bad array"),
+        (("<f8", (1,), "X", b"\0" * 8, False), "bad array"),
+        (("<f8", [1], "C", b"\0" * 8, False), "bad array"),
+    ])
+    def test_array_builder_refuses_bad_arguments(self, args, complaint):
+        from repro.ckpt.codec import _array
+        with pytest.raises(CkptError, match=complaint):
+            from_bytes(forged({"v": _Reduce(_array, *args)}))
+
+    def test_array_builder_builds_what_it_is_asked(self):
+        from repro.ckpt.codec import _array
+        got = from_bytes(forged(_Reduce(
+            _array, "<i8", (2,), "C", np.arange(2).tobytes(), False)))
+        assert np.array_equal(got, [0, 1])
 
 
 # ---------------------------------------------------------------------------

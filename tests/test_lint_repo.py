@@ -59,6 +59,8 @@ DELETED = {
     "idle_knobs": ("max_cycles_per_window", "window_cycles", "cost_units",
                    "roll_window", "_predicted_cost_units", "_cost_cache",
                    "check_c2"),
+    "content_digest": ("content_fingerprint", "_feed_content",
+                       "Snapshottable", "is_snapshottable"),
 }
 
 
