@@ -29,7 +29,7 @@ from .process import (
     design_order_study,
 )
 from .specs import fem2_grammars, fem2_stack, fem2_transforms
-from .report import render_stack, render_traceability
+from .report import render_stack
 
 __all__ = [
     "ComponentKind",
@@ -53,5 +53,4 @@ __all__ = [
     "fem2_stack",
     "fem2_transforms",
     "render_stack",
-    "render_traceability",
 ]

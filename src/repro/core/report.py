@@ -6,7 +6,6 @@ from typing import List
 
 from .layers import LayerStack
 from .refinement import check_refinement
-from .requirements import derive_requirements
 from .vm_spec import ComponentKind
 
 
@@ -31,16 +30,3 @@ def render_stack(stack: LayerStack) -> str:
     lines.append(check_refinement(stack, check_artifacts=False).summary())
     return "\n".join(lines)
 
-
-def render_traceability(stack: LayerStack) -> str:
-    """Requirements and where they land, level by level."""
-    reqs = derive_requirements(stack)
-    lines = [f"{len(reqs)} requirements derived"]
-    for level in stack.levels():
-        on = [r for r in reqs if r.on_level == level]
-        if not on:
-            continue
-        lines.append(f"\non level {level} ({stack.layer(level).name}): {len(on)}")
-        for r in on:
-            lines.append(f"  {r.rid}: {r.text}")
-    return "\n".join(lines)

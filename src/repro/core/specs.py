@@ -403,7 +403,7 @@ def _layer3() -> VMSpec:
     vm.data_control(
         "sequential_data_control", "usual sequential language structures",
         implemented_by=("shared_cluster_memory",),
-        artifact="repro.sysvm.activation.ActivationRecord.get_local",
+        artifact="repro.sysvm.runtime.Runtime._step",
     )
     vm.storage_management(
         "general_heap", "general heap with variable size blocks",

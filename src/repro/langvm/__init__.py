@@ -2,16 +2,14 @@
 
 The high-level parallel language sketched in the paper, embedded in
 Python: tasks with initiate/pause/resume/terminate, windows on arrays,
-forall and pardo sequence control, broadcast, remote procedure calls
-located by window data, and a parallel linear-algebra library.
+forall and pardo sequence control, ``ctx.broadcast``, remote procedure
+calls located by window data (``ctx.call``), and parallel linear algebra.
 """
 
 from .windows import Window, block, col, row, vec, whole
 from .ownership import check_owner, owner_of
 from .program import Fem2Program, TaskContext
-from .parallel import forall, forall_windows, pardo
-from .broadcast import broadcast, scatter_gather, worker_pool
-from .rpc import remote, remote_map
+from .parallel import forall, pardo
 from . import linalg
 from .linalg import LINALG_TASKS, ensure_registered
 from .reduce import REDUCE_NODE, ensure_reduce_registered, flat_reduce, tree_reduce
@@ -29,13 +27,7 @@ __all__ = [
     "Fem2Program",
     "TaskContext",
     "forall",
-    "forall_windows",
     "pardo",
-    "broadcast",
-    "scatter_gather",
-    "worker_pool",
-    "remote",
-    "remote_map",
     "linalg",
     "LINALG_TASKS",
     "ensure_registered",

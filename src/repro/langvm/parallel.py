@@ -7,17 +7,18 @@ Both are sub-generators used with ``yield from`` inside a task body:
 
     results = yield from forall(ctx, "chunk", n=8, args=(win,))
     a, b = yield from pardo(ctx, ("assemble", (k_win,)), ("loads", (f_win,)))
+    sums = yield from pardo(ctx, *(("band", (w,)) for w in win.split_rows(4)))
 
 ``forall`` initiates *n* replications of one task type (each receives
 its iteration index as the last argument) and waits for all of them,
 returning results in iteration order.  ``pardo`` initiates one task per
 *statement* (task type, args) pair and waits for all, returning results
-in statement order.
+in statement order; generated statements give each task its own band.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import LangVMError
 
@@ -61,31 +62,3 @@ def pardo(ctx, *statements: Tuple[str, Tuple[Any, ...]]):
     ctx.obs_end(span, tasks=len(all_tids))
     return [results[t] for t in all_tids]
 
-
-def forall_windows(
-    ctx,
-    task_type: str,
-    window,
-    n: int,
-    extra_args: Tuple[Any, ...] = (),
-    axis: Optional[int] = None,
-):
-    """Data-parallel forall: partition *window* into <= n bands, run one
-    task per band with its sub-window, gather ordered results.
-
-    The canonical FEM-2 idiom: distribute a window, fan out, fan in.
-    ``axis`` defaults to rows, or columns for single-row (vector) windows.
-    """
-    if axis is None:
-        axis = 1 if window.shape[0] == 1 else 0
-    parts = window.split_rows(n) if axis == 0 else window.split_cols(n)
-    span = ctx.obs_begin("langvm.forall", task_type, n=n, windowed=True)
-    tids: List[int] = []
-    for i, part in enumerate(parts):
-        sub = yield ctx.initiate(
-            task_type, part, *extra_args, i, count=1, index_arg=False
-        )
-        tids.extend(sub)
-    results = yield ctx.wait(tids)
-    ctx.obs_end(span, tasks=len(tids))
-    return [results[t] for t in tids]

@@ -50,9 +50,6 @@ class TaskContext(SimpleContext):
         """Create an array owned by this task in the local cluster."""
         return fx.CreateArray(np.asarray(data, dtype=float))
 
-    def zeros(self, *shape: int) -> fx.CreateArray:
-        return fx.CreateArray(np.zeros(shape))
-
     def free(self, handle) -> fx.FreeArray:
         return fx.FreeArray(handle)
 

@@ -8,9 +8,9 @@ AST and summarizes every task function into a :class:`TaskInfo`:
 
 * which parameters it plain-writes / accumulates / reads through
   ``ctx.write`` / ``ctx.accumulate`` / ``ctx.read``,
-* which handles it creates locally (``ctx.create`` / ``ctx.zeros``),
-* every initiation site (``ctx.initiate``, ``forall``, ``pardo``,
-  ``scatter_gather``) with replication and conditionality facts,
+* which handles it creates locally (``ctx.create``),
+* every initiation site (``ctx.initiate``, ``forall``, ``pardo``, the
+  reductions) with replication and conditionality facts,
 * the ordered event stream — reads, writes, waits, initiations,
   computes, pauses/resumes, RPCs, sub-generator calls, and the local
   bindings (aliases, tid-list merges, integer constants) that thread
@@ -188,7 +188,7 @@ class Event:
                        ``+=``); ``name`` None = unknown source
     ``clobber``        ``names`` re-bound to something untrackable
     ``window``         ``names`` alias the array/window ``name``; on
-                       create/zeros sites ``args`` = size refs
+                       create sites ``args`` = size refs
     """
 
     kind: str
@@ -272,8 +272,11 @@ def task_index(tasks: Sequence[TaskInfo]) -> Dict[str, TaskInfo]:
 
 
 #: sub-generator helpers that initiate replications and wait inline
-_FANOUT_HELPERS = ("forall", "pardo", "scatter_gather", "forall_windows",
-                   "flat_reduce", "tree_reduce")
+_FANOUT_HELPERS = ("forall", "pardo", "flat_reduce", "tree_reduce")
+
+#: the interior-node task type ``tree_reduce`` spawns once n > fanout
+#: (``repro.langvm.reduce.REDUCE_NODE``; lint does not import langvm)
+_REDUCE_NODE = "red.node"
 
 #: list-mutation methods folded into the binding lattice
 _MERGE_METHODS = ("extend", "append")
@@ -513,10 +516,10 @@ class _TaskVisitor:
             if first_name:
                 info.reads.add(first_name)
             self.emit(Event("read", line, name=first_name))
-        elif tail in ("create", "zeros"):
+        elif tail == "create":
             info.created.update(assigned)
             self.emit(Event("window", line, names=assigned,
-                            args=self._size_refs(call, tail)))
+                            args=self._size_refs(call)))
             return True
         elif tail == "window" and first_name:
             # ctx.window(h): the target names alias the handle
@@ -587,17 +590,10 @@ class _TaskVisitor:
         return False
 
     @staticmethod
-    def _size_refs(call: ast.Call, tail: str) -> Tuple[ArgRef, ...]:
-        """Word-count references of a ``create``/``zeros`` site.
-
-        ``zeros`` dimensions are taken directly; ``create`` looks
-        through an ``np.zeros(...)``-style constructor or keeps the
-        bare source name.  ``(None,)`` means the size is illegible."""
-        if tail == "zeros":
-            dims = [a for a in call.args]
-            if not dims:
-                return (("int", 1),)
-            return tuple(_arg_ref(a) for a in dims)
+    def _size_refs(call: ast.Call) -> Tuple[ArgRef, ...]:
+        """Word-count references of a ``create`` site: it looks through
+        an ``np.zeros(...)``-style constructor or keeps the bare source
+        name.  ``(None,)`` means the size is illegible."""
         if not call.args:
             return (None,)
         data = call.args[0]
@@ -640,71 +636,70 @@ class _TaskVisitor:
         ))
 
     def _helper_call(self, call: ast.Call, tail: str, conditional: bool) -> None:
-        """forall/pardo/scatter_gather: initiate-and-wait sub-generators."""
+        """forall/pardo/flat_reduce/tree_reduce: initiate-and-wait sub-generators."""
         info, line = self.info, self.line(call)
-        if tail in ("forall", "flat_reduce", "tree_reduce"):
-            # forall(ctx, "type", n=?, args=(...)): identical args fan out
-            type_node = call.args[1] if len(call.args) > 1 else None
-            task_type = literal_str(type_node) if type_node is not None else None
-            n = keyword_arg(call, "n") or (call.args[2] if len(call.args) > 2 else None)
-            n_val = literal_int(n) if n is not None else None
-            args_kw = keyword_arg(call, "args") or \
-                (call.args[3] if len(call.args) > 3 else None)
-            arg_names: Tuple[Optional[str], ...] = ()
-            if isinstance(args_kw, (ast.Tuple, ast.List)):
-                arg_names = tuple(
-                    a.id if isinstance(a, ast.Name) else None
-                    for a in args_kw.elts
-                )
-            site = InitiateSite(
-                line=line, task_type=task_type, arg_names=arg_names,
-                replicated=(n_val is None or n_val > 1),
-                conditional=conditional, assigned=(), discarded=False,
-                waits_inline=True, count=n_val,
-                task_type_name=type_node.id
-                if isinstance(type_node, ast.Name) else None,
-                count_name=n.id if isinstance(n, ast.Name) else None,
-            )
-            info.initiates.append(site)
-            self.emit(Event("initiate", line, site=site))
-            self.emit(Event("wait", line, names=()))
-        elif tail == "pardo":
+        if tail == "pardo":
             stmts: List[Tuple[Optional[str], Tuple[Optional[str], ...]]] = []
             for stmt in call.args[1:]:
+                if isinstance(stmt, ast.Starred):
+                    task_type, names = self._pardo_starred(stmt.value)
+                    self._fanout_site(line, task_type=task_type, arg_names=names,
+                                      replicated=True, conditional=conditional)
+                    continue
                 parsed = self._pardo_statement(stmt)
                 if parsed is not None:
                     stmts.append(parsed)
-                    site = InitiateSite(
-                        line=line, task_type=parsed[0], arg_names=parsed[1],
-                        replicated=False, conditional=conditional,
-                        assigned=(), discarded=False, waits_inline=True,
-                        count=1,
-                    )
-                    info.initiates.append(site)
-                    self.emit(Event("initiate", line, site=site))
+                    self._fanout_site(line, task_type=parsed[0], arg_names=parsed[1],
+                                      replicated=False, conditional=conditional,
+                                      count=1)
             if stmts:
                 info.pardo_groups.append((line, stmts))
             self.emit(Event("wait", line, names=()))
-        elif tail == "scatter_gather":
-            # scatter_gather(ctx, "type", [(a,), (b,), ...])
-            task_type = literal_str(call.args[1]) if len(call.args) > 1 else None
-            per_task = call.args[2] if len(call.args) > 2 else \
-                keyword_arg(call, "per_task_args")
-            stmts = []
-            if isinstance(per_task, (ast.List, ast.Tuple)):
-                for entry in per_task.elts:
-                    if isinstance(entry, (ast.Tuple, ast.List)):
-                        stmts.append((task_type, tuple(
-                            a.id if isinstance(a, ast.Name) else None
-                            for a in entry.elts
-                        )))
-            if stmts:
-                info.pardo_groups.append((line, stmts))
-            self.emit(Event("wait", line, names=()))
-        elif tail == "forall_windows":
-            # each replication receives its *own* sub-window: not a shared
-            # write target, so no W1 site; it waits inline.
-            self.emit(Event("wait", line, names=()))
+            return
+        # forall(ctx, "type", n=?, args=(...)): identical args fan out
+        type_node = call.args[1] if len(call.args) > 1 else None
+        task_type = literal_str(type_node) if type_node is not None else None
+        n = keyword_arg(call, "n") or (call.args[2] if len(call.args) > 2 else None)
+        n_val = literal_int(n) if n is not None else None
+        args_kw = keyword_arg(call, "args") or \
+            (call.args[3] if len(call.args) > 3 else None)
+        arg_names: Tuple[Optional[str], ...] = ()
+        if isinstance(args_kw, (ast.Tuple, ast.List)):
+            arg_names = tuple(a.id if isinstance(a, ast.Name) else None
+                              for a in args_kw.elts)
+        self._fanout_site(
+            line, task_type=task_type, arg_names=arg_names,
+            replicated=(n_val is None or n_val > 1),
+            conditional=conditional, count=n_val,
+            task_type_name=type_node.id
+            if isinstance(type_node, ast.Name) else None,
+            count_name=n.id if isinstance(n, ast.Name) else None,
+        )
+        if tail == "tree_reduce":
+            # once n > fanout the caller spawns interior nodes, not leaves
+            self._fanout_site(line, task_type=_REDUCE_NODE, arg_names=(),
+                              replicated=True, conditional=True)
+        self.emit(Event("wait", line, names=()))
+
+    def _fanout_site(self, line: int, **fields) -> None:
+        """One initiation by a helper that waits for its own children."""
+        site = InitiateSite(line=line, assigned=(), discarded=False,
+                            waits_inline=True, **fields)
+        self.info.initiates.append(site)
+        self.emit(Event("initiate", line, site=site))
+
+    def _pardo_starred(self, value: ast.AST) \
+            -> Tuple[Optional[str], Tuple[Optional[str], ...]]:
+        """Type and argument names of ``pardo(ctx, *(("type", (args...)) for
+        ...))``; a name the comprehension binds differs per statement, so it
+        is no shared window.  Statements built elsewhere: a dynamic site."""
+        comp = isinstance(value, (ast.GeneratorExp, ast.ListComp))
+        parsed = self._pardo_statement(value.elt) if comp else None
+        if parsed is None:
+            return None, ()
+        bound = {node.id for gen in value.generators
+                 for node in ast.walk(gen.target) if isinstance(node, ast.Name)}
+        return parsed[0], tuple(None if a in bound else a for a in parsed[1])
 
     @staticmethod
     def _pardo_statement(stmt: ast.AST) \

@@ -18,9 +18,9 @@ D2  A ``wait`` over an id set that is provably empty on every path
     (never initiated into) or whose sites were all already waited for.
 
 X1  A task registered with the program but unreachable from any entry
-    task through the static spawn graph (dead code, or a spawn chain
-    only reachable from dead tasks).  Suppressed entirely while any
-    dynamic (unresolvable) initiation exists in the task set.
+    task through initiations, sub-generator calls and remote calls (dead
+    code, or a chain only reachable from dead tasks).  Suppressed entirely
+    while any dynamic (unresolvable) initiation exists in the task set.
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
             if target.name not in edges[t.name]:
                 edges[t.name].add(target.name)
                 indegree[target.name] += 1
-        # a registered task used as a sub-generator is reachable too
+        # a registered task used as a sub-generator, or called at its
+        # data (``ctx.call``), is reachable too
         for event in t.events:
-            if event.kind == "subcall" and event.name:
+            if event.kind in ("subcall", "rpc") and event.name:
                 target = index.get(event.name)
                 if target is not None and target.name != t.name \
                         and target.name not in edges[t.name]:

@@ -5,13 +5,13 @@ The run-time enforces the paper's data-control rules per access
 checkers reject whole *classes* of violation before a single simulated
 cycle is spent, by inspecting task-function ASTs:
 
-W1  Replicated initiations (``forall``, ``ctx.initiate(count=n)``) hand
-    *identical* arguments to every replication — so a task type that
-    plain-writes a window parameter is a guaranteed write-write overlap
-    across siblings.  Accumulating writes commute and are exempt,
-    exactly mirroring :class:`~repro.langvm.audit.WindowAudit`.
-    ``pardo``/``scatter_gather`` siblings sharing one window name at
-    plain-written positions are flagged the same way.
+W1  Replicated initiations (``forall``, ``ctx.initiate(count=n)``,
+    generated ``pardo`` statements) hand *identical* arguments to every
+    replication — so a task type that plain-writes a window parameter is
+    a guaranteed write-write overlap across siblings.  Accumulating
+    writes commute and are exempt, exactly mirroring
+    :class:`~repro.langvm.audit.WindowAudit`.  ``pardo`` statements
+    sharing one window name at plain-written positions are flagged too.
 
 W2  Reading a window that an initiated-but-unwaited task plain-writes
     is a read-write race: the writer may run before or after the read.

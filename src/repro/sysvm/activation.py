@@ -14,7 +14,7 @@ the record survives pauses and only termination releases it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..errors import SysVMError
 from .heap import Heap
@@ -33,21 +33,6 @@ class ActivationRecord:
     params: Tuple[Any, ...] = ()
     locals: Dict[str, Any] = field(default_factory=dict)
     released: bool = False
-
-    def set_local(self, name: str, value: Any) -> None:
-        if self.released:
-            raise SysVMError(
-                f"task {self.task_id}: activation record already released"
-            )
-        self.locals[name] = value
-
-    def get_local(self, name: str) -> Any:
-        try:
-            return self.locals[name]
-        except KeyError:
-            raise SysVMError(
-                f"task {self.task_id}: no local variable {name!r}"
-            ) from None
 
 
 def record_size(params: Tuple[Any, ...], locals_words: int = 0) -> int:

@@ -20,7 +20,6 @@ from repro.core import (
     fem2_stack,
     fem2_transforms,
     render_stack,
-    render_traceability,
     require_refined,
     resolve_artifact,
 )
@@ -258,6 +257,3 @@ class TestFem2Stack:
         stack = fem2_stack()
         doc = render_stack(stack)
         assert "numerical_analyst" in doc and "general_heap" in doc
-        trace = render_traceability(stack)
-        assert "requirements derived" in trace
-        assert "fast linear algebra" in trace

@@ -31,7 +31,7 @@ import pytest
 from repro.ckpt import to_bytes
 from repro.hardware import FaultInjector, MachineConfig
 from repro.langvm import Fem2Program
-from repro.langvm.parallel import forall_windows
+from repro.langvm.parallel import pardo
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_workloads.json"
 REGEN = bool(os.environ.get("FEM2_REGEN_GOLDEN"))
@@ -84,7 +84,8 @@ def window_pipeline():
         win = ctx.window(h)
         for _round in range(2):
             # disjoint bands per stage task (no overlapping plain writes)
-            yield from forall_windows(ctx, "stage", win, 4)
+            yield from pardo(ctx, *(("stage", (part, i)) for i, part
+                                    in enumerate(win.split_cols(4))))
         out = yield ctx.read(win)
         return float(out.sum())
 

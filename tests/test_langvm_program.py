@@ -6,17 +6,7 @@ import pytest
 
 from repro.errors import LangVMError, OwnershipError
 from repro.hardware import MachineConfig
-from repro.langvm import (
-    Fem2Program,
-    broadcast,
-    forall,
-    forall_windows,
-    pardo,
-    remote,
-    remote_map,
-    scatter_gather,
-    whole,
-)
+from repro.langvm import Fem2Program, forall, pardo, whole
 
 
 def make_program(n_clusters=2, pes=3, **kw):
@@ -93,7 +83,7 @@ class TestTaskContext:
 
         @prog.task()
         def t(ctx):
-            h = yield ctx.zeros(3, 3)
+            h = yield ctx.create(np.zeros((3, 3)))
             return h.shape
 
         assert prog.run("t") == (3, 3)
@@ -161,23 +151,6 @@ class TestForall:
         assert t_wide < t_narrow
         assert t_narrow > 3 * 10_000
 
-    def test_forall_windows_partitions(self):
-        prog = make_program()
-
-        @prog.task()
-        def summer(ctx, win, band):
-            data = yield ctx.read(win)
-            yield ctx.compute(flops=data.size)
-            return float(data.sum())
-
-        @prog.task()
-        def main(ctx):
-            h = yield ctx.create(np.arange(12.0))
-            sums = yield from forall_windows(ctx, "summer", ctx.window(h), n=3)
-            return sums
-
-        assert prog.run("main") == [6.0, 22.0, 38.0]
-
 
 class TestPardo:
     def test_pardo_heterogeneous(self):
@@ -213,6 +186,41 @@ class TestPardo:
 
         assert prog.run("main") == [0, 1]
 
+    def test_pardo_generated_statements(self):
+        """Distinct arguments per task: the scatter half of scatter/gather."""
+        prog = make_program()
+
+        @prog.task()
+        def mul(ctx, a, b):
+            yield ctx.compute(flops=1)
+            return a * b
+
+        @prog.task()
+        def main(ctx):
+            pairs = [(2, 3), (4, 5), (6, 7)]
+            return (yield from pardo(ctx, *(("mul", p) for p in pairs)))
+
+        assert prog.run("main") == [6, 20, 42]
+
+    def test_pardo_over_window_partitions(self):
+        """One statement per band of a partitioned window."""
+        prog = make_program()
+
+        @prog.task()
+        def summer(ctx, win, band):
+            data = yield ctx.read(win)
+            yield ctx.compute(flops=data.size)
+            return float(data.sum())
+
+        @prog.task()
+        def main(ctx):
+            h = yield ctx.create(np.arange(12.0))
+            parts = ctx.window(h).split_cols(3)
+            return (yield from pardo(
+                ctx, *(("summer", (part, i)) for i, part in enumerate(parts))))
+
+        assert prog.run("main") == [6.0, 22.0, 38.0]
+
     def test_empty_pardo_rejected(self):
         prog = make_program()
 
@@ -225,23 +233,7 @@ class TestPardo:
 
 
 class TestBroadcastPatterns:
-    def test_scatter_gather(self):
-        prog = make_program()
-
-        @prog.task()
-        def mul(ctx, a, b):
-            yield ctx.compute(flops=1)
-            return a * b
-
-        @prog.task()
-        def main(ctx):
-            return (
-                yield from scatter_gather(ctx, "mul", [(2, 3), (4, 5), (6, 7)])
-            )
-
-        assert prog.run("main") == [6, 20, 42]
-
-    def test_worker_pool_with_broadcast(self):
+    def test_initiated_pool_receives_broadcast(self):
         prog = make_program(n_clusters=2, pes=4)
 
         @prog.task()
@@ -252,10 +244,8 @@ class TestBroadcastPatterns:
 
         @prog.task()
         def main(ctx):
-            from repro.langvm import worker_pool
-
-            tids = yield from worker_pool(ctx, "worker", n=3)
-            yield from broadcast(ctx, tids, 100)
+            tids = yield ctx.initiate("worker", count=3)
+            yield ctx.broadcast(tids, 100)
             results = yield ctx.wait(tids)
             return sorted(results.values())
 
@@ -264,6 +254,7 @@ class TestBroadcastPatterns:
 
 class TestRemote:
     def test_remote_wrapper(self):
+        """``ctx.call`` pinned to a cluster runs the procedure there."""
         prog = make_program(n_clusters=2)
 
         @prog.task()
@@ -273,11 +264,12 @@ class TestRemote:
 
         @prog.task()
         def main(ctx):
-            return (yield from remote(ctx, "cube", 3, cluster=1))
+            return (yield ctx.call("cube", 3, cluster=1))
 
         assert prog.run("main", cluster=0) == 27
 
-    def test_remote_map_runs_at_data(self):
+    def test_call_per_partition_runs_at_data(self):
+        """One ``ctx.call`` per partition, each located by its window."""
         prog = make_program(n_clusters=2)
         ran_at = []
 
@@ -290,8 +282,10 @@ class TestRemote:
         @prog.task()
         def main(ctx):
             h = yield ctx.create(np.arange(10.0))
-            parts = ctx.window(h).split_cols(2)
-            return (yield from remote_map(ctx, "sum_part", parts))
+            sums = []
+            for part in ctx.window(h).split_cols(2):
+                sums.append((yield ctx.call("sum_part", part)))
+            return sums
 
         total = prog.run("main", cluster=1)
         assert sum(total) == 45.0

@@ -57,6 +57,24 @@ class TestW1:
         """))
         assert "W1" in codes(report)
 
+    def test_generated_pardo_shared_plain_write_flagged(self):
+        """Every generated statement gets ``out_w``; only ``part`` differs."""
+        report = lint_source(textwrap.dedent("""
+            def writer(ctx, out_w, part):
+                yield ctx.write(out_w, data)
+
+            def banded(ctx, part, out_w):
+                yield ctx.write(part, data)
+
+            def root(ctx, out_w):
+                yield from pardo(ctx, *(("writer", (out_w, p))
+                                        for p in out_w.split_rows(4)))
+                yield from pardo(ctx, *(("banded", (p, out_w))
+                                        for p in out_w.split_rows(4)))
+        """))
+        assert codes(report) == ["W1"]
+        assert report.findings[0].line == 9
+
     def test_accumulate_exempt(self):
         report = lint_source(textwrap.dedent("""
             def acc(ctx, out_w):
@@ -180,7 +198,7 @@ class TestD1:
         assert codes(report) == ["D1"]
 
     def test_returned_tids_are_a_use(self):
-        """worker_pool idiom: the caller waits, not the spawner."""
+        """A worker pool's spawner returns the tids: the caller waits."""
         report = lint_source(textwrap.dedent("""
             def child(ctx):
                 yield ctx.compute(cycles=5)
@@ -229,7 +247,7 @@ class TestO1:
     def test_local_on_created_handle_clean(self):
         report = lint_source(textwrap.dedent("""
             def task(ctx, n):
-                h = yield ctx.zeros(n)
+                h = yield ctx.create(np.zeros(n))
                 view = ctx.local(h)
                 yield ctx.compute(cycles=1)
         """))

@@ -6,6 +6,7 @@ trace calibration of predicted bounds against the running machine."""
 import ast
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,7 +159,7 @@ class TestCostModel:
     def test_create_charges_words_and_descriptor(self):
         cost = self.one("""
             def t(ctx):
-                h = yield ctx.zeros(4)
+                h = yield ctx.create(np.zeros(4))
         """, "t")
         assert cost.alloc.evaluate({}) == (10.0, 10.0)  # 4 words + 6 desc
         assert cost.windows[0].size.evaluate({}) == (4.0, 4.0)
@@ -213,7 +214,7 @@ class TestCostModel:
     def test_local_window_read_is_message_free(self):
         cost = self.one("""
             def t(ctx):
-                h = yield ctx.zeros(4)
+                h = yield ctx.create(np.zeros(4))
                 w = ctx.window(h)
                 vals = yield ctx.read(w)
         """, "t")
@@ -244,7 +245,7 @@ class TestCostModel:
     def test_free_sets_the_flag(self):
         cost = self.one("""
             def t(ctx):
-                h = yield ctx.zeros(4)
+                h = yield ctx.create(np.zeros(4))
                 yield ctx.free(h)
         """, "t")
         assert cost.frees
@@ -259,7 +260,7 @@ PAIR = """
         yield ctx.compute(flops=8)
 
     def root(ctx):
-        h = yield ctx.zeros(8)
+        h = yield ctx.create(np.zeros(8))
         w = ctx.window(h)
         tids = yield ctx.initiate("worker", w, count=4)
         yield ctx.wait(tids)
@@ -424,7 +425,7 @@ class TestCalibrateEndToEnd:
 
         @prog.task()
         def root(ctx):
-            h = yield ctx.zeros(8)
+            h = yield ctx.create(np.zeros(8))
             w = ctx.window(h)
             tids = yield ctx.initiate("worker", w, count=4)
             yield ctx.wait(tids)

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from repro.bench import plane_stress_cantilever
 from repro.fem import parallel_cg_solve, partition_strips
 from repro.hardware import MachineConfig
-from repro.langvm import Fem2Program, forall
+from repro.langvm import (
+    Fem2Program,
+    ensure_reduce_registered,
+    flat_reduce,
+    forall,
+    pardo,
+    tree_reduce,
+)
 from repro.lint import (
     FLOW_SCHEMA,
     FlowSummary,
@@ -26,6 +33,7 @@ from repro.lint import (
     check_soundness,
     flow_summary,
     lint_paths,
+    lint_program,
     lint_source,
     machine_env,
 )
@@ -311,6 +319,29 @@ class TestX1:
         """))
         assert "X1" not in codes(report)
 
+    def test_task_reached_only_by_a_remote_call(self):
+        """``ctx.call("total", win)`` is an edge of the spawn graph."""
+        prog = Fem2Program(small_config())
+
+        @prog.task()
+        def total(ctx, win):
+            data = yield ctx.read(win)
+            return float(data.sum())
+
+        @prog.task()
+        def caller(ctx, win, index):
+            return (yield ctx.call("total", win))
+
+        @prog.task()
+        def owner(ctx):
+            h = yield ctx.create(np.ones(8))
+            tids = yield ctx.initiate("caller", ctx.window(h), cluster=0)
+            got = yield ctx.wait(tids)
+            return got[tids[0]]
+
+        assert prog.run("owner", cluster=1) == 8.0
+        assert "X1" not in codes(lint_program(prog))
+
     def test_unregistered_helpers_never_flagged(self):
         report = lint_source(textwrap.dedent("""
             def helper(ctx):
@@ -435,6 +466,100 @@ class TestSoundness:
         result = check_soundness(summary, tracer)
         assert result.ok, result.unpredicted
         assert result.checked > 0
+
+
+def _leaf(prog):
+    @prog.task()
+    def leaf(ctx, index):
+        yield ctx.compute(cycles=10)
+        return index
+
+
+def _by_forall(prog):
+    _leaf(prog)
+
+    @prog.task()
+    def main(ctx):
+        return sum((yield from forall(ctx, "leaf", n=8)))
+
+
+def _by_pardo(prog):
+    _leaf(prog)
+
+    @prog.task()
+    def main(ctx):
+        return sum((yield from pardo(ctx, ("leaf", (3,)), ("leaf", (25,)))))
+
+
+def _by_generated_pardo(prog):
+    _leaf(prog)
+
+    @prog.task()
+    def main(ctx):
+        return sum((yield from pardo(ctx, *(("leaf", (i,)) for i in range(8)))))
+
+
+def _by_flat_reduce(prog):
+    _leaf(prog)
+
+    @prog.task()
+    def main(ctx):
+        return (yield from flat_reduce(ctx, "leaf", n=8))
+
+
+def _by_tree_reduce(prog):
+    _leaf(prog)
+    ensure_reduce_registered(prog)
+
+    @prog.task()
+    def main(ctx):
+        return (yield from tree_reduce(ctx, "leaf", n=8, fanout=2))
+
+
+def _by_broadcast(prog):
+    @prog.task()
+    def listener(ctx, index):
+        value = yield ctx.receive()
+        return value + index
+
+    @prog.task()
+    def main(ctx):
+        tids = yield ctx.initiate("listener", count=8)
+        yield ctx.broadcast(tids, 0)
+        results = yield ctx.wait(tids)
+        return sum(results.values())
+
+
+def _by_call(prog):
+    @prog.task()
+    def total(ctx, win):
+        data = yield ctx.read(win)
+        return float(data.sum())
+
+    @prog.task()
+    def main(ctx):
+        h = yield ctx.create(np.arange(8.0))
+        return (yield ctx.call("total", ctx.window(h), cluster=1))
+
+
+#: one small program per surviving spelling of an analyst-VM construct;
+#: each returns 28 (0 + 1 + ... + 7)
+SPELLINGS = {"forall": _by_forall, "pardo": _by_pardo,
+             "pardo(*generated)": _by_generated_pardo,
+             "flat_reduce": _by_flat_reduce, "tree_reduce": _by_tree_reduce,
+             "ctx.broadcast": _by_broadcast, "ctx.call": _by_call}
+
+
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_every_construct_spelling_is_sound(spelling):
+    """Each spelling's traced spawn and message edges are predicted."""
+    tracer = Tracer()
+    prog = Fem2Program(small_config(), tracer=tracer)
+    SPELLINGS[spelling](prog)
+    assert prog.run("main", cluster=0) == 28
+    result = check_soundness(flow_summary(prog), tracer)
+    assert result.ok, result.unpredicted
+    assert result.checked > 0
 
 
 # -- golden --json fixture ----------------------------------------------------

@@ -305,9 +305,9 @@ class TestPauseResume:
         rt = make_runtime()
 
         def child(ctx, index):
-            ctx.record.set_local("x", 99)
+            x = 99
             yield Pause()
-            return ctx.record.get_local("x")
+            return x
 
         def parent(ctx):
             tids = yield Initiate("child", count=1)

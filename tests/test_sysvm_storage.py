@@ -85,17 +85,6 @@ class TestActivationRecords:
         with pytest.raises(SysVMError):
             release_record(heap, rec)
 
-    def test_locals_access(self):
-        heap = Heap(1000)
-        rec = allocate_record(heap, 1, "t", 0, ())
-        rec.set_local("x", 42)
-        assert rec.get_local("x") == 42
-        with pytest.raises(SysVMError):
-            rec.get_local("y")
-        release_record(heap, rec)
-        with pytest.raises(SysVMError):
-            rec.set_local("x", 1)
-
 
 class TestCode:
     def _gen(self, ctx):
