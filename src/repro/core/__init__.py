@@ -18,7 +18,6 @@ from .refinement import (
 from .requirements import (
     PAPER_HARDWARE_REQUIREMENTS,
     Requirement,
-    RequirementTracker,
     derive_requirements,
 )
 from .process import (
@@ -42,7 +41,6 @@ __all__ = [
     "resolve_artifact",
     "PAPER_HARDWARE_REQUIREMENTS",
     "Requirement",
-    "RequirementTracker",
     "derive_requirements",
     "DesignProcess",
     "IterationRecord",

@@ -9,11 +9,11 @@ reference.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import DesignError
 from ..hgraph import Grammar
-from .vm_spec import SpecItem, VMSpec
+from .vm_spec import VMSpec
 
 
 class LayerStack:

@@ -20,12 +20,12 @@ Two instruments:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..errors import DesignError
 from .layers import LayerStack
-from .refinement import RefinementReport, check_refinement
+from .refinement import check_refinement
 from .requirements import Requirement, derive_requirements
 
 
@@ -36,7 +36,7 @@ class IterationRecord:
     index: int
     description: str
     total_items: int
-    defects: int            # dangling + uncovered + missing artifacts
+    defects: int            # dangling + uncovered refinement references
     coverage: float
     valid: bool
 
@@ -44,9 +44,8 @@ class IterationRecord:
 class DesignProcess:
     """Iterative refinement of a layer stack with defect tracking."""
 
-    def __init__(self, stack: LayerStack, check_artifacts: bool = False) -> None:
+    def __init__(self, stack: LayerStack) -> None:
         self.stack = stack
-        self.check_artifacts = check_artifacts
         self.history: List[IterationRecord] = []
 
     def _measure(self, description: str) -> IterationRecord:
@@ -55,10 +54,10 @@ class DesignProcess:
             valid = True
         except DesignError:
             valid = False
-        report = check_refinement(self.stack, check_artifacts=self.check_artifacts)
-        defects = (
-            len(report.dangling) + len(report.uncovered) + len(report.missing_artifacts)
-        )
+        # artifact links are a property of the shipped stack, not of an
+        # iteration's edit: the loop measures refinement defects only
+        report = check_refinement(self.stack, check_artifacts=False)
+        defects = len(report.dangling) + len(report.uncovered)
         rec = IterationRecord(
             index=len(self.history),
             description=description,

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..errors import RefinementError
 from .layers import LayerStack
-from .vm_spec import VMSpec
 
 
 @dataclass

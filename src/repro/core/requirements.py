@@ -7,17 +7,15 @@ be satisfied by the design at the level below."
 :func:`derive_requirements` mechanizes that sentence: every item of a
 layer generates one requirement on the layer below ("provide an
 implementation of X"), and the paper's explicit hardware requirements
-(six derived, four imposed) are included as level-4 requirements.  The
-tracker records which requirements a given design stage satisfies —
+(six derived, four imposed) are included as level-4 requirements —
 the raw material of the top-down-vs-bottom-up study (E10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..errors import DesignError
 from .layers import LayerStack
 
 
@@ -79,29 +77,3 @@ def derive_requirements(stack: LayerStack) -> List[Requirement]:
         )
     return reqs
 
-
-class RequirementTracker:
-    """Which requirements are known/satisfied at each design stage."""
-
-    def __init__(self, requirements: List[Requirement]) -> None:
-        ids = [r.rid for r in requirements]
-        if len(set(ids)) != len(ids):
-            raise DesignError("duplicate requirement ids")
-        self.requirements = {r.rid: r for r in requirements}
-        self.satisfied: Dict[str, str] = {}  # rid -> how
-
-    def satisfy(self, rid: str, how: str) -> None:
-        if rid not in self.requirements:
-            raise DesignError(f"unknown requirement {rid!r}")
-        self.satisfied[rid] = how
-
-    def unsatisfied(self) -> List[Requirement]:
-        return [r for rid, r in self.requirements.items() if rid not in self.satisfied]
-
-    def on_level(self, level: int) -> List[Requirement]:
-        return [r for r in self.requirements.values() if r.on_level == level]
-
-    def satisfaction_rate(self) -> float:
-        if not self.requirements:
-            return 1.0
-        return len(self.satisfied) / len(self.requirements)

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from ..hgraph import (
     Alt,
-    Any,
     AtomKind,
     Const,
     Grammar,
-    HGraph,
     Interpreter,
     Ref,
     Struct,
@@ -142,16 +140,10 @@ def fem2_transforms() -> Interpreter:
         """Prepend one load record to a load-set H-graph."""
         load = hg.build_record({"node": node, "comp": comp, "value": float(value)})
         cell = hg.new_node(None, label="cons")
-        old_root = ls.root
-        g = ls
-        g.add_member(cell)
-        g.add_arc(cell, "head", hg.subgraph_node(load))
-        if g.arcs_from(old_root):
-            g.add_arc(cell, "tail", old_root)
-        else:
-            g.add_arc(cell, "tail", old_root)
-        g.root = cell
-        return g
+        ls.add_arc(cell, "head", hg.subgraph_node(load))
+        ls.add_arc(cell, "tail", ls.root)
+        ls.root = cell
+        return ls
 
     def total_load(ctx, hg, ls):
         """Sum of load magnitudes in a load-set H-graph."""
@@ -165,7 +157,7 @@ def fem2_transforms() -> Interpreter:
             total += abs(record.follow(record.root, "value").value)
             node = arcs["tail"]
 
-    interp = Interpreter(verify=True)
+    interp = Interpreter()
     interp.register(Transform("new_load_set", new_load_set).ensure(load_set_g))
     interp.register(
         Transform("add_load", add_load).require(0, load_set_g).ensure(load_set_g)

@@ -10,8 +10,6 @@ from .atoms import ATOM_TYPES, Symbol, atom_kind, is_atom
 from .graph import Graph, HGraph, Node
 from .grammar import (
     Alt,
-    Any,
-    Any_,
     AtomKind,
     Const,
     Form,
@@ -19,14 +17,10 @@ from .grammar import (
     Ref,
     Struct,
     Sub,
-    list_grammar,
-    record_grammar,
 )
 from .matcher import Generator, MatchReport, Matcher
-from .transform import Condition, Transform, transform
-from .interpreter import CallContext, CallRecord, Interpreter, InterpreterStats
-from .serialize import from_dict, graph_signature, to_dict
-from .render import pretty, summary, to_dot
+from .transform import Condition, Transform
+from .interpreter import CallContext, Interpreter, InterpreterStats
 
 __all__ = [
     "ATOM_TYPES",
@@ -37,8 +31,6 @@ __all__ = [
     "HGraph",
     "Node",
     "Alt",
-    "Any",
-    "Any_",
     "AtomKind",
     "Const",
     "Form",
@@ -46,22 +38,12 @@ __all__ = [
     "Ref",
     "Struct",
     "Sub",
-    "list_grammar",
-    "record_grammar",
     "Generator",
     "MatchReport",
     "Matcher",
     "Condition",
     "Transform",
-    "transform",
     "CallContext",
-    "CallRecord",
     "Interpreter",
     "InterpreterStats",
-    "from_dict",
-    "graph_signature",
-    "to_dict",
-    "pretty",
-    "summary",
-    "to_dot",
 ]

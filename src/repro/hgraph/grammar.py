@@ -24,8 +24,6 @@ hierarchy:
     ordered alternatives.
 ``Ref(symbol)``
     a nonterminal reference.
-``Any()``
-    matches every node.
 
 Recursive productions describe both recursive and *cyclic* data: the
 matcher (see :mod:`repro.hgraph.matcher`) computes the greatest fixed
@@ -148,16 +146,6 @@ class Ref(Form):
     symbol: str
 
 
-@dataclass(frozen=True)
-class Any_(Form):
-    """Matches every node (atomic or graph-valued)."""
-
-
-def Any() -> Any_:
-    """Convenience constructor, so callers write ``Any()`` like other forms."""
-    return Any_()
-
-
 @dataclass
 class Grammar:
     """A named set of productions ``symbol -> form`` with a start symbol.
@@ -199,9 +187,6 @@ class Grammar:
                         f"grammar {self.name!r}: {symbol!r} references undefined {ref!r}"
                     )
 
-    def symbols(self) -> Tuple[str, ...]:
-        return tuple(self.rules)
-
 
 def _refs(form: Form):
     """Yield every Ref symbol appearing inside *form*."""
@@ -218,25 +203,3 @@ def _refs(form: Form):
     elif isinstance(form, Sub):
         yield from _refs(form.form)
 
-
-def list_grammar(element: Form, name: str = "list") -> Grammar:
-    """The canonical list grammar over ``head``/``tail`` arcs.
-
-    Matches the shape produced by :meth:`repro.hgraph.graph.HGraph.build_list`.
-    """
-    g = Grammar(name)
-    g.define(
-        "list",
-        Alt(
-            Struct(arcs={"head": element, "tail": Ref("list")}, closed=True),
-            Struct(arcs={}, closed=True),  # nil: no outgoing arcs
-        ),
-    )
-    return g
-
-
-def record_grammar(fields: Dict[str, Form], name: str = "record", closed: bool = True) -> Grammar:
-    """A one-production grammar for a record with the given fields."""
-    g = Grammar(name)
-    g.define(name, Struct(arcs=fields, closed=closed))
-    return g

@@ -12,13 +12,14 @@ The model follows Pratt's H-graph semantics (the paper's ref [7]):
   which is how the FEM-2 specifications model windows and shared data.
 
 The mutable container is :class:`HGraph`; :class:`Node` and
-:class:`Graph` are owned by exactly one H-graph each.
+:class:`Graph` are owned by exactly one H-graph each.  A graph is what
+its root reaches: it keeps arcs, not a node set.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional
 
 from ..errors import HGraphError
 from .atoms import is_atom
@@ -44,13 +45,12 @@ class Node:
         return self._value
 
     def set_value(self, value: Any) -> None:
-        """Assign a new value; the H-graph records the mutation."""
+        """Assign a new value (an atom or a :class:`Graph`)."""
         if not (is_atom(value) or isinstance(value, Graph)):
             raise HGraphError(
                 f"node value must be an atom or a Graph, got {type(value).__name__}"
             )
         self._value = value
-        self.hg._mutations += 1
 
     def is_atomic(self) -> bool:
         return not isinstance(self._value, Graph)
@@ -65,11 +65,10 @@ class Graph:
 
     Outgoing labels of a node are unique within the graph, so
     ``follow(node, label)`` is a function and label sequences are access
-    paths.  The node set is exactly the nodes reachable from the root
-    plus any explicitly added isolated nodes.
+    paths.
     """
 
-    __slots__ = ("hg", "gid", "root", "_arcs", "_members")
+    __slots__ = ("hg", "gid", "root", "_arcs")
 
     def __init__(self, hg: "HGraph", gid: int, root: Node) -> None:
         self.hg = hg
@@ -77,31 +76,14 @@ class Graph:
         self.root = root
         # arcs[node_id][label] -> Node
         self._arcs: Dict[int, Dict[str, Node]] = {}
-        self._members: Dict[int, Node] = {root.nid: root}
-
-    # -- membership ------------------------------------------------------
-
-    def add_member(self, node: Node) -> None:
-        """Add *node* to this graph (it may still have no arcs)."""
-        self._check_same_hg(node)
-        self._members[node.nid] = node
-
-    def __contains__(self, node: Node) -> bool:
-        return isinstance(node, Node) and node.nid in self._members
-
-    def nodes(self) -> List[Node]:
-        return list(self._members.values())
-
-    def __len__(self) -> int:
-        return len(self._members)
 
     # -- arcs ------------------------------------------------------------
 
     def add_arc(self, src: Node, label: str, dst: Node) -> None:
-        """Add the arc ``src --label--> dst``; both nodes join the graph.
+        """Add the arc ``src --label--> dst``.
 
-        Re-adding an existing label from *src* is an error; use
-        :meth:`set_arc` to retarget an access path.
+        Re-adding an existing label from *src* is an error: an access
+        path names one node.
         """
         self._check_same_hg(src)
         self._check_same_hg(dst)
@@ -111,39 +93,10 @@ class Graph:
                 f"node {src.nid} already has an outgoing arc labelled {label!r}"
             )
         out[label] = dst
-        self._members[src.nid] = src
-        self._members[dst.nid] = dst
-        self.hg._mutations += 1
-
-    def set_arc(self, src: Node, label: str, dst: Node) -> None:
-        """Add or retarget the arc ``src --label--> dst``."""
-        self._check_same_hg(src)
-        self._check_same_hg(dst)
-        self._arcs.setdefault(src.nid, {})[label] = dst
-        self._members[src.nid] = src
-        self._members[dst.nid] = dst
-        self.hg._mutations += 1
-
-    def remove_arc(self, src: Node, label: str) -> None:
-        out = self._arcs.get(src.nid, {})
-        if label not in out:
-            raise HGraphError(f"node {src.nid} has no arc labelled {label!r}")
-        del out[label]
-        self.hg._mutations += 1
 
     def arcs_from(self, node: Node) -> Dict[str, Node]:
         """The outgoing arcs of *node*, as ``{label: target}`` (a copy)."""
         return dict(self._arcs.get(node.nid, {}))
-
-    def arcs(self) -> Iterator[Tuple[Node, str, Node]]:
-        """Iterate over all arcs as (src, label, dst) triples."""
-        for nid, out in self._arcs.items():
-            src = self._members[nid]
-            for label, dst in out.items():
-                yield src, label, dst
-
-    def arc_count(self) -> int:
-        return sum(len(out) for out in self._arcs.values())
 
     # -- traversal ---------------------------------------------------------
 
@@ -156,36 +109,12 @@ class Graph:
             )
         return out[label]
 
-    def path(self, labels: Sequence[str], start: Optional[Node] = None) -> Node:
-        """Follow an access path (sequence of labels) from *start* or root."""
-        node = self.root if start is None else start
-        for label in labels:
-            node = self.follow(node, label)
-        return node
-
-    def reachable(self, start: Optional[Node] = None) -> List[Node]:
-        """Nodes reachable from *start* (default: the root), DFS preorder."""
-        node = self.root if start is None else start
-        seen: Set[int] = set()
-        order: List[Node] = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur.nid in seen:
-                continue
-            seen.add(cur.nid)
-            order.append(cur)
-            # reversed for stable left-to-right preorder by label
-            for label in sorted(self._arcs.get(cur.nid, {}), reverse=True):
-                stack.append(self._arcs[cur.nid][label])
-        return order
-
     def _check_same_hg(self, node: Node) -> None:
         if node.hg is not self.hg:
             raise HGraphError("node belongs to a different H-graph")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Graph(gid={self.gid}, nodes={len(self)}, arcs={self.arc_count()})"
+        return f"Graph(gid={self.gid}, root={self.root.nid})"
 
 
 class HGraph:
@@ -193,8 +122,7 @@ class HGraph:
 
     The H-graph is the unit of specification in the FEM-2 design — each
     virtual-machine data object is modelled as an H-graph whose top graph
-    is returned by :meth:`new_graph`.  The ``_mutations`` counter feeds
-    the design-method cost metrics (experiment E10).
+    is returned by :meth:`new_graph`.
     """
 
     def __init__(self, name: str = "hgraph") -> None:
@@ -203,7 +131,6 @@ class HGraph:
         self._graphs: Dict[int, Graph] = {}
         self._node_ids = itertools.count()
         self._graph_ids = itertools.count()
-        self._mutations = 0
 
     # -- construction ------------------------------------------------------
 
@@ -235,67 +162,7 @@ class HGraph:
             raise HGraphError("graph belongs to a different H-graph")
         return self.new_node(graph, label=label)
 
-    # -- inspection ----------------------------------------------------------
-
-    def nodes(self) -> List[Node]:
-        return list(self._nodes.values())
-
-    def graphs(self) -> List[Graph]:
-        return list(self._graphs.values())
-
-    @property
-    def mutation_count(self) -> int:
-        return self._mutations
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def stats(self) -> Dict[str, int]:
-        """Size statistics used by the design-method reports."""
-        return {
-            "nodes": len(self._nodes),
-            "graphs": len(self._graphs),
-            "arcs": sum(g.arc_count() for g in self._graphs.values()),
-            "mutations": self._mutations,
-        }
-
     # -- convenience builders -------------------------------------------------
-
-    def build_list(self, values: Iterable[Any]) -> Graph:
-        """Build the canonical linked-list H-graph Pratt uses for sequences.
-
-        Shape: root --head--> v, root --tail--> (rest | node(None)).
-        Returns the graph; an empty list is a root holding ``None``.
-        """
-        items = list(values)
-        g = self.new_graph(self.new_node(None, label="list"))
-        prev = g.root
-        first = True
-        for v in items:
-            cell = prev if first else self.new_node(None, label="cons")
-            if not first:
-                g.add_arc(prev, "tail", cell)
-            head = v if isinstance(v, Node) else self.new_node(v)
-            g.add_arc(cell, "head", head)
-            prev = cell
-            first = False
-        if items:
-            nil = self.new_node(None, label="nil")
-            g.add_arc(prev, "tail", nil)
-        return g
-
-    def list_values(self, g: Graph) -> List[Any]:
-        """Read back a list built by :meth:`build_list`."""
-        out: List[Any] = []
-        node = g.root
-        while True:
-            arcs = g.arcs_from(node)
-            if "head" not in arcs:
-                return out
-            out.append(arcs["head"].value)
-            if "tail" not in arcs:
-                return out
-            node = arcs["tail"]
 
     def build_record(self, fields: Dict[str, Any]) -> Graph:
         """Build a record: root with one labelled arc per field."""
@@ -306,5 +173,4 @@ class HGraph:
         return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.stats()
-        return f"HGraph({self.name!r}, nodes={s['nodes']}, graphs={s['graphs']})"
+        return f"HGraph({self.name!r}, nodes={len(self._nodes)}, graphs={len(self._graphs)})"

@@ -2,29 +2,24 @@
 
 Runs a set of :class:`~repro.hgraph.transform.Transform` definitions as
 a program: transforms invoke each other through the call context, which
-maintains the calling hierarchy, enforces pre/post-conditions when
-verification is on, and counts calls and steps.  The FEM-2 design uses
-the formal definitions "as the basis for simulations", so the counters
-here feed the design-method benchmark (E10).
+maintains the calling hierarchy, checks every declared pre- and
+post-condition on every call, and counts calls and checks.  The FEM-2
+design uses the formal definitions "as the basis for simulations", so
+the counters here feed the design-method benchmark (E10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Tuple
 
 from ..errors import TransformError
 from .graph import HGraph
 from .transform import Transform, check_condition
 
-
-@dataclass
-class CallRecord:
-    """One entry of the call trace: transform name, depth, outcome."""
-
-    name: str
-    depth: int
-    ok: bool = True
+#: the deepest transform call chain a specification may build: a safety
+#: bound that catches runaway recursion, not a setting
+MAX_DEPTH = 200
 
 
 @dataclass
@@ -51,19 +46,11 @@ class CallContext:
 
 
 class Interpreter:
-    """Executes transforms over one H-graph, with optional verification.
+    """Executes transforms over one H-graph, checking every declared
+    pre/post-condition on every call — the formal-specification mode."""
 
-    ``verify=True`` checks every declared pre/post-condition on every
-    call — the formal-specification mode.  ``max_depth`` bounds the call
-    hierarchy to catch runaway recursion in specifications.
-    """
-
-    def __init__(self, verify: bool = True, max_depth: int = 200, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._transforms: Dict[str, Transform] = {}
-        self.verify = verify
-        self.max_depth = max_depth
-        self.trace_enabled = trace
-        self.trace: List[CallRecord] = []
         self.stats = InterpreterStats()
         self._depth = 0
 
@@ -74,14 +61,6 @@ class Interpreter:
             raise TransformError(f"transform {t.name!r} already registered")
         self._transforms[t.name] = t
         return self
-
-    def register_all(self, transforms) -> "Interpreter":
-        for t in transforms:
-            self.register(t)
-        return self
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._transforms)
 
     def get(self, name: str) -> Transform:
         try:
@@ -101,48 +80,29 @@ class Interpreter:
         self._depth += 1
         self.stats.calls += 1
         self.stats.max_depth = max(self.stats.max_depth, self._depth)
-        if self._depth > self.max_depth:
+        if self._depth > MAX_DEPTH:
             self._depth -= 1
             raise TransformError(
-                f"call depth exceeded {self.max_depth} invoking {name!r}"
+                f"call depth exceeded {MAX_DEPTH} invoking {name!r}"
             )
-        record: Optional[CallRecord] = None
-        if self.trace_enabled:
-            record = CallRecord(name, self._depth)
-            self.trace.append(record)
         try:
-            if self.verify:
-                for cond in t.pre:
-                    if cond.subject == "result":
-                        raise TransformError(
-                            f"transform {name!r}: pre-condition on 'result'"
-                        )
-                    idx = cond.subject
-                    if not isinstance(idx, int) or idx >= len(args):
-                        raise TransformError(
-                            f"transform {name!r}: pre-condition subject {idx!r} "
-                            f"out of range for {len(args)} args"
-                        )
-                    self.stats.condition_checks += 1
-                    check_condition(cond, args[idx])
-            ctx = CallContext(self, hg)
-            result = t.fn(ctx, hg, *args)
-            if self.verify:
-                for cond in t.post:
-                    self.stats.condition_checks += 1
-                    check_condition(cond, result)
+            for cond in t.pre:
+                if cond.subject == "result":
+                    raise TransformError(
+                        f"transform {name!r}: pre-condition on 'result'"
+                    )
+                idx = cond.subject
+                if not isinstance(idx, int) or idx >= len(args):
+                    raise TransformError(
+                        f"transform {name!r}: pre-condition subject {idx!r} "
+                        f"out of range for {len(args)} args"
+                    )
+                self.stats.condition_checks += 1
+                check_condition(cond, args[idx])
+            result = t.fn(CallContext(self, hg), hg, *args)
+            for cond in t.post:
+                self.stats.condition_checks += 1
+                check_condition(cond, result)
             return result
-        except Exception:
-            if record is not None:
-                record.ok = False
-            raise
         finally:
             self._depth -= 1
-
-    def call_tree(self) -> str:
-        """Render the recorded trace as an indented call tree."""
-        lines = []
-        for rec in self.trace:
-            mark = "" if rec.ok else "  [FAILED]"
-            lines.append("  " * (rec.depth - 1) + rec.name + mark)
-        return "\n".join(lines)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import GrammarError
-from .grammar import Alt, Any_, AtomKind, Const, Form, Grammar, Ref, Struct, Sub
+from .grammar import Alt, AtomKind, Const, Form, Grammar, Ref, Struct, Sub
 from .graph import Graph, Node
 
 
@@ -90,8 +90,6 @@ class Matcher:
         return ok
 
     def _match_form(self, graph, node, form, in_progress, done, failures, path) -> bool:
-        if isinstance(form, Any_):
-            return True
         if isinstance(form, Ref):
             target = self.grammar.resolve(form.symbol)
             return self._match(graph, node, target, in_progress, done, failures, path)
@@ -181,9 +179,6 @@ class Generator:
                     raise GrammarError("cannot terminate generation: all alternatives recurse")
                 forms = leaves
             self._fill(hg, graph, node, forms[self.rng.randrange(len(forms))], depth)
-            return
-        if isinstance(form, Any_):
-            node.set_value(self.rng.randrange(100))
             return
         if isinstance(form, AtomKind):
             node.set_value(self._atom(form.kind))

@@ -9,14 +9,14 @@ A :class:`Transform` wraps a Python function ``fn(ctx, hg, *args)``;
 ``ctx`` is the interpreter's call context (see
 :mod:`repro.hgraph.interpreter`), through which the transform may invoke
 other transforms.  Transforms may declare pre- and post-conditions as
-grammar memberships, which the interpreter checks when verification is
-enabled — this is what "formally specified" buys the design process.
+grammar memberships, which the interpreter checks on every call — this
+is what "formally specified" buys the design process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional
 
 from ..errors import TransformError
 from .grammar import Grammar
@@ -35,11 +35,6 @@ class Condition:
     subject: Any
     grammar: Grammar
     symbol: Optional[str] = None
-
-    def describe(self) -> str:
-        where = "result" if self.subject == "result" else f"arg[{self.subject}]"
-        sym = self.symbol or self.grammar.start
-        return f"{where} in {self.grammar.name}.{sym}"
 
 
 @dataclass
@@ -67,39 +62,18 @@ class Transform:
         return self
 
 
-def transform(
-    name: Optional[str] = None,
-    pre: Sequence[Tuple[Any, Grammar]] = (),
-    post: Sequence[Grammar] = (),
-    doc: str = "",
-) -> Callable[[Callable[..., Any]], Transform]:
-    """Decorator form: ``@transform()`` over ``fn(ctx, hg, *args)``.
-
-    ``pre`` is a sequence of ``(arg_index, grammar)`` pairs, ``post`` a
-    sequence of grammars for the result.
-    """
-
-    def wrap(fn: Callable[..., Any]) -> Transform:
-        t = Transform(name or fn.__name__, fn, doc=doc or (fn.__doc__ or ""))
-        for subject, g in pre:
-            t.require(subject, g)
-        for g in post:
-            t.ensure(g)
-        return t
-
-    return wrap
-
-
 def check_condition(cond: Condition, value: Any) -> None:
     """Raise :class:`TransformError` if *value* violates *cond*."""
     from .matcher import Matcher
 
+    where = "result" if cond.subject == "result" else f"arg[{cond.subject}]"
+    what = f"{where} in {cond.grammar.name}.{cond.symbol or cond.grammar.start}"
     if not isinstance(value, Graph):
         raise TransformError(
-            f"condition {cond.describe()}: subject is not a Graph "
+            f"condition {what}: subject is not a Graph "
             f"(got {type(value).__name__})"
         )
     report = Matcher(cond.grammar).check(value, symbol=cond.symbol)
     if not report.ok:
         detail = "; ".join(report.failures[:3])
-        raise TransformError(f"condition {cond.describe()} violated: {detail}")
+        raise TransformError(f"condition {what} violated: {detail}")

@@ -28,6 +28,7 @@ remains the backstop for those.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -261,14 +262,47 @@ class TaskInfo:
             return None
 
 
-def task_index(tasks: Sequence[TaskInfo]) -> Dict[str, TaskInfo]:
-    """Resolve initiate targets: registered names first, then func names."""
-    index: Dict[str, TaskInfo] = {}
-    for t in tasks:
-        index.setdefault(t.name, t)
-    for t in tasks:
-        index.setdefault(t.func_name, t)
-    return index
+class TaskIndex:
+    """Target resolution over one task set.
+
+    A task type named at a spawn, sub-generator call or ``ctx.call``
+    resolves from the point of view of the task that names it: among the
+    tasks of its own file first, then across the whole set; in each
+    scope registered names come before function names, and the first
+    definition wins.  A lint run over many programs (the CLI corpus
+    reuses names such as ``work`` and ``driver``) thus resolves each
+    program to its own tasks.
+    """
+
+    def __init__(self, tasks: Sequence[TaskInfo]) -> None:
+        #: file -> name -> task, and under None the whole set
+        self._scopes: Dict[Optional[str], Dict[str, TaskInfo]] = {None: {}}
+        for attr in ("name", "func_name"):
+            for t in tasks:
+                for scope in (t.file, None):
+                    self._scopes.setdefault(scope, {}).setdefault(
+                        getattr(t, attr), t)
+        shared = Counter(t.name for t in tasks)
+        self._keys = {id(t): t.name if shared[t.name] == 1
+                      else f"{t.name}@{t.file}:{t.line}" for t in tasks}
+
+    def resolve(self, name: Optional[str],
+                owner: TaskInfo) -> Optional[TaskInfo]:
+        """The task *name* denotes where *owner* names it, or None."""
+        if name is None:
+            return None
+        task = self._scopes.get(owner.file, {}).get(name)
+        return task if task is not None else self._scopes[None].get(name)
+
+    def key(self, task: TaskInfo) -> str:
+        """The task's name in the cost report: its registered name, with
+        ``@file:line`` added when another task of the set shares it."""
+        return self._keys[id(task)]
+
+
+def task_index(tasks: Sequence[TaskInfo]) -> TaskIndex:
+    """The :class:`TaskIndex` of one task set."""
+    return TaskIndex(tasks)
 
 
 #: sub-generator helpers that initiate replications and wait inline

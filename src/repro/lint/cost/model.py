@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-from ..astutil import Event, InitiateSite, Region, TaskInfo
+from ..astutil import Event, InitiateSite, Region, TaskIndex, TaskInfo
 from .expr import CostExpr, Interval, ONE, TOP, ZERO
 
 #: message kinds the model bounds (superset of the task-attributed
@@ -290,9 +290,10 @@ def _first_line(region: Region) -> int:
 class _CostInterpreter:
     """One task body → one :class:`TaskCost`."""
 
-    def __init__(self, task: TaskInfo, index: Dict[str, TaskInfo],
+    def __init__(self, task: TaskInfo, index: TaskIndex,
                  analyzer: "CostAnalyzer") -> None:
         self.task = task
+        self.key = index.key(task)
         self.index = index
         self.analyzer = analyzer
         self.windows: List[WindowDecl] = []
@@ -302,7 +303,7 @@ class _CostInterpreter:
     # -- parameter naming --------------------------------------------------
 
     def _param(self, kind: str, tail: str) -> CostExpr:
-        return CostExpr.param(f"{kind}:{self.task.name}:{tail}")
+        return CostExpr.param(f"{kind}:{self.key}:{tail}")
 
     def _upper(self, kind: str, tail: str, lo: int = 0) -> Interval:
         return Interval.of(lo, self._param(kind, tail))
@@ -316,7 +317,7 @@ class _CostInterpreter:
         vec.msg("terminate_notify", Interval.of(0, 1))  # unless a root
         msgs = {k: vec.msgs.get(k, Interval.zero()) for k in MESSAGE_KINDS}
         return TaskCost(
-            task=self.task.name,
+            task=self.key,
             file=self.task.file,
             line=self.task.line,
             cycles=vec.cycles,
@@ -610,7 +611,7 @@ class _CostInterpreter:
         vec.cycles = messages * Interval.exact(_MFC)
         vec.msg("initiate_task", messages)
         vec.msg("load_code", Interval(ZERO, messages.hi))
-        vec.spawn(ev.line, site.task_type, count)
+        vec.spawn(ev.line, self._target(site.task_type), count)
         for name in ev.names:
             if name:
                 env.rebind(name)
@@ -680,10 +681,17 @@ class _CostInterpreter:
         vec.msg("remote_call", Interval.exact(1))
         vec.msg("remote_return", Interval.exact(1))
         vec.msg("load_code", Interval.of(0, 1))
-        if ev.name and ev.name in self.index:
+        proc = self.index.resolve(ev.name, self.task)
+        if proc is not None:
             # the proc runs as a task activation of a registered type
-            vec.spawn(ev.line, ev.name, Interval.exact(1))
+            vec.spawn(ev.line, self.index.key(proc), Interval.exact(1))
         return vec
+
+    def _target(self, name: Optional[str]) -> Optional[str]:
+        """A spawn target as the cost report names it: the key of the
+        task *name* resolves to here, else the literal name."""
+        task = self.index.resolve(name, self.task)
+        return name if task is None else self.index.key(task)
 
     def _ev_subcall(self, ev: Event, env: _Env,
                     loop_unresolved: bool) -> _Vec:
@@ -691,8 +699,8 @@ class _CostInterpreter:
         for name in ev.names:
             if name:
                 env.rebind(name)
-        callee = self.index.get(ev.name) if ev.name else None
-        if callee is None or callee.name == self.task.name:
+        callee = self.index.resolve(ev.name, self.task)
+        if callee is None or callee is self.task:
             return vec
         sub = self.analyzer.task_cost(callee)
         if sub is None:  # recursion through sub-generators: unbounded
@@ -726,16 +734,15 @@ class _CostInterpreter:
 class CostAnalyzer:
     """Memoizing per-task cost analysis over one resolved task set."""
 
-    def __init__(self, tasks: List[TaskInfo],
-                 index: Dict[str, TaskInfo]) -> None:
+    def __init__(self, tasks: List[TaskInfo], index: TaskIndex) -> None:
         self.tasks = tasks
         self.index = index
-        self._memo: Dict[str, Optional[TaskCost]] = {}
+        self._memo: Dict[int, Optional[TaskCost]] = {}
 
     def task_cost(self, task: TaskInfo) -> Optional[TaskCost]:
         """The task's cost, or None while it is being analyzed (a
         recursive sub-generator chain — the caller goes unbounded)."""
-        key = task.name
+        key = id(task)
         if key in self._memo:
             return self._memo[key]
         self._memo[key] = None  # recursion guard
@@ -744,19 +751,12 @@ class CostAnalyzer:
         return cost
 
     def all_costs(self) -> List[TaskCost]:
-        out = []
-        seen: Set[Tuple[str, str, int]] = set()
-        for t in self.tasks:
-            cost = self.task_cost(self.index.get(t.name, t))
-            if cost is not None and (cost.task, cost.file,
-                                     cost.line) not in seen:
-                seen.add((cost.task, cost.file, cost.line))
-                out.append(cost)
-        return out
+        """One cost per task of the set, each named by its index key."""
+        return [self.task_cost(t) for t in self.tasks]
 
 
 def analyze_costs(tasks: List[TaskInfo],
-                  index: Dict[str, TaskInfo]) -> List[TaskCost]:
+                  index: TaskIndex) -> List[TaskCost]:
     """Per-activation cost bounds for every task in the set, initiate
     and sub-generator targets resolved through *index*."""
     return CostAnalyzer(tasks, index).all_costs()

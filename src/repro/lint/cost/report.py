@@ -4,7 +4,10 @@ Per-task activation costs (:class:`~repro.lint.cost.model.TaskCost`)
 compose over the resolved spawn graph:
 
 * **edges** — each initiation site contributes an edge per resolvable
-  target.  A literal task type resolves to itself; a dynamic type (a
+  target.  Tasks are named by their :class:`~repro.lint.astutil.TaskIndex`
+  key (the registered name, qualified ``name@file:line`` only when another
+  task of the set shares it), and a literal task type resolves to the
+  key of the task it denotes from the spawning file; a dynamic type (a
   bare-name or computed expression) resolves to *every other* task in
   the set with the count's lower bound dropped — any of them might be
   the target, none is guaranteed.  Self-recursion through a dynamic
@@ -148,8 +151,8 @@ def machine_env(config: Any) -> Dict[str, float]:
 
 
 def _merge(costs: Sequence[TaskCost]) -> TaskCost:
-    """Join same-named task variants (the CLI corpus has many files
-    reusing names like ``root``); one variant passes through intact."""
+    """Join same-named task variants (costs from separate analyses; one
+    analysis keys its tasks apart); one variant passes through intact."""
     if len(costs) == 1:
         return costs[0]
     base = costs[0]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from ..astutil import TaskInfo
+from ..astutil import TaskIndex, TaskInfo
 from ..findings import Finding
 from .dataflow import Summaries, interpret_task
 
@@ -85,7 +85,7 @@ class _Collector:
         ))
 
 
-def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
+def check_x1(tasks: List[TaskInfo], index: TaskIndex,
              summaries: Summaries) -> List[Finding]:
     """Registered tasks unreachable from any entry task."""
     edges: Dict[str, Set[str]] = {t.name: set() for t in tasks}
@@ -96,7 +96,7 @@ def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
                 # a dynamic initiation can reach anything: no task is
                 # provably unreachable, so the check stands down
                 return []
-            target = index.get(item[1])
+            target = index.resolve(item[1], t)
             if target is None or target.name == t.name:
                 continue
             if target.name not in edges[t.name]:
@@ -106,7 +106,7 @@ def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
         # data (``ctx.call``), is reachable too
         for event in t.events:
             if event.kind in ("subcall", "rpc") and event.name:
-                target = index.get(event.name)
+                target = index.resolve(event.name, t)
                 if target is not None and target.name != t.name \
                         and target.name not in edges[t.name]:
                     edges[t.name].add(target.name)
@@ -143,7 +143,7 @@ def check_x1(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
     return findings
 
 
-def check_flow(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
+def check_flow(tasks: List[TaskInfo], index: TaskIndex,
                summaries: Summaries) -> List[Finding]:
     """All flow-engine checks over one resolved task set, its target
     index and its :func:`~.dataflow.summarize_tasks` fixpoint."""

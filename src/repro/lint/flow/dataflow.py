@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..astutil import Event, Region, TaskInfo
+from ..astutil import Event, Region, TaskIndex, TaskInfo
 
 #: abstract "lost track of it" value for local bindings
 UNKNOWN = "<unknown>"
@@ -73,7 +73,7 @@ class Summaries:
     """Summary store resolvable by task identity or by name."""
 
     def __init__(self, tasks: List[TaskInfo],
-                 index: Dict[str, TaskInfo]) -> None:
+                 index: TaskIndex) -> None:
         self.tasks = tasks
         self.index = index
         self._by_id: Dict[int, TaskSummary] = {
@@ -83,10 +83,10 @@ class Summaries:
     def of_task(self, task: TaskInfo) -> TaskSummary:
         return self._by_id[id(task)]
 
-    def of_name(self, name: Optional[str]) -> Optional[TaskSummary]:
-        if name is None:
-            return None
-        task = self.index.get(name)
+    def of_name(self, name: Optional[str],
+                owner: TaskInfo) -> Optional[TaskSummary]:
+        """The summary of the task *name* denotes where *owner* names it."""
+        task = self.index.resolve(name, owner)
         return self._by_id.get(id(task)) if task is not None else None
 
 
@@ -132,7 +132,7 @@ def _site_child_writes(site, owner: TaskInfo,
                        summaries: "Summaries") -> Set[int]:
     """Owner params plain-written by the task a site spawns (any depth)."""
     out: Set[int] = set()
-    target = summaries.of_name(site.task_type)
+    target = summaries.of_name(site.task_type, owner)
     if target is None:
         return out
     for pos, arg in enumerate(site.arg_names):
@@ -169,7 +169,7 @@ def _summary_transfer(task: TaskInfo, summaries: Summaries) -> bool:
         elif event.kind == "initiate":
             s.msg_kinds.add("initiate_task")
         elif event.kind == "subcall":
-            callee = summaries.of_name(event.name)
+            callee = summaries.of_name(event.name, task)
             if callee is None:
                 continue
             s.writes_params |= _map_params(callee.writes_params,
@@ -193,7 +193,7 @@ def _summary_transfer(task: TaskInfo, summaries: Summaries) -> bool:
             # a helper that initiates and never waits hands its pending
             # sites to the caller (phantom sites at the subcall)
             s.exit_pending.add(site_target_item(site, task))
-            target = summaries.of_name(site.task_type)
+            target = summaries.of_name(site.task_type, task)
             if target is not None:
                 for pos, arg in enumerate(site.arg_names):
                     if arg is None or pos not in target.total_writes_params():
@@ -205,7 +205,7 @@ def _summary_transfer(task: TaskInfo, summaries: Summaries) -> bool:
 
 
 def summarize_tasks(tasks: List[TaskInfo],
-                    index: Dict[str, TaskInfo]) -> Summaries:
+                    index: TaskIndex) -> Summaries:
     """Interprocedural summaries for one resolved task set (fixpoint)."""
     summaries = Summaries(tasks, index)
     changed = True
@@ -370,7 +370,7 @@ class _Interpreter:
     def _ev_initiate(self, ev: Event, state: HBState) -> None:
         site = ev.site
         sid = self._site_ids[id(site)]
-        target = self.summaries.of_name(site.task_type)
+        target = self.summaries.of_name(site.task_type, self.task)
         writes_direct: FrozenSet[str] = frozenset()
         writes_child: FrozenSet[str] = frozenset()
         if target is not None:
@@ -491,7 +491,7 @@ class _Interpreter:
                 return
 
     def _ev_subcall(self, ev: Event, state: HBState) -> None:
-        callee = self.summaries.of_name(ev.name)
+        callee = self.summaries.of_name(ev.name, self.task)
         if callee is None:
             state.forget(ev.names)
             for n in ev.names:

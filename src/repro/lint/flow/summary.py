@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..astutil import Event, Region, TaskInfo
+from ..astutil import Event, Region, TaskIndex, TaskInfo
 from .dataflow import Summaries
 
 FLOW_SCHEMA = "fem2-flow/1"
@@ -129,7 +129,7 @@ def _burst_chains(task: TaskInfo) -> List[Dict[str, Any]]:
     return chains
 
 
-def summarize(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
+def summarize(tasks: List[TaskInfo], index: TaskIndex,
               summaries: Summaries) -> FlowSummary:
     """Build the ``fem2-flow/1`` summary for one resolved task set, its
     target index and its :func:`~.dataflow.summarize_tasks` fixpoint."""
@@ -138,10 +138,8 @@ def summarize(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
     for t in tasks:
         s = summaries.of_task(t)
         for item in s.spawns:
-            if item[0] == "lit" and item[1] in index:
-                dst = index[item[1]].name
-            else:
-                dst = "*"
+            target = index.resolve(item[1], t) if item[0] == "lit" else None
+            dst = "*" if target is None else target.name
             replicated = any(
                 site.replicated for site in t.initiates
                 if (site.task_type or "*") in (dst, "*")
@@ -185,7 +183,7 @@ def summarize(tasks: List[TaskInfo], index: Dict[str, TaskInfo],
         for w in t.accumulates:
             cell(t.name, w)["accumulators"].add(t.name)
         for site in t.initiates:
-            target = index.get(site.task_type) if site.task_type else None
+            target = index.resolve(site.task_type, t)
             if target is None:
                 continue
             for pos, arg in enumerate(site.arg_names):

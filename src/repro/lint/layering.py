@@ -30,8 +30,7 @@ ALLOWED: Dict[str, Set[str]] = {
     "sysvm": {"hardware", "obs"},
     "langvm": {"sysvm", "hardware", "obs", "compile"},
     "fem": {"langvm", "sysvm", "hardware", "obs"},
-    "appvm": {"fem", "langvm", "sysvm", "hardware", "hgraph", "obs", "lint",
-              "ckpt"},
+    "appvm": {"fem", "langvm", "sysvm", "hardware", "obs", "lint", "ckpt"},
     # compile is pure plan analysis over lint's flow facts; langvm
     # reaches it from Fem2Program.compile_plan()
     "compile": {"lint"},
@@ -54,15 +53,17 @@ def repro_imports(path: pathlib.Path, src: pathlib.Path) -> Set[str]:
         if isinstance(node, ast.ImportFrom):
             if node.module and node.module.startswith("repro."):
                 found.add(node.module.split(".")[1])
-            elif node.level >= 1 and node.module:
-                # relative import: resolve against the file's package
-                rel = path.relative_to(src).parts
-                pkg_parts = rel[:-1]
-                if node.level <= len(pkg_parts):
-                    base = pkg_parts[: len(pkg_parts) - (node.level - 1)]
-                    target = list(base) + node.module.split(".")
-                    if target:
-                        found.add(target[0])
+            elif node.level >= 1:
+                # relative import: resolve against the file's package,
+                # whose first component is ``repro`` itself
+                package = ("repro", *path.relative_to(src).parts[:-1])
+                if node.level <= len(package):
+                    base = package[:len(package) - (node.level - 1)]
+                    if node.module:
+                        targets = [(*base, *node.module.split("."))]
+                    else:  # ``from .. import x``: each name is a module
+                        targets = [(*base, a.name) for a in node.names]
+                    found.update(t[1] for t in targets if len(t) > 1)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("repro."):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .astutil import InitiateSite, TaskInfo, task_index
+from .astutil import InitiateSite, TaskIndex, TaskInfo, task_index
 from .cost.checks import check_c1
 from .cost.model import TaskCost, analyze_costs
 from .cost.report import CostReport, build_cost_report
@@ -62,12 +62,10 @@ from .flow.summary import FlowSummary, summarize
 
 # -- W1: overlapping plain writes across parallel siblings --------------------
 
-def _written_shared_args(site: InitiateSite,
-                         index: Dict[str, TaskInfo]) -> List[Tuple[str, str]]:
+def _written_shared_args(site: InitiateSite, owner: TaskInfo,
+                         index: TaskIndex) -> List[Tuple[str, str]]:
     """(arg name, param name) pairs the target task plain-writes."""
-    if site.task_type is None:
-        return []
-    target = index.get(site.task_type)
+    target = index.resolve(site.task_type, owner)
     if target is None:
         return []
     out = []
@@ -80,14 +78,13 @@ def _written_shared_args(site: InitiateSite,
     return out
 
 
-def check_w1(tasks: List[TaskInfo],
-             index: Dict[str, TaskInfo]) -> List[Finding]:
+def check_w1(tasks: List[TaskInfo], index: TaskIndex) -> List[Finding]:
     findings: List[Finding] = []
     for t in tasks:
         for site in t.initiates:
             if not site.replicated:
                 continue
-            for arg, param in _written_shared_args(site, index):
+            for arg, param in _written_shared_args(site, t, index):
                 findings.append(Finding(
                     "W1",
                     f"all replications of {site.task_type!r} plain-write the "
@@ -97,7 +94,8 @@ def check_w1(tasks: List[TaskInfo],
                 ))
         for line, stmts in t.pardo_groups:
             for (type_a, args_a), (type_b, args_b) in combinations(stmts, 2):
-                shared = _pair_conflict(type_a, args_a, type_b, args_b, index)
+                shared = _pair_conflict(type_a, args_a, type_b, args_b,
+                                        t, index)
                 if shared is not None:
                     findings.append(Finding(
                         "W1",
@@ -110,9 +108,9 @@ def check_w1(tasks: List[TaskInfo],
 
 def _pair_conflict(type_a: Optional[str], args_a: Tuple[Optional[str], ...],
                    type_b: Optional[str], args_b: Tuple[Optional[str], ...],
-                   index: Dict[str, TaskInfo]) -> Optional[str]:
-    ta = index.get(type_a) if type_a else None
-    tb = index.get(type_b) if type_b else None
+                   owner: TaskInfo, index: TaskIndex) -> Optional[str]:
+    ta = index.resolve(type_a, owner)
+    tb = index.resolve(type_b, owner)
     if ta is None or tb is None:
         return None
     written_a = {arg for pos, arg in enumerate(args_a)
@@ -125,8 +123,7 @@ def _pair_conflict(type_a: Optional[str], args_a: Tuple[Optional[str], ...],
 
 # -- D1: initiate without wait / unconditional initiate cycles ----------------
 
-def check_d1(tasks: List[TaskInfo],
-             index: Dict[str, TaskInfo]) -> List[Finding]:
+def check_d1(tasks: List[TaskInfo], index: TaskIndex) -> List[Finding]:
     findings: List[Finding] = []
     for t in tasks:
         for site in t.initiates:
@@ -156,21 +153,22 @@ def check_d1(tasks: List[TaskInfo],
     return findings
 
 
-def _check_cycles(tasks: List[TaskInfo],
-                  index: Dict[str, TaskInfo]) -> List[Finding]:
+def _check_cycles(tasks: List[TaskInfo], index: TaskIndex) -> List[Finding]:
     """Unconditional initiate cycles between task types (A spawns B spawns
     A with no base case: unbounded recursion / guaranteed deadlock)."""
     edges: Dict[str, Set[str]] = {}
     sites: Dict[Tuple[str, str], InitiateSite] = {}
+    task_of: Dict[str, TaskInfo] = {}
     for t in tasks:
         for site in t.initiates:
-            if site.conditional or site.task_type is None:
+            target = None if site.conditional \
+                else index.resolve(site.task_type, t)
+            if target is None:
                 continue
-            if site.task_type not in index:
-                continue
-            target = index[site.task_type].name
-            edges.setdefault(t.name, set()).add(target)
-            sites.setdefault((t.name, target), site)
+            src, dst = index.key(t), index.key(target)
+            task_of[src], task_of[dst] = t, target
+            edges.setdefault(src, set()).add(dst)
+            sites.setdefault((src, dst), site)
 
     findings: List[Finding] = []
     reported: Set[frozenset] = set()
@@ -182,12 +180,13 @@ def _check_cycles(tasks: List[TaskInfo],
                 key = frozenset(cycle)
                 if key not in reported:
                     reported.add(key)
-                    t = index[cycle[0]]
+                    t = task_of[cycle[0]]
                     site = sites[(cycle[0], cycle[1])]
+                    names = " -> ".join(task_of[k].name for k in cycle)
                     findings.append(Finding(
                         "D1",
                         f"unconditional initiate cycle "
-                        f"{' -> '.join(cycle)}: every replication spawns "
+                        f"{names}: every replication spawns "
                         f"another with no base case (deadlock / unbounded "
                         f"recursion)",
                         t.file, site.line, task=t.name,

@@ -4,12 +4,12 @@ the iterative process, and the shipped FEM-2 stack."""
 import pytest
 
 from repro.errors import DesignError, RefinementError
+from repro.sysvm import MsgKind, TaskState
 from repro.core import (
     ComponentKind,
     DesignProcess,
     LayerStack,
     PAPER_HARDWARE_REQUIREMENTS,
-    RequirementTracker,
     SpecItem,
     VMSpec,
     check_refinement,
@@ -171,16 +171,6 @@ class TestRequirements:
         assert len(reqs) == 5 + len(PAPER_HARDWARE_REQUIREMENTS)
         assert all(r.on_level == 2 for r in reqs)
 
-    def test_tracker(self):
-        reqs = derive_requirements(tiny_stack())
-        tr = RequirementTracker(reqs)
-        assert tr.satisfaction_rate() == 0.0
-        tr.satisfy(reqs[0].rid, "module x")
-        assert tr.satisfaction_rate() > 0
-        assert len(tr.unsatisfied()) == len(reqs) - 1
-        with pytest.raises(DesignError):
-            tr.satisfy("nope", "y")
-
     def test_classify_orders(self):
         reqs = derive_requirements(tiny_stack())
         late_td, early_td = classify_requirements(reqs, (1, 2))
@@ -257,3 +247,27 @@ class TestFem2Stack:
         stack = fem2_stack()
         doc = render_stack(stack)
         assert "numerical_analyst" in doc and "general_heap" in doc
+
+
+def enumerated_symbols(grammar, symbol):
+    """The names of the ``Const(Symbol(...))`` alternatives of one rule."""
+    return {form.value.name for form in grammar.resolve(symbol).forms}
+
+
+class TestSpecAgreesWithRuntime:
+    """The layer-3 grammars enumerate what sysvm sends and schedules, and
+    both lists are written out twice (``core/specs.py`` and ``sysvm``):
+    a value added to one side only must fail here, naming the grammar."""
+
+    @pytest.mark.parametrize("grammar,symbol,runtime", [
+        ("message", "kind", MsgKind),
+        ("task_state", "task_state", TaskState),
+    ])
+    def test_grammar_enumerates_runtime_values(self, grammar, symbol, runtime):
+        spec = enumerated_symbols(fem2_grammars()[grammar], symbol)
+        live = {member.value for member in runtime}
+        assert spec == live, (
+            f"grammar {grammar!r} rule {symbol!r} admits {sorted(spec)} but "
+            f"{runtime.__name__} has {sorted(live)}: missing from the grammar "
+            f"{sorted(live - spec)}, not in the runtime {sorted(spec - live)}"
+        )

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import GrammarError
 from repro.hgraph import (
     Alt,
-    Any,
     AtomKind,
     Const,
     Generator,
@@ -18,8 +17,6 @@ from repro.hgraph import (
     Struct,
     Sub,
     Symbol,
-    list_grammar,
-    record_grammar,
 )
 
 
@@ -28,8 +25,46 @@ def hg():
     return HGraph("t")
 
 
-def int_list_grammar():
-    return list_grammar(AtomKind("int"), name="intlist")
+def int_cons_grammar():
+    """Pratt's list over ``head`` / ``tail`` arcs: a cons cell, or nil
+    (a node with no outgoing arcs)."""
+    return Grammar("intlist").define(
+        "list",
+        Alt(
+            Struct(arcs={"head": AtomKind("int"), "tail": Ref("list")}),
+            Struct(arcs={}),
+        ),
+    )
+
+
+def cons_list(hg, values):
+    """A graph of the :func:`int_cons_grammar` shape holding *values*."""
+    g = hg.new_graph(hg.new_node(None, label="list"))
+    cell = g.root
+    for v in values:
+        rest = hg.new_node(None)
+        g.add_arc(cell, "head", hg.new_node(v))
+        g.add_arc(cell, "tail", rest)
+        cell = rest
+    return g
+
+
+def signature(graph):
+    """The shape and atoms reachable from *graph*'s root, by label,
+    subgraphs included — equal for equal structures."""
+    seen = {}
+
+    def walk(node):
+        if node.nid in seen:
+            return ("^", seen[node.nid])
+        seen[node.nid] = len(seen)
+        value = node.value
+        if not node.is_atomic():
+            value = ("sub", signature(value))
+        arcs = graph.arcs_from(node)
+        return (value, tuple((label, walk(arcs[label])) for label in sorted(arcs)))
+
+    return walk(graph.root)
 
 
 class TestForms:
@@ -55,7 +90,7 @@ class TestForms:
             Alt(AtomKind("int"))
 
     def test_struct_from_dict_sorted(self):
-        s = Struct(arcs={"b": Any(), "a": Any()})
+        s = Struct(arcs={"b": AtomKind(), "a": AtomKind()})
         assert s.labels() == ("a", "b")
 
 
@@ -66,12 +101,12 @@ class TestGrammarValidation:
             g.validate()
 
     def test_duplicate_production_rejected(self):
-        g = Grammar("g").define("a", Any())
+        g = Grammar("g").define("a", AtomKind())
         with pytest.raises(GrammarError):
-            g.define("a", Any())
+            g.define("a", AtomKind())
 
     def test_first_symbol_is_start(self):
-        g = Grammar("g").define("s", Any()).define("t", Any())
+        g = Grammar("g").define("s", AtomKind()).define("t", AtomKind())
         assert g.start == "s"
 
     def test_empty_grammar_invalid(self):
@@ -79,23 +114,23 @@ class TestGrammarValidation:
             Grammar("g").validate()
 
     def test_resolve_unknown_symbol(self):
-        g = Grammar("g").define("a", Any())
+        g = Grammar("g").define("a", AtomKind())
         with pytest.raises(GrammarError):
             g.resolve("zz")
 
 
 class TestMatcher:
     def test_int_list_member(self, hg):
-        g = hg.build_list([1, 2, 3])
-        assert Matcher(int_list_grammar()).matches(g)
+        g = cons_list(hg, [1, 2, 3])
+        assert Matcher(int_cons_grammar()).matches(g)
 
     def test_empty_list_member(self, hg):
-        g = hg.build_list([])
-        assert Matcher(int_list_grammar()).matches(g)
+        g = cons_list(hg, [])
+        assert Matcher(int_cons_grammar()).matches(g)
 
     def test_wrong_element_type_rejected(self, hg):
-        g = hg.build_list([1, "two", 3])
-        report = Matcher(int_list_grammar()).check(g)
+        g = cons_list(hg, [1, "two", 3])
+        report = Matcher(int_cons_grammar()).check(g)
         assert not report.ok
         assert report.failures
 
@@ -104,11 +139,11 @@ class TestMatcher:
         g = hg.new_graph(hg.new_node(None))
         g.add_arc(g.root, "head", hg.new_node(1))
         g.add_arc(g.root, "tail", g.root)
-        assert Matcher(int_list_grammar()).matches(g)
+        assert Matcher(int_cons_grammar()).matches(g)
 
     def test_closed_struct_rejects_extra_arcs(self, hg):
         g = hg.build_record({"a": 1, "b": 2})
-        gram = record_grammar({"a": AtomKind("int")}, name="r")
+        gram = Grammar("r").define("r", Struct(arcs={"a": AtomKind("int")}))
         assert not Matcher(gram).matches(g)
 
     def test_open_struct_allows_extra_arcs(self, hg):
@@ -118,7 +153,9 @@ class TestMatcher:
 
     def test_missing_arc_reported(self, hg):
         g = hg.build_record({"a": 1})
-        gram = record_grammar({"a": AtomKind("int"), "b": AtomKind("int")})
+        gram = Grammar("r").define(
+            "r", Struct(arcs={"a": AtomKind("int"), "b": AtomKind("int")})
+        )
         report = Matcher(gram).check(g)
         assert not report.ok
         assert any("missing arc" in f for f in report.failures)
@@ -136,15 +173,15 @@ class TestMatcher:
         assert not Matcher(gram).matches(g)
 
     def test_sub_descends_hierarchy(self, hg):
-        inner = hg.build_list([1, 2])
+        inner = cons_list(hg, [1, 2])
         outer = hg.build_record({"data": hg.subgraph_node(inner)})
         gram = Grammar("g").define("s", Struct(arcs={"data": Sub(Ref("list"))}))
-        gram.rules.update(int_list_grammar().rules)
+        gram.rules.update(int_cons_grammar().rules)
         assert Matcher(gram).matches(outer)
 
     def test_sub_rejects_atom(self, hg):
         g = hg.build_record({"data": 5})
-        gram = Grammar("g").define("s", Struct(arcs={"data": Sub(Any())}))
+        gram = Grammar("g").define("s", Struct(arcs={"data": Sub(AtomKind())}))
         assert not Matcher(gram).matches(g)
 
     def test_alt_order_irrelevant_for_membership(self, hg):
@@ -160,8 +197,8 @@ class TestMatcher:
         assert Matcher(gram).matches(g)
 
     def test_steps_counted(self, hg):
-        g = hg.build_list(list(range(10)))
-        m = Matcher(int_list_grammar())
+        g = cons_list(hg, list(range(10)))
+        m = Matcher(int_cons_grammar())
         report = m.check(g)
         assert report.ok and report.steps > 10
 
@@ -175,7 +212,7 @@ class TestMatcher:
 
 class TestGenerator:
     def test_generated_members_match(self, hg):
-        gram = int_list_grammar()
+        gram = int_cons_grammar()
         gen = Generator(gram, random.Random(7))
         m = Matcher(gram)
         for _ in range(10):
@@ -183,14 +220,12 @@ class TestGenerator:
             assert m.matches(g)
 
     def test_generation_deterministic(self):
-        gram = int_list_grammar()
-        from repro.hgraph import graph_signature
-
+        gram = int_cons_grammar()
         sigs = []
         for _ in range(2):
             hg = HGraph("t")
             gen = Generator(gram, random.Random(42))
-            sigs.append(graph_signature(gen.generate(hg, max_depth=4)))
+            sigs.append(signature(gen.generate(hg, max_depth=4)))
         assert sigs[0] == sigs[1]
 
     def test_generation_of_records_and_subgraphs(self, hg):

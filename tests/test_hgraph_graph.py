@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HGraphError
-from repro.hgraph import Graph, HGraph, Symbol
+from repro.hgraph import HGraph, Symbol
 
 
 @pytest.fixture
@@ -48,8 +48,9 @@ class TestNode:
 class TestGraph:
     def test_new_graph_has_fresh_root(self, hg):
         g = hg.new_graph()
-        assert g.root in g
-        assert len(g) == 1
+        other = hg.new_graph()
+        assert g.root is not other.root
+        assert g.arcs_from(g.root) == {}
 
     def test_add_arc_and_follow(self, hg):
         g = hg.new_graph()
@@ -63,44 +64,10 @@ class TestGraph:
         with pytest.raises(HGraphError):
             g.add_arc(g.root, "x", hg.new_node(2))
 
-    def test_set_arc_retargets(self, hg):
-        g = hg.new_graph()
-        a, b = hg.new_node(1), hg.new_node(2)
-        g.add_arc(g.root, "x", a)
-        g.set_arc(g.root, "x", b)
-        assert g.follow(g.root, "x") is b
-
-    def test_remove_arc(self, hg):
-        g = hg.new_graph()
-        g.add_arc(g.root, "x", hg.new_node(1))
-        g.remove_arc(g.root, "x")
-        with pytest.raises(HGraphError):
-            g.follow(g.root, "x")
-
-    def test_remove_missing_arc_raises(self, hg):
-        g = hg.new_graph()
-        with pytest.raises(HGraphError):
-            g.remove_arc(g.root, "nope")
-
     def test_follow_missing_label_raises(self, hg):
         g = hg.new_graph()
         with pytest.raises(HGraphError):
             g.follow(g.root, "missing")
-
-    def test_path_follows_label_sequence(self, hg):
-        g = hg.new_graph()
-        a = hg.new_node(None)
-        b = hg.new_node("leaf")
-        g.add_arc(g.root, "a", a)
-        g.add_arc(a, "b", b)
-        assert g.path(["a", "b"]).value == "leaf"
-        assert g.path([]) is g.root
-
-    def test_arc_endpoints_join_graph(self, hg):
-        g = hg.new_graph()
-        a, b = hg.new_node(1), hg.new_node(2)
-        g.add_arc(a, "z", b)
-        assert a in g and b in g
 
     def test_cross_hgraph_node_rejected(self, hg):
         other = HGraph("other")
@@ -124,58 +91,12 @@ class TestGraph:
         g.add_arc(g.root, "self", g.root)
         assert g.follow(g.root, "self") is g.root
 
-    def test_reachable_preorder(self, hg):
-        g = hg.new_graph()
-        a, b, c = hg.new_node(1), hg.new_node(2), hg.new_node(3)
-        g.add_arc(g.root, "a", a)
-        g.add_arc(g.root, "b", b)
-        g.add_arc(a, "c", c)
-        order = [n.nid for n in g.reachable()]
-        assert order == [g.root.nid, a.nid, c.nid, b.nid]
-
-    def test_reachable_terminates_on_cycle(self, hg):
-        g = hg.new_graph()
-        a = hg.new_node(1)
-        g.add_arc(g.root, "a", a)
-        g.add_arc(a, "back", g.root)
-        assert len(g.reachable()) == 2
-
-    def test_arc_count(self, hg):
-        g = hg.new_graph()
-        g.add_arc(g.root, "x", hg.new_node(1))
-        g.add_arc(g.root, "y", hg.new_node(2))
-        assert g.arc_count() == 2
-
 
 class TestHGraph:
-    def test_stats_track_structure(self, hg):
-        g = hg.new_graph()
-        g.add_arc(g.root, "x", hg.new_node(5))
-        s = hg.stats()
-        assert s["nodes"] == 2
-        assert s["graphs"] == 1
-        assert s["arcs"] == 1
-
-    def test_mutation_counter_increments(self, hg):
-        g = hg.new_graph()
-        before = hg.mutation_count
-        g.add_arc(g.root, "x", hg.new_node(5))
-        g.root.set_value(1)
-        assert hg.mutation_count >= before + 2
-
     def test_foreign_root_rejected(self, hg):
         other = HGraph("o")
         with pytest.raises(HGraphError):
             hg.new_graph(other.new_node(1))
-
-    def test_build_list_roundtrip(self, hg):
-        g = hg.build_list([1, 2, 3])
-        assert hg.list_values(g) == [1, 2, 3]
-
-    def test_build_empty_list(self, hg):
-        g = hg.build_list([])
-        assert hg.list_values(g) == []
-        assert g.arcs_from(g.root) == {}
 
     def test_build_record(self, hg):
         g = hg.build_record({"name": "beam", "nodes": 4})

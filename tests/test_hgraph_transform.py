@@ -3,14 +3,10 @@
 import pytest
 
 from repro.errors import TransformError
-from repro.hgraph import (
-    AtomKind,
-    HGraph,
-    Interpreter,
-    Transform,
-    list_grammar,
-    transform,
-)
+from repro.hgraph import HGraph, Interpreter, Transform
+from repro.hgraph.interpreter import MAX_DEPTH
+
+from .test_hgraph_grammar import cons_list, int_cons_grammar
 
 
 @pytest.fixture
@@ -18,10 +14,22 @@ def hg():
     return HGraph("t")
 
 
-def make_interp(*transforms, **kw):
-    interp = Interpreter(**kw)
-    interp.register_all(transforms)
+def make_interp(*transforms):
+    interp = Interpreter()
+    for t in transforms:
+        interp.register(t)
     return interp
+
+
+def list_values(g):
+    """Read back the values of a :func:`cons_list` graph."""
+    out, node = [], g.root
+    while True:
+        arcs = g.arcs_from(node)
+        if "head" not in arcs:
+            return out
+        out.append(arcs["head"].value)
+        node = arcs["tail"]
 
 
 class TestTransformBasics:
@@ -30,16 +38,6 @@ class TestTransformBasics:
         interp = make_interp(t)
         node = hg.new_node(21)
         assert interp.run("double", hg, node) == 42
-
-    def test_decorator_builds_transform(self):
-        @transform()
-        def myop(ctx, hg, x):
-            """Doubles x."""
-            return x * 2
-
-        assert isinstance(myop, Transform)
-        assert myop.name == "myop"
-        assert "Doubles" in myop.doc
 
     def test_non_callable_rejected(self):
         with pytest.raises(TransformError):
@@ -68,77 +66,54 @@ class TestCallHierarchy:
 
     def test_recursion_depth_limited(self, hg):
         loop = Transform("loop", lambda ctx, hg: ctx.call("loop"))
-        interp = make_interp(loop, max_depth=10)
-        with pytest.raises(TransformError, match="depth"):
+        interp = make_interp(loop)
+        with pytest.raises(TransformError, match=f"depth exceeded {MAX_DEPTH}"):
             interp.run("loop", hg)
-
-    def test_trace_records_call_tree(self, hg):
-        a = Transform("a", lambda ctx, hg: ctx.call("b"))
-        b = Transform("b", lambda ctx, hg: 1)
-        interp = make_interp(a, b, trace=True)
-        interp.run("a", hg)
-        tree = interp.call_tree()
-        assert "a" in tree and "  b" in tree
-
-    def test_trace_marks_failures(self, hg):
-        def boom(ctx, hg):
-            raise ValueError("boom")
-
-        interp = make_interp(Transform("boom", boom), trace=True)
-        with pytest.raises(ValueError):
-            interp.run("boom", hg)
-        assert "[FAILED]" in interp.call_tree()
+        assert interp.stats.calls == MAX_DEPTH + 1
+        assert interp.stats.max_depth == MAX_DEPTH + 1
 
 
 class TestConditions:
     def test_precondition_enforced(self, hg):
-        gram = list_grammar(AtomKind("int"))
-        t = Transform("sum", lambda ctx, hg, g: sum(hg.list_values(g))).require(0, gram)
-        interp = make_interp(t, verify=True)
-        good = hg.build_list([1, 2, 3])
+        gram = int_cons_grammar()
+        t = Transform("sum", lambda ctx, hg, g: sum(list_values(g))).require(0, gram)
+        interp = make_interp(t)
+        good = cons_list(hg, [1, 2, 3])
         assert interp.run("sum", hg, good) == 6
-        bad = hg.build_list(["a"])
+        bad = cons_list(hg, ["a"])
         with pytest.raises(TransformError, match="violated"):
             interp.run("sum", hg, bad)
 
     def test_postcondition_enforced(self, hg):
-        gram = list_grammar(AtomKind("int"))
+        gram = int_cons_grammar()
 
         def make_bad(ctx, hg):
-            return hg.build_list(["oops"])
+            return cons_list(hg, ["oops"])
 
         t = Transform("mk", make_bad).ensure(gram)
-        interp = make_interp(t, verify=True)
+        interp = make_interp(t)
         with pytest.raises(TransformError, match="violated"):
             interp.run("mk", hg)
 
-    def test_verify_off_skips_conditions(self, hg):
-        gram = list_grammar(AtomKind("int"))
-        t = Transform("sum", lambda ctx, hg, g: 0).require(0, gram)
-        interp = make_interp(t, verify=False)
-        bad = hg.build_list(["a"])
-        assert interp.run("sum", hg, bad) == 0
-        assert interp.stats.condition_checks == 0
-
     def test_condition_on_non_graph_subject(self, hg):
-        gram = list_grammar(AtomKind("int"))
+        gram = int_cons_grammar()
         t = Transform("f", lambda ctx, hg, x: x).require(0, gram)
-        interp = make_interp(t, verify=True)
+        interp = make_interp(t)
         with pytest.raises(TransformError, match="not a Graph"):
             interp.run("f", hg, 42)
 
     def test_precondition_index_out_of_range(self, hg):
-        gram = list_grammar(AtomKind("int"))
+        gram = int_cons_grammar()
         t = Transform("f", lambda ctx, hg: None).require(3, gram)
-        interp = make_interp(t, verify=True)
+        interp = make_interp(t)
         with pytest.raises(TransformError, match="out of range"):
             interp.run("f", hg)
 
     def test_condition_checks_counted(self, hg):
-        gram = list_grammar(AtomKind("int"))
-        t = Transform("sum", lambda ctx, hg, g: sum(hg.list_values(g))).require(0, gram)
-        interp = make_interp(t, verify=True)
-        interp.run("sum", hg, hg.build_list([1]))
+        gram = int_cons_grammar()
+        t = Transform("sum", lambda ctx, hg, g: sum(list_values(g))).require(0, gram)
+        interp = make_interp(t)
+        interp.run("sum", hg, cons_list(hg, [1]))
         assert interp.stats.condition_checks == 1
 
 
@@ -153,10 +128,9 @@ class TestTransformMutation:
             if arcs:
                 g.add_arc(new_cell, "tail", old_root)
             g.root = new_cell
-            g.add_member(new_cell)
             return g
 
         interp = make_interp(Transform("push", push))
-        g = hg.build_list([2, 3])
+        g = cons_list(hg, [2, 3])
         interp.run("push", hg, g, 1)
-        assert hg.list_values(g) == [1, 2, 3]
+        assert list_values(g) == [1, 2, 3]

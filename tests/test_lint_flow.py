@@ -101,6 +101,65 @@ class TestSummaries:
         assert ("dyn",) in items
 
 
+# -- target resolution across the files of one run ----------------------------
+
+
+#: one program per file, both reusing the names ``fan`` and ``work``
+TWO_FILE_PROGRAM = """
+def fan(ctx, n):
+    tids = yield ctx.initiate("{leaf}", count=n)
+    yield ctx.wait(tids)
+
+
+def {leaf}(ctx):
+    yield ctx.compute(flops=1)
+
+
+def work(ctx):
+    yield from fan(ctx, 2)
+"""
+
+
+class TestTaskIndex:
+    """A lint run over several programs resolves each spawn and
+    sub-generator call to a task of the caller's own file first, and the
+    cost report keeps same-named tasks of different files apart."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        out = []
+        for name, leaf in (("a.py", "leaf_a"), ("b.py", "leaf_b")):
+            path = tmp_path / name
+            path.write_text(TWO_FILE_PROGRAM.format(leaf=leaf))
+            out.append((path, leaf))
+        return out
+
+    def test_each_file_routes_to_its_own_target(self, files):
+        tasks = []
+        for path, _ in files:
+            tasks += collect_tasks(ast.parse(path.read_text()), str(path))
+        routes = {(r["src"], r["dst"])
+                  for r in analyze_tasks(tasks).flow.routes}
+        assert {("work", "leaf_a"), ("work", "leaf_b"),
+                ("fan", "leaf_a"), ("fan", "leaf_b")} <= routes
+
+    def test_cost_out_keeps_both_entries(self, files, tmp_path, capsys):
+        out = tmp_path / "cost.json"
+        paths = [str(path) for path, _ in files]
+        assert lint_main(paths + ["--no-arch", "--cost-out", str(out)]) == 0
+        capsys.readouterr()
+        entries = json.loads(out.read_text())["tasks"]
+        for task in ("work", "fan"):
+            mine = {e["file"]: e for e in entries
+                    if e["task"].split("@")[0] == task}
+            assert sorted(mine) == sorted(paths)
+            for path, leaf in files:
+                # each file's entry spawns that file's own leaf
+                assert [s["target"] for s in mine[str(path)]["spawns"]] \
+                    == [leaf]
+        assert len(entries) == 6
+
+
 # -- W3: write-write across a spawn chain -------------------------------------
 
 

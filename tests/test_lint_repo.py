@@ -6,6 +6,7 @@ either be fixed or the checker taught the new legal idiom *in the same
 PR*.  This is the pytest face of that gate.
 """
 
+import ast
 import pathlib
 
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from repro.appvm import JobSpec, ServicePool, Tenant
 from repro.campaign import Campaign
 from repro.ckpt import Checkpointer
+from repro.core import DesignProcess
+from repro.hgraph import Interpreter
 from repro.langvm.program import TaskContext
 from repro.lint import lint_paths
 from repro.lint.findings import CODES
@@ -21,19 +24,45 @@ from repro.sysvm.runtime import Runtime
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _own_yield(fn):
+    """Whether *fn*'s own body (not a nested def or lambda) yields."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def generator_tasks(*tops):
+    """Task-shaped functions under *tops*, counted without the linter: a
+    generator ``def f(ctx, ...)``.  The gate checks that the linter's
+    walker finds every one of them."""
+    count = 0
+    for top in tops:
+        for path in sorted(top.rglob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(fn, ast.FunctionDef) and fn.args.args
+                        and fn.args.args[0].arg == "ctx" and _own_yield(fn)):
+                    count += 1
+    return count
+
+
 def test_src_and_examples_lint_green():
     report = lint_paths([ROOT / "src", ROOT / "examples"])
     assert report.clean, "\n" + report.render()
     assert report.files_checked >= 100
-    # the walker is finding real tasks (27 since the six duplicate
-    # construct spellings, all task-shaped, were deleted: DESIGN.md §19)
-    assert report.tasks_checked >= 25
+    assert report.tasks_checked == generator_tasks(ROOT / "src",
+                                                   ROOT / "examples")
 
 
 def test_benchmarks_lint_green():
     report = lint_paths([ROOT / "benchmarks"], arch=False)
     assert report.clean, "\n" + report.render()
-    assert report.tasks_checked >= 10
+    assert report.tasks_checked == generator_tasks(ROOT / "benchmarks")
 
 
 #: names no shipped file may mention, so a later PR cannot half-resurrect
@@ -43,8 +72,10 @@ def test_benchmarks_lint_green():
 #: IR, the per-rule re-analysis entry points and the file cache of the
 #: lint pipeline (DESIGN.md §9); the FEM add-ons and helpers the use
 #: ledger found no entry point reaching, and the knobs it found no entry
-#: point varying, with the code only they reached, and the duplicate
-#: spellings of the analyst-VM constructs (DESIGN.md §19)
+#: point varying, with the code only they reached, the duplicate
+#: spellings of the analyst-VM constructs, and the H-graph rendering,
+#: serialization and queries nothing above the formal half runs
+#: (DESIGN.md §19)
 DELETED = {
     "engine_fork": ("FEM2_ENGINE", "forced_engine", "FastEventEngine",
                     "calqueue", "repro.perf"),
@@ -68,6 +99,9 @@ DELETED = {
                              "worker_pool", "remote_map", "langvm.rpc",
                              "langvm.broadcast", "render_traceability",
                              "get_local", "set_local", "ctx.zeros("),
+    "hgraph_unreached": ("to_dot", "graph_signature", "build_list",
+                         "list_grammar", "record_grammar", "call_tree",
+                         "RequirementTracker"),
 }
 
 
@@ -85,6 +119,11 @@ IDLE_KNOBS = {
     "Checkpointer(keep=)": lambda: Checkpointer(None, 10, keep=1),
     "Campaign(start_method=)": lambda: Campaign(None, start_method="fork"),
     "Runtime(registry=)": lambda: Runtime(None, registry=None),
+    "Interpreter(verify=)": lambda: Interpreter(verify=False),
+    "Interpreter(trace=)": lambda: Interpreter(trace=True),
+    "Interpreter(max_depth=)": lambda: Interpreter(max_depth=10),
+    "DesignProcess(check_artifacts=)":
+        lambda: DesignProcess(None, check_artifacts=True),
 }
 
 
