@@ -12,8 +12,10 @@ every observed spawn/message edge was statically predicted.
 """
 
 import ast
+import inspect
 import pathlib
 import time
+import types
 
 import pytest
 
@@ -318,6 +320,24 @@ def run_lint():
             (data, sound, calibrations, store_ms))
 
 
+def generator_tasks(*tops):
+    """Task-shaped functions under *tops*, counted from bytecode rather
+    than by the linter: code objects CPython compiled as generators whose
+    first parameter is ``ctx``."""
+    count = 0
+    for top in tops:
+        for path in sorted(top.rglob("*.py")):
+            stack = [compile(path.read_text(), str(path), "exec")]
+            while stack:
+                code = stack.pop()
+                stack.extend(c for c in code.co_consts
+                             if isinstance(c, types.CodeType))
+                count += bool(code.co_flags & inspect.CO_GENERATOR
+                              and code.co_argcount
+                              and code.co_varnames[0] == "ctx")
+    return count
+
+
 def bench_lint_throughput():
     """Files/sec over the full corpus — recorded into the BENCH record."""
     report, elapsed = run_lint_corpus([ROOT / "src", ROOT / "examples"], True)
@@ -335,9 +355,8 @@ def test_lint_throughput(benchmark, experiment_sink):
         assert report.clean, f"{name} corpus has findings: {report.render()}"
     report, _ = data["src+examples"]
     assert report.files_checked >= 100
-    # 27 task functions since the six duplicate construct spellings,
-    # all task-shaped, were deleted (DESIGN.md §19)
-    assert report.tasks_checked >= 25
+    assert report.tasks_checked == generator_tasks(ROOT / "src",
+                                                   ROOT / "examples")
     for name, result in sound.items():
         assert result.ok, f"{name}: unpredicted edges {result.unpredicted}"
     for name, result in calibrations.items():

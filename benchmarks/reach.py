@@ -5,7 +5,7 @@ and which of them vary each of its keywords.
 Every entry point the repo claims runs in a fresh interpreter under a
 ``sys.setprofile`` hook that records the code objects it calls,
 campaign worker processes included.  The result is
-``benchmarks/results/reach.json`` (``fem2-reach/2``), two sections:
+``benchmarks/results/reach.json`` (``fem2-reach/3``), three sections:
 
 * ``functions``: each function, keyed by ``module:qualname`` (never by
   line number, so an edit elsewhere does not move it), with its length
@@ -14,7 +14,13 @@ campaign worker processes included.  The result is
   each defaulted field of a reached ``repro`` dataclass, keyed
   ``module:qualname|param``, with its default and the entry points that
   passed it another value (``varied_by``).  A knob no entry point varies
-  is a constant spelled as a setting.
+  is a constant spelled as a setting;
+* ``record_state``: the same rows for the fields of a non-frozen
+  dataclass (``TCB``, ``TaskInfo``, ``TenantLedger``, ``Message``, ...).
+  Such a field is state the program mutates, not a setting a caller
+  chooses, so it is counted here rather than among the knobs.  Function
+  parameters and the fields of frozen dataclasses (``MachineConfig``,
+  ``JobSpec``, ``Tenant``, ``RunOptions``, ``Material``) stay knobs.
 
 plus the totals.  Tests are deliberately not an entry point: a function
 only its own tests call, or a keyword only its tests set, serves no one.
@@ -59,6 +65,7 @@ import ast
 import dataclasses
 import dis
 import functools
+import importlib
 import inspect
 import json
 import multiprocessing.util
@@ -80,7 +87,7 @@ PACKAGE = SRC / "repro"
 PREFIX = str(PACKAGE) + os.sep
 OUT = HERE / "results" / "reach.json"
 
-SCHEMA = "fem2-reach/2"
+SCHEMA = "fem2-reach/3"
 
 #: the seed the host workloads draw their inputs from
 HOST_SEED = 1984
@@ -227,6 +234,22 @@ def function_knobs(key: str, fn, cls=None) -> Optional[Knobs]:
 def _is_dataclass_init(cls, fn) -> bool:
     return (dataclasses.is_dataclass(cls) and fn.__name__ == "__init__"
             and fn.__code__.co_filename == "<string>")
+
+
+def is_record_state(knob: str) -> bool:
+    """Whether *knob* (``module:qualname|param``) is a field of a
+    non-frozen dataclass, set through its generated ``__init__``."""
+    where = knob.split("|")[0]
+    module, qualname = where.split(":")
+    if not qualname.endswith(".__init__"):
+        return False
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    cls = importlib.import_module(module)
+    for part in qualname.split(".")[:-1]:
+        cls = getattr(cls, part)
+    return (_is_dataclass_init(cls, cls.__init__)
+            and not cls.__dataclass_params__.frozen)
 
 
 def module_knobs(module) -> Dict[object, Knobs]:
@@ -487,7 +510,7 @@ def run_child(name: str, out_dir: pathlib.Path) -> None:
 
 def ledger(reached: Dict[str, Set[Tuple[str, int, str]]],
            knobs: Dict[str, Tuple[Dict[str, str], Set[str]]]) -> dict:
-    """The ``fem2-reach/2`` document from each entry point's records:
+    """The ``fem2-reach/3`` document from each entry point's records:
     *reached* its function records, *knobs* its ``(defaults, varied)``."""
     lines, where = universe()
     by: Dict[str, List[str]] = {key: [] for key in lines}
@@ -500,11 +523,13 @@ def ledger(reached: Dict[str, Set[Tuple[str, int, str]]],
         package = (key.split(":")[0].split(".") + ["repro"])[1]
         packages[package] = packages.get(package, 0) + lines[key]
     knob_rows: Dict[str, dict] = {}
+    record_rows: Dict[str, dict] = {}
     for name in sorted(knobs):
         defaults, varied = knobs[name]
         for knob, default in defaults.items():
-            row = knob_rows.setdefault(knob, {"default": default,
-                                              "varied_by": []})
+            rows = record_rows if is_record_state(knob) else knob_rows
+            row = rows.setdefault(knob, {"default": default,
+                                         "varied_by": []})
             if knob in varied:
                 row["varied_by"].append(name)
     return {
@@ -523,18 +548,23 @@ def ledger(reached: Dict[str, Set[Tuple[str, int, str]]],
             "knobs": len(knob_rows),
             "idle_knobs": sum(1 for row in knob_rows.values()
                               if not row["varied_by"]),
+            "record_state": len(record_rows),
+            "idle_record_state": sum(1 for row in record_rows.values()
+                                     if not row["varied_by"]),
         },
         "functions": {key: {"lines": lines[key], "reached_by": by[key]}
                       for key in sorted(lines)},
         "knobs": dict(sorted(knob_rows.items())),
+        "record_state": dict(sorted(record_rows.items())),
     }
 
 
 def render(doc: dict) -> str:
     """JSON with one function or knob per line, so a diff names it."""
-    head = {k: v for k, v in doc.items() if k not in ("functions", "knobs")}
+    sections = ("functions", "knobs", "record_state")
+    head = {k: v for k, v in doc.items() if k not in sections}
     text = json.dumps(head, indent=1)[:-2]
-    for section in ("functions", "knobs"):
+    for section in sections:
         rows = [f"  {json.dumps(key)}: {json.dumps(value)}"
                 for key, value in doc[section].items()]
         text += f',\n "{section}": {{\n' + ",\n".join(rows) + "\n }"
@@ -561,7 +591,9 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"functions ({totals['unreached_lines']} of "
           f"{totals['function_lines']} lines) reached by no entry point; "
           f"{totals['idle_knobs']} of {totals['knobs']} knobs varied by "
-          f"none; wrote {OUT.relative_to(ROOT)}", file=sys.stderr)
+          f"none ({totals['idle_record_state']} of {totals['record_state']} "
+          f"record-state fields); wrote {OUT.relative_to(ROOT)}",
+          file=sys.stderr)
     return 0
 
 

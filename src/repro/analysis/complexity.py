@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..fem.assembly import assembly_flops
 from ..fem.elements import element_type
 from ..fem.mesh import Mesh
 from ..fem.partition import Subdomain

@@ -11,11 +11,9 @@ Command summary (also printed by ``help``)::
     material e=2e11 nu=0.3 [thickness=...]  set material properties
     grid NX NY [LX LY] [quad4|tri3]         generate grid
     truss N [PANEL HEIGHT]                  generate Pratt truss
-    frame cantilever N [LENGTH]             generate beam cantilever
-    frame portal STORIES BAYS               generate portal frame
     fix x=VAL | fix y=VAL | fix node N      add supports
     loadset NAME                            define a load set
-    load SET node N fx|fy|m VALUE           add a nodal load
+    load SET node N fx|fy VALUE             add a nodal load
     lineload SET x=VAL|y=VAL fx|fy VALUE    load every node on a line
     gravity SET GX GY                       uniform gravity on a load set
     solve SET [method=M] [engine=host|fem2] [workers=K]
@@ -29,12 +27,12 @@ Command summary (also printed by ``help``)::
 from __future__ import annotations
 
 import shlex
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import AppVMError, CommandError, Fem2Error
 from .session import WorkstationSession
 
-_COMP = {"fx": 0, "fy": 1, "m": 2, "ux": 0, "uy": 1, "rz": 2}
+_COMP = {"fx": 0, "fy": 1, "ux": 0, "uy": 1}
 
 
 def _num(token: str, what: str) -> float:
@@ -58,15 +56,14 @@ def _split_kwargs(tokens: List[str]) -> Tuple[List[str], Dict[str, str]]:
 class CommandInterpreter:
     """Direct interpreter for the workstation command language."""
 
-    def __init__(self, session: Optional[WorkstationSession] = None) -> None:
-        self.session = session or WorkstationSession()
+    def __init__(self) -> None:
+        self.session = WorkstationSession()
         self.commands_run = 0
         self._handlers: Dict[str, Callable[[List[str]], str]] = {
             "new": self._cmd_new,
             "material": self._cmd_material,
             "grid": self._cmd_grid,
             "truss": self._cmd_truss,
-            "frame": self._cmd_frame,
             "fix": self._cmd_fix,
             "loadset": self._cmd_loadset,
             "load": self._cmd_load,
@@ -148,23 +145,6 @@ class CommandInterpreter:
         mesh = self.session.current.mesh
         return f"truss generated: {mesh.n_nodes} nodes, {mesh.n_elements} bars"
 
-    def _cmd_frame(self, args: List[str]) -> str:
-        if not args:
-            raise CommandError("usage: frame cantilever N [L] | frame portal S B")
-        kind = args[0]
-        if kind == "cantilever":
-            n = int(_num(args[1], "elements"))
-            length = _num(args[2], "length") if len(args) > 2 else 1.0
-            self.session.generate_frame("cantilever", n, length)
-        elif kind == "portal":
-            self.session.generate_frame(
-                "portal", int(_num(args[1], "stories")), int(_num(args[2], "bays"))
-            )
-        else:
-            raise CommandError(f"unknown frame kind {kind!r}")
-        mesh = self.session.current.mesh
-        return f"frame generated: {mesh.n_nodes} nodes, {mesh.n_elements} beams"
-
     def _cmd_fix(self, args: List[str]) -> str:
         pos, kw = _split_kwargs(args)
         if "x" in kw or "y" in kw:
@@ -178,7 +158,7 @@ class CommandInterpreter:
             comps = [_COMP[c] for c in pos[2:]] if len(pos) > 2 else None
             self.session.fix_nodes([node], comps)
             return f"fixed node {node}"
-        raise CommandError("usage: fix x=VAL | fix y=VAL | fix node N [ux uy rz]")
+        raise CommandError("usage: fix x=VAL | fix y=VAL | fix node N [ux uy]")
 
     def _cmd_loadset(self, args: List[str]) -> str:
         if len(args) != 1:
@@ -188,7 +168,7 @@ class CommandInterpreter:
 
     def _cmd_load(self, args: List[str]) -> str:
         if len(args) != 5 or args[1] != "node":
-            raise CommandError("usage: load SET node N fx|fy|m VALUE")
+            raise CommandError("usage: load SET node N fx|fy VALUE")
         name, node, comp_name, value = args[0], args[2], args[3], args[4]
         comp = _COMP.get(comp_name)
         if comp is None:

@@ -4,18 +4,18 @@
 storage; shared data)" and "Data base operations (store model in
 DB/retrieve)".
 
-The database stores plain dicts (models and results serialize
-themselves), is shared between sessions (multi-user access is one of
-the architecture requirements), versions every key, and detects
-write-write conflicts through optimistic version checks.  JSON
-persistence covers the "long-term" half.
+The database stores plain dicts (models serialize themselves), is
+shared between sessions (multi-user access is one of the architecture
+requirements), versions every key, and detects write-write conflicts
+through optimistic version checks.  :meth:`ModelDatabase.load` reads a
+JSON file of entries and refuses one that store() would not accept.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from ..errors import DatabaseError
 
@@ -79,31 +79,10 @@ class ModelDatabase:
             raise DatabaseError(f"no database entry {key!r}")
         return entry.kind
 
-    def delete(self, key: str) -> None:
-        if key not in self._entries:
-            raise DatabaseError(f"no database entry {key!r}")
-        del self._entries[key]
-
-    def keys(self, kind: Optional[str] = None) -> List[str]:
-        if kind is None:
-            return sorted(self._entries)
-        return sorted(k for k, e in self._entries.items() if e.kind == kind)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    def keys(self) -> List[str]:
+        return sorted(self._entries)
 
     # -- persistence -----------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        data = {
-            k: {"value": e.value, "version": e.version, "kind": e.kind}
-            for k, e in self._entries.items()
-        }
-        with open(path, "w") as fh:
-            json.dump(data, fh)
 
     @classmethod
     def load(cls, path: str) -> "ModelDatabase":
@@ -114,7 +93,7 @@ class ModelDatabase:
         except (OSError, json.JSONDecodeError) as exc:
             raise DatabaseError(f"cannot load database from {path}: {exc}") from exc
         # the file comes from outside the program: hold it to what store()
-        # accepts and save() writes, or refuse it by key
+        # accepts, or refuse it by key
         if not isinstance(data, dict):
             raise DatabaseError(
                 f"cannot load database from {path}: expected an object of "

@@ -24,39 +24,36 @@ def render_model(model: StructureModel) -> str:
     return "\n".join(lines)
 
 
-def render_displacements(
-    mesh: Mesh, result: AnalysisResult, top: int = 10
-) -> str:
-    """The *top* nodes by displacement magnitude, as a table."""
-    d = mesh.dofs_per_node
-    u = result.u.reshape(-1, d)
-    mag = np.linalg.norm(u[:, :2], axis=1)
-    order = np.argsort(-mag)[:top]
-    comps = ["ux", "uy", "rz"][:d]
-    header = f"{'node':>6} {'x':>10} {'y':>10} " + " ".join(f"{c:>12}" for c in comps)
+def render_displacements(mesh: Mesh, result: AnalysisResult) -> str:
+    """The ten nodes of largest displacement magnitude, as a table."""
+    u = result.u.reshape(-1, 2)
+    order = np.argsort(-np.linalg.norm(u, axis=1))[:10]
+    header = f"{'node':>6} {'x':>10} {'y':>10} " + " ".join(
+        f"{c:>12}" for c in ("ux", "uy"))
     lines = [f"displacements ({result.model_name}/{result.load_set}):", header]
     for n in order:
         coords = mesh.coords[n]
-        vals = " ".join(f"{u[n, i]:>12.4e}" for i in range(d))
+        vals = " ".join(f"{u[n, i]:>12.4e}" for i in range(2))
         lines.append(f"{n:>6} {coords[0]:>10.3f} {coords[1]:>10.3f} {vals}")
     lines.append(f"max |u| = {result.max_displacement():.6e}")
     return "\n".join(lines)
 
 
-def render_stresses(result: AnalysisResult, top: int = 5) -> str:
+def render_stresses(result: AnalysisResult) -> str:
+    """The five most stressed elements of each element type."""
     lines = [f"stresses ({result.model_name}/{result.load_set}):"]
     for etype, s in result.stresses.items():
         if not s.size:
             continue
         if s.shape[1] == 3:  # plane components -> report von Mises
             vm = von_mises_plane(s)
-            order = np.argsort(-vm)[:top]
+            order = np.argsort(-vm)[:5]
             lines.append(f"  {etype}: top von Mises")
             for e in order:
                 lines.append(f"    element {e:>5}  svm = {vm[e]:.4e}")
         else:
             peak = np.abs(s).max(axis=1)
-            order = np.argsort(-peak)[:top]
+            order = np.argsort(-peak)[:5]
             lines.append(f"  {etype}: top |component|")
             for e in order:
                 lines.append(f"    element {e:>5}  s = {peak[e]:.4e}")

@@ -90,7 +90,7 @@ class StructureModel:
     def from_dict(cls, d: Dict[str, Any]) -> "StructureModel":
         model = cls(d["name"], material=_mat_from_dict(d["material"]))
         if "mesh" in d:
-            mesh = Mesh(np.array(d["mesh"]["coords"]), d["mesh"]["dofs_per_node"])
+            mesh = Mesh(np.array(d["mesh"]["coords"]))
             for etype, conn in d["mesh"]["groups"].items():
                 mesh.add_elements(etype, np.array(conn, dtype=int))
             model.set_mesh(mesh)
@@ -129,29 +129,6 @@ class AnalysisResult:
     method: str
     iterations: int = 0
     elapsed_cycles: int = 0  # 0 for host-side solves
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "model_name": self.model_name,
-            "load_set": self.load_set,
-            "u": self.u.tolist(),
-            "stresses": {k: v.tolist() for k, v in self.stresses.items()},
-            "method": self.method,
-            "iterations": self.iterations,
-            "elapsed_cycles": self.elapsed_cycles,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "AnalysisResult":
-        return cls(
-            model_name=d["model_name"],
-            load_set=d["load_set"],
-            u=np.array(d["u"]),
-            stresses={k: np.array(v) for k, v in d["stresses"].items()},
-            method=d["method"],
-            iterations=d.get("iterations", 0),
-            elapsed_cycles=d.get("elapsed_cycles", 0),
-        )
 
     def max_displacement(self) -> float:
         return float(np.abs(self.u).max()) if self.u.size else 0.0

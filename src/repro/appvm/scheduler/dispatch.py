@@ -39,9 +39,6 @@ class FairShareQueue:
     def __bool__(self) -> bool:
         return any(self._queues.values())
 
-    def waiting(self) -> List[JobHandle]:
-        return [entry[2] for q in self._queues.values() for entry in q]
-
     def best_priority(self) -> Optional[int]:
         """Highest priority among all queued jobs (preemption trigger)."""
         best = None

@@ -22,9 +22,9 @@ class JobHandle:
     __slots__ = ("spec", "state", "reason", "job_id", "tid", "span",
                  "queue_span", "machine", "submit_time", "dispatch_time",
                  "finish_time", "queue_wait", "preemptions", "_result",
-                 "_owner", "_resume_image", "_enqueued_at")
+                 "_resume_image", "_enqueued_at")
 
-    def __init__(self, spec: JobSpec, owner=None, job_id: int = 0) -> None:
+    def __init__(self, spec: JobSpec, job_id: int = 0) -> None:
         self.spec = spec
         self.state = JobState.PENDING
         self.reason: Optional[str] = None   # set when REJECTED
@@ -39,7 +39,6 @@ class JobHandle:
         self.queue_wait = 0                 # total cycles spent queued
         self.preemptions = 0
         self._result: Optional[AnalysisResult] = None
-        self._owner = owner
         self._resume_image: Optional[bytes] = None  # fem2-ckpt/1 blob
         self._enqueued_at: Optional[int] = None
 
@@ -61,32 +60,10 @@ class JobHandle:
                 f"(state={self.state.value}; run the service)")
         return self._result
 
-    def checkpoint(self) -> bytes:
-        """Checkpoint the *job's machine* — not the whole service.
-
-        The blob captures this job's machine (its configuration, the
-        jobs resident on it, and the complete program state) in the
-        ``fem2-ckpt/1`` format; restore it with
-        :meth:`repro.appvm.MachineService.resume` or let the pool do it
-        as part of preemption.  Jobs sharing the machine are captured
-        too; jobs on *other* pool machines are not.
-        """
-        if self._owner is None:
-            raise self._not_resident()
-        return self._owner.checkpoint_job(self)
-
-    def _not_resident(self) -> AppVMError:
-        return AppVMError(
-            f"job for {self.spec.user!r} is not resident on a machine "
-            f"(state={self.state.value})")
-
     def _finish(self, state: JobState) -> None:
-        """Enter a final state.  A finished handle is a result, not a
-        lease on its service: it lets go of the owner (and with it the
-        pool, its machines and their finished programs)."""
+        """Enter a final state and let go of the machine."""
         self.state = state
         self.machine = None
-        self._owner = None
 
     # -- naming -------------------------------------------------------------
 

@@ -91,7 +91,7 @@ class ServicePool:
         spec.validate_model()
         # the gate reads the front machine's registry
         _lint_gate(self.machines[0].program, spec.lint)
-        handle = JobHandle(spec, owner=self, job_id=next(self._ids))
+        handle = JobHandle(spec, job_id=next(self._ids))
         handle.submit_time = self.now
         self.handles.append(handle)
         ledger = self.tenants.get(spec.tenant)
@@ -267,19 +267,7 @@ class ServicePool:
 
     # -- checkpoint scope ---------------------------------------------------
 
-    def checkpoint_job(self, handle: JobHandle) -> bytes:
-        """Checkpoint *handle*'s machine (per-job scoping: one machine,
-        its resident jobs, nothing else)."""
-        machine = handle.machine
-        if machine is None:
-            raise handle._not_resident()
-        return machine.checkpoint()
-
     # -- reporting ----------------------------------------------------------
-
-    @property
-    def pending_count(self) -> int:
-        return sum(1 for h in self.handles if h.state.in_flight)
 
     def queue_waits(self) -> List[int]:
         """Queue-wait cycles of every finished job (latency population)."""

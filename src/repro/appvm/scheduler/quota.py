@@ -86,13 +86,11 @@ class TenantTable:
         return out
 
 
-def fairness_index(table: TenantTable, active_only: bool = True) -> float:
+def fairness_index(table: TenantTable) -> float:
     """min/max ratio of share-normalized consumption (1.0 = perfectly
-    proportional).  Tenants that consumed nothing are skipped unless
-    every tenant did."""
+    proportional) over the tenants that consumed anything."""
     rates = [led.consumed / led.tenant.share
-             for led in table.ledgers.values()
-             if led.consumed > 0 or not active_only]
+             for led in table.ledgers.values() if led.consumed > 0]
     if len(rates) < 2:
         return 1.0
     return min(rates) / max(rates)

@@ -44,16 +44,6 @@ class JobState(enum.Enum):
     DONE = "done"              # result available
     REJECTED = "rejected"      # refused by admission control (see .reason)
 
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.DONE, JobState.REJECTED)
-
-    @property
-    def in_flight(self) -> bool:
-        """Counts against the tenant's concurrency quota."""
-        return self in (JobState.ADMITTED, JobState.RUNNING,
-                        JobState.PREEMPTED)
-
 
 @dataclass(frozen=True)
 class JobSpec:

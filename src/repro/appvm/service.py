@@ -63,10 +63,6 @@ class MachineService:
     def program(self):
         return self.machine.program
 
-    @property
-    def tracer(self):
-        return self.program.tracer
-
     def submit(self, spec: JobSpec) -> JobHandle:
         """Start one solve described by a :class:`JobSpec` as a root task;
         no simulated time passes until :meth:`run`.
@@ -82,7 +78,7 @@ class MachineService:
                 f"submit() takes a JobSpec, got {type(spec).__name__}")
         spec.validate_model()
         _lint_gate(self.program, spec.lint)
-        handle = JobHandle(spec, owner=self, job_id=next(self._ids))
+        handle = JobHandle(spec, job_id=next(self._ids))
         handle.submit_time = handle.dispatch_time = self.program.now
         self.machine.spawn(handle)
         handle.state = JobState.RUNNING
@@ -115,13 +111,6 @@ class MachineService:
         return self.machine.checkpoint(
             completed_batches=self.completed_batches)
 
-    def checkpoint_job(self, handle: JobHandle) -> bytes:
-        """What :meth:`JobHandle.checkpoint` calls: the job's machine is
-        the service's only machine, so this is :meth:`checkpoint`."""
-        if handle.machine is None:
-            raise handle._not_resident()
-        return self.checkpoint()
-
     @classmethod
     def resume(cls, blob: bytes, tracer=None) -> "MachineService":
         """Rebuild a service from a :meth:`checkpoint` blob and continue.
@@ -132,9 +121,8 @@ class MachineService:
         after which :meth:`run` completes the jobs exactly as the
         original machine would have.
 
-        Accepts both whole-service blobs and the per-job machine blobs
-        produced by :meth:`JobHandle.checkpoint` or pool preemption —
-        they share the ``fem2-ckpt/1`` format.
+        Accepts both whole-service blobs and the machine blobs that
+        pool preemption produces — they share the ``fem2-ckpt/1`` format.
         """
         state, config = _decode_blob(blob)
         service = cls(config=config, tracer=tracer, checkpointing=True)
@@ -147,8 +135,7 @@ class MachineService:
                 tol=job["tol"], priority=job.get("priority", 0),
                 tenant=job.get("tenant", "default"),
             )
-            handle = JobHandle(spec, owner=service,
-                               job_id=next(service._ids))
+            handle = JobHandle(spec, job_id=next(service._ids))
             handle.tid = job["tid"]
             handle.state = JobState.RUNNING
             handle.machine = machine
@@ -162,10 +149,6 @@ class MachineService:
                 max_id = max(max_id, int(tagged.group(1)))
         service._ids = itertools.count(max_id + 1)
         return service
-
-    @property
-    def pending_count(self) -> int:
-        return len(self.machine.jobs)
 
     def machine_report(self) -> Dict[str, float]:
         m = self.program.metrics

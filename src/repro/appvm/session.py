@@ -23,9 +23,7 @@ from ..fem import (
     Constraints,
     LoadSet,
     Material,
-    cantilever_frame,
     parallel_cg_solve,
-    portal_frame,
     pratt_truss,
     recover_stresses,
     rect_grid,
@@ -70,10 +68,6 @@ class WorkstationSession:
             raise AppVMError("no current model; define one first")
         return self.current
 
-    def select(self, name: str) -> StructureModel:
-        self.current = self.workspace.get(f"model:{name}")
-        return self.current
-
     def set_material(self, **props: Any) -> Material:
         model = self._model()
         model.material = Material(**props)
@@ -86,14 +80,6 @@ class WorkstationSession:
     def generate_truss(self, n_panels: int, panel: float = 1.0,
                        height: float = 1.0) -> None:
         self._model().set_mesh(pratt_truss(n_panels, panel, height))
-
-    def generate_frame(self, kind: str, *args: Any, **kw: Any) -> None:
-        if kind == "cantilever":
-            self._model().set_mesh(cantilever_frame(*args, **kw))
-        elif kind == "portal":
-            self._model().set_mesh(portal_frame(*args, **kw))
-        else:
-            raise AppVMError(f"unknown frame kind {kind!r}")
 
     # -- supports and loads -----------------------------------------------------
 
@@ -170,9 +156,9 @@ class WorkstationSession:
         self.workspace.put(f"result:{model.name}:{load_set}", result)
         return result
 
-    def result(self, load_set: str, model_name: Optional[str] = None) -> AnalysisResult:
-        name = model_name or self._model().name
-        return self.workspace.get(f"result:{name}:{load_set}")
+    def result(self, load_set: str) -> AnalysisResult:
+        """The current model's last result for *load_set*."""
+        return self.workspace.get(f"result:{self._model().name}:{load_set}")
 
     def set_gravity(self, load_set: str, gx: float, gy: float) -> None:
         """Add a uniform gravity field to a load set."""
@@ -189,12 +175,6 @@ class WorkstationSession:
         self.workspace.put(f"model:{model.name}", model)
         self.current = model
         return model
-
-    def store_result(self, load_set: str, key: Optional[str] = None) -> int:
-        result = self.result(load_set)
-        return self.database.store(
-            key or f"{result.model_name}:{load_set}", result.to_dict(), kind="result"
-        )
 
     # -- display -----------------------------------------------------------------------------
 

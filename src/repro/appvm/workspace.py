@@ -2,44 +2,25 @@
 
 "Storage management: Dynamic storage allocation for models, results,
 workspaces, etc.; Data movement between data base and workspace."  A
-workspace accounts for its contents in words so workstation sessions
-have a storage figure of their own.
+workspace holds a session's models and results by name; the database
+is the long-term, shared half.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..errors import AppVMError
 
 
-def _object_words(obj: Any) -> int:
-    """Approximate size of a workspace object in words."""
-    from ..sysvm.storage import words_of
-
-    try:
-        return words_of(obj)
-    except Exception:
-        pass
-    to_dict = getattr(obj, "to_dict", None)
-    if callable(to_dict):
-        try:
-            return words_of(to_dict())
-        except Exception:
-            return 64
-    return 64
-
-
 class Workspace:
-    """Named slots of user-local data with storage accounting."""
+    """Named slots of user-local data."""
 
     def __init__(self, owner: str = "user") -> None:
         self.owner = owner
         self._slots: Dict[str, Any] = {}
-        self._words: Dict[str, int] = {}
 
     def put(self, name: str, obj: Any) -> None:
-        self._words[name] = _object_words(obj)
         self._slots[name] = obj
 
     def get(self, name: str) -> Any:
@@ -49,18 +30,3 @@ class Workspace:
             raise AppVMError(
                 f"workspace of {self.owner!r} has no object {name!r}"
             ) from None
-
-    def drop(self, name: str) -> None:
-        if name not in self._slots:
-            raise AppVMError(f"workspace has no object {name!r}")
-        del self._slots[name]
-        del self._words[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._slots)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._slots
-
-    def used_words(self) -> int:
-        return sum(self._words.values())

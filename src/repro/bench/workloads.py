@@ -26,12 +26,12 @@ class Problem:
     material: Material = BENCH_MATERIAL
 
 
-def plane_stress_cantilever(n: int, aspect: float = 2.0) -> Problem:
-    """The canonical E1/E2/E9 workload: an n x (n//2) cantilevered plate
-    under tip shear.  ``n`` is the cell count along x."""
+def plane_stress_cantilever(n: int) -> Problem:
+    """The canonical E1/E2/E9 workload: an n x (n//2) cell, 2 x 1
+    cantilevered plate under tip shear.  ``n`` is the cell count along x."""
     ny = max(1, n // 2)
-    mesh = rect_grid(n, ny, aspect, aspect / 2.0)
+    mesh = rect_grid(n, ny, 2.0, 1.0)
     constraints = Constraints(mesh).fix_nodes(mesh.nodes_on(x=0.0))
-    loads = LoadSet("tip").add_nodal_many(mesh.nodes_on(x=aspect), 1, -1e4)
+    loads = LoadSet("tip").add_nodal_many(mesh.nodes_on(x=2.0), 1, -1e4)
     return Problem(f"cantilever{n}x{ny}", mesh, constraints, loads)
 

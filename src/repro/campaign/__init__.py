@@ -13,7 +13,7 @@ CLI: ``python -m repro.campaign --axis nx=2,4,8 --axis workers=1,2
 --campaign-workers 4 --waves 2 --refine 4 --out campaign.json``.
 """
 
-from .campaign import Campaign, run_campaign
+from .campaign import Campaign
 from .refine import midpoint, pair_score, refine_candidates
 from .report import CAMPAIGN_SCHEMA, CampaignReport
 from .runner import (
@@ -50,7 +50,6 @@ __all__ = [
     "point_key",
     "pool_worker",
     "refine_candidates",
-    "run_campaign",
     "run_point",
     "validate_axes",
 ]

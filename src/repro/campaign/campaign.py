@@ -207,8 +207,3 @@ class Campaign:
             waves=waves_meta,
             points=records,
         )
-
-
-def run_campaign(space: ParamSpace, **kwargs: Any) -> CampaignReport:
-    """One-shot convenience: ``Campaign(space, **kwargs).run()``."""
-    return Campaign(space, **kwargs).run()

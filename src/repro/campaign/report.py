@@ -94,9 +94,3 @@ class CampaignReport:
     def from_json(cls, text: str) -> "CampaignReport":
         return cls.from_record(json.loads(text))
 
-    def point_for(self, point: Dict[str, Any]) -> Dict[str, Any]:
-        """The record of one scheduled point (by point identity)."""
-        for rec in self.points:
-            if rec["point"] == point:
-                return rec
-        raise CampaignError(f"no record for point {point!r}")

@@ -12,7 +12,6 @@ from .layers import LayerStack
 from .refinement import (
     RefinementReport,
     check_refinement,
-    require_refined,
     resolve_artifact,
 )
 from .requirements import (
@@ -37,7 +36,6 @@ __all__ = [
     "LayerStack",
     "RefinementReport",
     "check_refinement",
-    "require_refined",
     "resolve_artifact",
     "PAPER_HARDWARE_REQUIREMENTS",
     "Requirement",

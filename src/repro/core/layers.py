@@ -19,8 +19,8 @@ from .vm_spec import VMSpec
 class LayerStack:
     """An ordered set of VM specifications plus their formal models."""
 
-    def __init__(self, name: str = "fem2") -> None:
-        self.name = name
+    def __init__(self) -> None:
+        self.name = "fem2"
         self._layers: Dict[int, VMSpec] = {}
         self.grammars: Dict[str, Grammar] = {}
 

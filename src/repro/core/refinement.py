@@ -18,7 +18,6 @@ import importlib
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from ..errors import RefinementError
 from .layers import LayerStack
 
 
@@ -104,12 +103,4 @@ def check_refinement(stack: LayerStack, check_artifacts: bool = True) -> Refinem
         for item in lower.items():
             if item.name not in used:
                 report.orphans.append((lower.name, item.name))
-    return report
-
-
-def require_refined(stack: LayerStack) -> RefinementReport:
-    """Check and raise :class:`RefinementError` on any hard failure."""
-    report = check_refinement(stack)
-    if not report.ok:
-        raise RefinementError(report.summary())
     return report

@@ -448,7 +448,7 @@ def _layer4() -> VMSpec:
 
 def fem2_stack() -> LayerStack:
     """The complete, checkable FEM-2 design."""
-    stack = LayerStack("fem2")
+    stack = LayerStack()
     for grammar in fem2_grammars().values():
         stack.add_grammar(grammar)
     stack.add_layer(_layer1())

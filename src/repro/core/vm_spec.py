@@ -108,16 +108,10 @@ class VMSpec:
     def __len__(self) -> int:
         return len(self._items)
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._items)
-
     def completeness(self) -> Dict[str, bool]:
         """Does the layer cover all five VM components? (The method's
         first sanity check: a layer missing a component is underspecified.)"""
         return {k.value: bool(self.items(k)) for k in ComponentKind}
-
-    def is_complete(self) -> bool:
-        return all(self.completeness().values())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VMSpec({self.name!r}, level={self.level}, items={len(self)})"

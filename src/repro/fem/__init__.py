@@ -7,16 +7,11 @@ FEM-2 machine through the numerical analyst's VM.
 """
 
 from .materials import ALUMINUM, STEEL, Material
-from .mesh import Mesh, cantilever_frame, portal_frame, pratt_truss, rect_grid
+from .mesh import Mesh, pratt_truss, rect_grid
 from .elements import element_type, known_types
 from .loads import LoadSet
 from .bc import Constraints
-from .assembly import (
-    assemble_stiffness,
-    assembly_flops,
-    element_stiffness_batches,
-    stiffness_stats,
-)
+from .assembly import assemble_stiffness, element_stiffness_batches
 from .solvers import (
     SolveResult,
     cholesky_factor,
@@ -27,13 +22,12 @@ from .solvers import (
     solve_sparse_lu,
     sor,
 )
-from .stress import max_stress_summary, recover_stresses, von_mises_plane
+from .stress import recover_stresses, von_mises_plane
 from .solve import StaticResult, static_solve
 from .partition import (
     Subdomain,
     interface_dofs,
     partition_bisection,
-    partition_stats,
     partition_strips,
     shared_nodes,
 )
@@ -59,8 +53,6 @@ __all__ = [
     "STEEL",
     "Material",
     "Mesh",
-    "cantilever_frame",
-    "portal_frame",
     "pratt_truss",
     "rect_grid",
     "element_type",
@@ -68,9 +60,7 @@ __all__ = [
     "LoadSet",
     "Constraints",
     "assemble_stiffness",
-    "assembly_flops",
     "element_stiffness_batches",
-    "stiffness_stats",
     "SolveResult",
     "cholesky_factor",
     "conjugate_gradient",
@@ -79,7 +69,6 @@ __all__ = [
     "solve_linear",
     "solve_sparse_lu",
     "sor",
-    "max_stress_summary",
     "recover_stresses",
     "von_mises_plane",
     "StaticResult",
@@ -87,7 +76,6 @@ __all__ = [
     "Subdomain",
     "interface_dofs",
     "partition_bisection",
-    "partition_stats",
     "partition_strips",
     "shared_nodes",
     "CondensedSubstructure",

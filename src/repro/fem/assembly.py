@@ -58,31 +58,3 @@ def assemble_stiffness(
     if fmt == "dense":
         return k_coo.toarray()
     return k_coo.asformat(fmt)
-
-
-def assembly_flops(mesh: Mesh) -> int:
-    """Estimated flop count for forming all element stiffnesses — the
-    analysis package's processing model for the assembly phase."""
-    total = 0
-    for name, conn in mesh.groups.items():
-        total += conn.shape[0] * element_type(name).flops_per_stiffness()
-    return total
-
-
-def stiffness_stats(k: sp.spmatrix) -> Dict[str, float]:
-    """Sparsity statistics for the storage-requirements table (E1)."""
-    k = k.tocsr()
-    n = k.shape[0]
-    nnz = k.nnz
-    bandwidth = 0
-    coo = k.tocoo()
-    if nnz:
-        bandwidth = int(np.max(np.abs(coo.row - coo.col)))
-    return {
-        "n": n,
-        "nnz": nnz,
-        "density": nnz / (n * n) if n else 0.0,
-        "bandwidth": bandwidth,
-        "words_dense": n * n,
-        "words_sparse": 2 * nnz + n + 1,  # CSR: values + col idx + row ptr
-    }

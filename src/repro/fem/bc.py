@@ -59,10 +59,6 @@ class Constraints:
         mask[self.fixed_dofs] = False
         return np.nonzero(mask)[0]
 
-    @property
-    def n_free(self) -> int:
-        return self.mesh.n_dofs - len(self._prescribed)
-
     def prescribed_values(self) -> np.ndarray:
         """Values aligned with :attr:`fixed_dofs`."""
         return np.array([self._prescribed[d] for d in sorted(self._prescribed)])

@@ -1,8 +1,7 @@
-"""Element library: bar, beam, constant-strain triangle, bilinear quad."""
+"""Element library: bar, constant-strain triangle, bilinear quad."""
 
 from .base import ElementType, element_type, known_types, register
 from .bar import BAR2D, Bar2D
-from .beam import BEAM2D, Beam2D
 from .tri import TRI3, Tri3
 from .quad import GAUSS_POINTS, QUAD4, Quad4
 
@@ -13,8 +12,6 @@ __all__ = [
     "register",
     "BAR2D",
     "Bar2D",
-    "BEAM2D",
-    "Beam2D",
     "TRI3",
     "Tri3",
     "GAUSS_POINTS",

@@ -17,7 +17,6 @@ from .base import ElementType, register
 class Bar2D(ElementType):
     name = "bar2d"
     nodes_per_element = 2
-    dofs_per_node = 2
     stress_components = ("axial",)
 
     def _geometry(self, coords: np.ndarray):

@@ -2,9 +2,10 @@
 
 An element type computes element stiffness matrices (batched — the
 guides' vectorize-everything rule) and recovers stresses from element
-displacements.  Coordinates arrive as ``(E, nn, 2)`` arrays for E
-elements with nn nodes each; stiffness returns ``(E, nd, nd)`` where
-``nd = nn * dofs_per_node``.
+displacements: ``stiffness(coords, material)`` maps ``(E, nn, 2)``
+coordinates of E elements with nn nodes each to ``(E, nd, nd)``, where
+``nd = nn * dofs_per_node``, and ``stress(coords, material, u)`` maps
+``(E, nd)`` element displacements to ``(E, n_components)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Dict
 import numpy as np
 
 from ...errors import FEMError
-from ..materials import Material
 
 
 class ElementType:
@@ -29,14 +29,6 @@ class ElementType:
     @property
     def dofs_per_element(self) -> int:
         return self.nodes_per_element * self.dofs_per_node
-
-    def stiffness(self, coords: np.ndarray, material: Material) -> np.ndarray:
-        """Batched element stiffness: coords (E, nn, 2) -> (E, nd, nd)."""
-        raise NotImplementedError
-
-    def stress(self, coords: np.ndarray, material: Material, u: np.ndarray) -> np.ndarray:
-        """Batched stress recovery: u (E, nd) -> (E, n_components)."""
-        raise NotImplementedError
 
     def validate_coords(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -69,7 +61,7 @@ def element_type(name: str) -> ElementType:
         return _REGISTRY[name]
     except KeyError:
         raise FEMError(
-            f"unknown element type {name!r}; known: {sorted(_REGISTRY)}"
+            f"unknown element type {name!r}; known: {list(known_types())}"
         ) from None
 
 

@@ -29,7 +29,6 @@ def _shape_derivs(xi: float, eta: float) -> np.ndarray:
 class Quad4(ElementType):
     name = "quad4"
     nodes_per_element = 4
-    dofs_per_node = 2
     stress_components = ("sxx", "syy", "sxy")
 
     def _b_at(self, coords: np.ndarray, xi: float, eta: float):

@@ -12,7 +12,6 @@ from .base import ElementType, register
 class Tri3(ElementType):
     name = "tri3"
     nodes_per_element = 3
-    dofs_per_node = 2
     stress_components = ("sxx", "syy", "sxy")
 
     def _b_matrices(self, coords: np.ndarray):

@@ -60,7 +60,7 @@ class LoadSet:
         for name, conn in mesh.groups.items():
             et = element_type(name)
             coords = mesh.element_coords(name)
-            if name == "bar2d" or name == "beam2d":
+            if name == "bar2d":
                 length = np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1)
                 vol = length * STEEL.area
             elif name == "tri3":
@@ -92,18 +92,5 @@ class LoadSet:
                     )
         return f
 
-    @property
-    def n_loads(self) -> int:
-        return len(self._nodal)
-
-    def scaled(self, factor: float) -> "LoadSet":
-        """A new load set with every load multiplied by *factor*."""
-        out = LoadSet(f"{self.name}*{factor:g}")
-        for (node, comp), value in self._nodal.items():
-            out.add_nodal(node, comp, value * factor)
-        gx, gy = self._gravity
-        out.set_gravity(gx * factor, gy * factor)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LoadSet({self.name!r}, {self.n_loads} nodal loads)"
+        return f"LoadSet({self.name!r}, {len(self._nodal)} nodal loads)"

@@ -15,8 +15,9 @@ class Material:
 
     ``e`` Young's modulus, ``nu`` Poisson's ratio, ``density`` mass
     density, ``thickness`` out-of-plane thickness for plane elements,
-    ``area`` cross-section area for bars/beams, ``inertia`` second
-    moment of area for beams.
+    ``area`` cross-section area for bars, ``inertia`` second moment of
+    area (no element reads it; it stays a field because checkpointed
+    models carry their material).
     """
 
     e: float = 210e9

@@ -14,7 +14,7 @@ on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,25 +25,20 @@ from .elements import element_type
 class Mesh:
     """Nodes plus element groups (one group per element type)."""
 
-    def __init__(self, coords: np.ndarray, dofs_per_node: int = 2) -> None:
+    def __init__(self, coords: np.ndarray) -> None:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise MeshError(f"coords must be (N, 2), got {coords.shape}")
-        if dofs_per_node not in (2, 3):
-            raise MeshError(f"dofs_per_node must be 2 or 3, got {dofs_per_node}")
         self.coords = coords
-        self.dofs_per_node = dofs_per_node
+        #: every element type is plane (u, v); an attribute, not a class
+        #: constant, because checkpointed meshes carry it
+        self.dofs_per_node = 2
         self.groups: Dict[str, np.ndarray] = {}
 
     # -- construction -----------------------------------------------------
 
     def add_elements(self, etype_name: str, conn) -> None:
         et = element_type(etype_name)
-        if et.dofs_per_node != self.dofs_per_node:
-            raise MeshError(
-                f"{etype_name} has {et.dofs_per_node} dofs/node but the mesh "
-                f"uses {self.dofs_per_node}"
-            )
         conn = np.asarray(conn, dtype=int)
         if conn.ndim != 2 or conn.shape[1] != et.nodes_per_element:
             raise MeshError(
@@ -97,25 +92,15 @@ class Mesh:
             conn.shape[0], -1
         )
 
-    def nodes_where(self, pred: Callable[[float, float], bool]) -> np.ndarray:
-        """Node ids whose (x, y) satisfies *pred*."""
-        mask = np.fromiter(
-            (bool(pred(x, y)) for x, y in self.coords), dtype=bool, count=self.n_nodes
-        )
-        return np.nonzero(mask)[0]
-
-    def nodes_on(self, x: Optional[float] = None, y: Optional[float] = None,
-                 tol: float = 1e-9) -> np.ndarray:
+    def nodes_on(self, x: Optional[float] = None,
+                 y: Optional[float] = None) -> np.ndarray:
         """Node ids on a vertical (x=...) and/or horizontal (y=...) line."""
         mask = np.ones(self.n_nodes, dtype=bool)
         if x is not None:
-            mask &= np.abs(self.coords[:, 0] - x) < tol
+            mask &= np.abs(self.coords[:, 0] - x) < 1e-9
         if y is not None:
-            mask &= np.abs(self.coords[:, 1] - y) < tol
+            mask &= np.abs(self.coords[:, 1] - y) < 1e-9
         return np.nonzero(mask)[0]
-
-    def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.coords.min(axis=0), self.coords.max(axis=0)
 
     def stats(self) -> Dict[str, int]:
         out = {"nodes": self.n_nodes, "dofs": self.n_dofs, "elements": self.n_elements}
@@ -197,41 +182,3 @@ def pratt_truss(n_panels: int, panel: float = 1.0, height: float = 1.0) -> Mesh:
     bars += [(top_id(i), i - 1) for i in range(mid, n_panels)]        # diagonals right
     mesh.add_elements("bar2d", np.array(sorted(set(map(tuple, map(sorted, bars))))))
     return mesh
-
-
-def cantilever_frame(n_elems: int, length: float = 1.0) -> Mesh:
-    """A horizontal cantilever of beam2d elements along the x-axis."""
-    if n_elems < 1:
-        raise MeshError("cantilever_frame needs n_elems >= 1")
-    xs = np.linspace(0.0, length, n_elems + 1)
-    coords = np.column_stack([xs, np.zeros_like(xs)])
-    mesh = Mesh(coords, dofs_per_node=3)
-    conn = np.column_stack([np.arange(n_elems), np.arange(1, n_elems + 1)])
-    mesh.add_elements("beam2d", conn)
-    return mesh
-
-
-def portal_frame(n_stories: int, n_bays: int, story_h: float = 3.0,
-                 bay_w: float = 5.0) -> Mesh:
-    """A multi-story, multi-bay rectangular frame of beam2d elements."""
-    if n_stories < 1 or n_bays < 1:
-        raise MeshError("portal_frame needs n_stories, n_bays >= 1")
-    coords = []
-    for ix in range(n_bays + 1):
-        for iy in range(n_stories + 1):
-            coords.append((ix * bay_w, iy * story_h))
-    mesh = Mesh(np.array(coords), dofs_per_node=3)
-
-    def nid(ix, iy):
-        return ix * (n_stories + 1) + iy
-
-    members = []
-    for ix in range(n_bays + 1):       # columns
-        for iy in range(n_stories):
-            members.append((nid(ix, iy), nid(ix, iy + 1)))
-    for iy in range(1, n_stories + 1):  # girders
-        for ix in range(n_bays):
-            members.append((nid(ix, iy), nid(ix + 1, iy)))
-    mesh.add_elements("beam2d", np.array(members))
-    return mesh
-

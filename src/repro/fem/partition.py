@@ -30,10 +30,6 @@ class Subdomain:
     dof_hi: int                          # hull end (exclusive)
 
     @property
-    def n_elements(self) -> int:
-        return sum(len(r) for r in self.element_rows.values())
-
-    @property
     def hull_words(self) -> int:
         return self.dof_hi - self.dof_lo
 
@@ -84,14 +80,14 @@ def _build(mesh: Mesh, assignment: np.ndarray, keys, p: int) -> List[Subdomain]:
     return subs
 
 
-def partition_strips(mesh: Mesh, p: int, axis: int = 0) -> List[Subdomain]:
-    """Partition into *p* strips of near-equal element count along an axis."""
+def partition_strips(mesh: Mesh, p: int) -> List[Subdomain]:
+    """Partition into *p* vertical strips of near-equal element count."""
     if p < 1:
         raise MeshError(f"need at least one partition, got {p}")
     cents, keys = _centroids(mesh)
     n_elems = len(keys)
     p = min(p, n_elems)
-    order = np.argsort(cents[:, axis], kind="stable")
+    order = np.argsort(cents[:, 0], kind="stable")
     assignment = np.empty(n_elems, dtype=int)
     bounds = np.linspace(0, n_elems, p + 1).astype(int)
     for s in range(p):
@@ -143,16 +139,3 @@ def interface_dofs(mesh: Mesh, subs: List[Subdomain]) -> np.ndarray:
     nodes = shared_nodes(subs)
     d = mesh.dofs_per_node
     return (nodes[:, None] * d + np.arange(d)[None, :]).ravel()
-
-
-def partition_stats(mesh: Mesh, subs: List[Subdomain]) -> Dict[str, float]:
-    """Balance and seam metrics for the partitioning tables."""
-    sizes = [s.n_elements for s in subs]
-    return {
-        "parts": len(subs),
-        "elements": sum(sizes),
-        "max_elements": max(sizes) if sizes else 0,
-        "imbalance": (max(sizes) / (sum(sizes) / len(sizes))) if sizes and sum(sizes) else 1.0,
-        "shared_nodes": int(shared_nodes(subs).size),
-        "mean_hull_words": float(np.mean([s.hull_words for s in subs])) if subs else 0.0,
-    }

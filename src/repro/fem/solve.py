@@ -28,9 +28,6 @@ class StaticResult:
     reactions: np.ndarray
     stresses: Optional[Dict[str, np.ndarray]] = None
 
-    def displacement_at(self, mesh: Mesh, node: int, comp: int) -> float:
-        return float(self.u[mesh.dof(node, comp)])
-
 
 def static_solve(
     mesh: Mesh,

@@ -10,7 +10,7 @@ for E9.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,13 +34,11 @@ def _as_matvec(a):
 def conjugate_gradient(
     a,
     b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     max_iter: Optional[int] = None,
     preconditioner: str = "none",
-    callback: Optional[Callable[[int, float], None]] = None,
 ) -> SolveResult:
-    """Preconditioned conjugate gradient for SPD systems.
+    """Preconditioned conjugate gradient for SPD systems, from x = 0.
 
     Convergence test: ||r|| <= tol * ||b||.  ``preconditioner`` is
     ``"none"`` or ``"jacobi"`` (diagonal scaling).
@@ -57,7 +55,7 @@ def conjugate_gradient(
         raise SolverError("Jacobi preconditioner needs positive diagonal")
     max_iter = 10 * n if max_iter is None else max_iter
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     r = b - matvec(x)
     z = r / diag if preconditioner == "jacobi" else r
     p = z.copy()
@@ -86,8 +84,6 @@ def conjugate_gradient(
         res = float(np.linalg.norm(r))
         history.append(res)
         flops += nnz_cost + 10 * n
-        if callback is not None:
-            callback(it, res)
 
     return SolveResult(
         x,
@@ -138,6 +134,10 @@ def jacobi(
     )
 
 
+#: SOR's relaxation factor
+OMEGA = 1.5
+
+
 def _sor_sweep_factory(a, diag: np.ndarray, omega: float):
     """Build the per-sweep update ``x -> x_next`` for SOR.
 
@@ -169,11 +169,10 @@ def _sor_sweep_factory(a, diag: np.ndarray, omega: float):
 def sor(
     a,
     b: np.ndarray,
-    omega: float = 1.5,
     tol: float = 1e-8,
     max_iter: int = 10_000,
 ) -> SolveResult:
-    """Successive over-relaxation (Gauss-Seidel when omega = 1).
+    """Successive over-relaxation with ``omega = OMEGA``.
 
     The sweep is inherently sequential per unknown; it is applied as a
     factored triangular solve (see :func:`_sor_sweep_factory`), so the
@@ -181,8 +180,6 @@ def sor(
     """
     import scipy.sparse as sp
 
-    if not 0 < omega < 2:
-        raise SolverError(f"SOR requires 0 < omega < 2, got {omega}")
     a = sp.csr_matrix(a) if not sp.issparse(a) else a.tocsr()
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -193,7 +190,7 @@ def sor(
     b_norm = float(np.linalg.norm(b)) or 1.0
     history = []
     flops = 0
-    sweep = _sor_sweep_factory(a, diag, omega)
+    sweep = _sor_sweep_factory(a, diag, OMEGA)
     for it in range(1, max_iter + 1):
         x = sweep(x, b)
         r = b - a @ x
@@ -202,9 +199,9 @@ def sor(
         flops += 4 * a.nnz + 6 * n
         if res <= tol * b_norm:
             return SolveResult(
-                x, f"sor({omega:g})", True, it, res, flops, residual_history=history
+                x, f"sor({OMEGA:g})", True, it, res, flops, residual_history=history
             )
     return SolveResult(
-        x, f"sor({omega:g})", False, max_iter, history[-1], flops,
+        x, f"sor({OMEGA:g})", False, max_iter, history[-1], flops,
         residual_history=history,
     )

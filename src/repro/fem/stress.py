@@ -34,12 +34,3 @@ def von_mises_plane(sigma: np.ndarray) -> np.ndarray:
         raise FEMError(f"expected (E, 3) plane stresses, got {sigma.shape}")
     sxx, syy, sxy = sigma[:, 0], sigma[:, 1], sigma[:, 2]
     return np.sqrt(sxx**2 - sxx * syy + syy**2 + 3.0 * sxy**2)
-
-
-def max_stress_summary(stresses: Dict[str, np.ndarray]) -> Dict[str, float]:
-    """Peak |stress| per element type — what the workstation displays."""
-    out = {}
-    for name, s in stresses.items():
-        out[name] = float(np.abs(s).max()) if s.size else 0.0
-    return out
-

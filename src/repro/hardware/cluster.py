@@ -58,10 +58,6 @@ class Cluster:
         self.on_message: Optional[Callable[["Cluster"], None]] = None
         self.failed = False
 
-    def available_workers(self) -> List[ProcessingElement]:
-        """Worker PEs idle right now (the kernel PE never runs tasks)."""
-        return [pe for pe in self.worker_pes if pe.is_available()]
-
     def enqueue(self, message: Any) -> None:
         """A message arrives in the cluster's input queue."""
         if self.failed:

@@ -134,19 +134,12 @@ class EventEngine:
             heapq.heappop(queue)
         return queue[0][2] if queue else None
 
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
-
     def idle(self) -> bool:
         return self._peek() is None
 
     def halt(self) -> None:
         """Stop every run loop after the current event completes."""
         self.halted = True
-
-    def resume_halted(self) -> None:
-        self.halted = False
 
     # -- checkpoint/restore ------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Fault injection and reconfiguration.
 
 The paper's architecture requirements include "provide reconfigurability
-to isolate faulty hardware components".  The injector fails PEs, links,
-or whole clusters at scheduled simulation times; reconfiguration removes
+to isolate faulty hardware components".  The injector fails PEs or whole
+clusters at scheduled simulation times; reconfiguration removes
 the faulty components from routing and dispatch so the rest of the
 machine keeps working.  Experiment E7 measures throughput with
 reconfiguration on versus off.
@@ -10,8 +10,8 @@ reconfiguration on versus off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..errors import FaultError
 from .machine import Machine
@@ -21,8 +21,8 @@ from .pe import PEState
 @dataclass
 class FaultRecord:
     time: int
-    kind: str            # "pe" | "link" | "cluster"
-    target: Tuple        # (cluster, pe) or (a, b) or (cluster,)
+    kind: str            # "pe" | "cluster"
+    target: Tuple        # (cluster, pe) or (cluster,)
 
 
 RECOVERY_MODES = ("restart", "checkpoint")
@@ -81,10 +81,6 @@ class FaultInjector:
         elif self.runtime is not None and self.reconfigure:
             self.runtime.recover_pe_failure(pe)
 
-    def fail_link(self, a: int, b: int) -> None:
-        self.machine.network.fail_link(a, b)
-        self.log.append(FaultRecord(self.machine.now, "link", (a, b)))
-
     def fail_cluster(self, cluster_id: int) -> None:
         cluster = self.machine.cluster(cluster_id)
         # the queue is about to be dropped; capture it first so recovery
@@ -104,9 +100,6 @@ class FaultInjector:
         self.machine.engine.halt()
         self.machine.metrics.incr("fault.halts")
 
-    def repair_pe(self, cluster_id: int, pe_index: int) -> None:
-        self.machine.cluster(cluster_id).pes[pe_index].repair()
-
     # -- scheduled faults -------------------------------------------------------
 
     def schedule_pe_failure(self, at: int, cluster_id: int, pe_index: int) -> None:
@@ -114,9 +107,6 @@ class FaultInjector:
 
     def schedule_cluster_failure(self, at: int, cluster_id: int) -> None:
         self.machine.engine.schedule_at(at, self.fail_cluster, cluster_id)
-
-    def schedule_link_failure(self, at: int, a: int, b: int) -> None:
-        self.machine.engine.schedule_at(at, self.fail_link, a, b)
 
     # -- state ----------------------------------------------------------------
 
@@ -127,9 +117,3 @@ class FaultInjector:
             for pe in c.worker_pes
             if pe.state is not PEState.FAULTY
         )
-
-    def summary(self) -> str:
-        lines = [f"{len(self.log)} faults injected"]
-        for rec in self.log:
-            lines.append(f"  t={rec.time}: {rec.kind} {rec.target}")
-        return "\n".join(lines)

@@ -14,7 +14,7 @@ give the standard sizes used across the experiment suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..errors import ConfigurationError, FaultError, RoutingError
 from .cluster import Cluster
@@ -191,10 +191,6 @@ class Machine:
         ]
 
     # -- lifecycle -------------------------------------------------------------
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Advance the simulation; returns events processed."""
-        return self.engine.run(until=until, max_events=max_events)
 
     def run_to_completion(self, max_events: int = 5_000_000) -> int:
         """Drain the event queue; guards against runaway simulations.

@@ -78,15 +78,6 @@ class SharedMemory:
         self.high_water = state["high_water"]
         self._by_tag = defaultdict(int, state["by_tag"])
 
-    def free_words(self) -> int:
-        return self.capacity_words - self.used_words
-
-    def usage_by_tag(self) -> Dict[str, int]:
-        return {k: v for k, v in self._by_tag.items() if v}
-
-    def utilization(self) -> float:
-        return self.used_words / self.capacity_words
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SharedMemory(cluster={self.cluster_id}, "

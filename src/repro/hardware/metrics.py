@@ -11,8 +11,8 @@ messages/words of communication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 
 class Histogram:
@@ -47,26 +47,6 @@ class Histogram:
     def mean(self) -> float:
         return self._mean if self.count else 0.0
 
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    def summary(self) -> Dict[str, float]:
-        if not self.count:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0, "std": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "std": self.std,
-        }
-
     def snapshot(self) -> Dict[str, float]:
         """Exact internal state (``_m2`` included, so restore is
         bit-identical — recomputing it from ``std`` would lose bits)."""
@@ -87,48 +67,20 @@ class Histogram:
         self._mean = state["mean"]
         self._m2 = state["m2"]
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other* into this histogram (parallel-merge of Welford)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.total = other.count, other.total
-            self.min, self.max = other.min, other.max
-            self._mean, self._m2 = other._mean, other._m2
-            return
-        n1, n2 = self.count, other.count
-        delta = other._mean - self._mean
-        total_n = n1 + n2
-        self._m2 = self._m2 + other._m2 + delta * delta * n1 * n2 / total_n
-        self._mean = (self._mean * n1 + other._mean * n2) / total_n
-        self.count = total_n
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
-
 @dataclass
 class BusyTracker:
     """Tracks utilization of a resource (a PE) over simulated time."""
 
     busy_cycles: int = 0
-    #: start of the current busy interval (public: a PE does begin/end
-    #: in line on its burst path, same checks, to save two frames a burst)
+    #: start of the current busy interval (public: a PE opens it in line
+    #: on its burst path, to save a frame a burst)
     busy_since: Optional[int] = None
-
-    def begin(self, now: int) -> None:
-        if self.busy_since is not None:
-            raise ValueError("resource already busy")
-        self.busy_since = now
 
     def end(self, now: int) -> None:
         if self.busy_since is None:
             raise ValueError("resource not busy")
         self.busy_cycles += now - self.busy_since
         self.busy_since = None
-
-    def is_busy(self) -> bool:
-        return self.busy_since is not None
 
     def snapshot(self) -> Dict[str, Optional[int]]:
         return {"busy_cycles": self.busy_cycles, "busy_since": self.busy_since}
@@ -276,28 +228,8 @@ class MetricsRegistry:
     def total(self, prefix: str) -> float:
         return sum(self.by_prefix(prefix).values())
 
-    def counters(self) -> Dict[str, float]:
-        return {k: c.value for k, c in self._counters.items()}
-
-    def histograms(self) -> Dict[str, Histogram]:
-        return dict(self._histograms)
-
-    def reset(self) -> None:
-        self._counters = {}
-        self._histograms = {}
-        self.version += 1
-
-    def flat(self) -> Dict[str, float]:
-        """A flat summary including histogram summaries (dotted keys)."""
-        out = {k: c.value for k, c in self._counters.items()}
-        for name, h in self._histograms.items():
-            for k, v in h.summary().items():
-                out[f"{name}.{k}"] = v
-        return out
-
     def snapshot(self) -> Dict[str, Any]:
-        """Exact structured state for checkpoint/restore (use
-        :meth:`flat` for the lossy reporting form)."""
+        """Exact structured state for checkpoint/restore."""
         return {
             "counters": {k: c.value for k, c in self._counters.items()},
             "histograms": {n: h.snapshot() for n, h in self._histograms.items()},
@@ -313,20 +245,3 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram()
             h.restore(hstate)
         self.version += 1
-
-    def report(self, prefixes: Iterable[str] = ()) -> str:
-        """Human-readable dump, optionally restricted to prefixes."""
-        keys = sorted(self._counters)
-        if prefixes:
-            keys = [k for k in keys if any(k.startswith(p) for p in prefixes)]
-        width = max((len(k) for k in keys), default=10)
-        lines = [f"{k:<{width}}  {self._counters[k].value:>14,.0f}" for k in keys]
-        for name in sorted(self._histograms):
-            if prefixes and not any(name.startswith(p) for p in prefixes):
-                continue
-            s = self._histograms[name].summary()
-            lines.append(
-                f"{name:<{width}}  n={s['count']:.0f} mean={s['mean']:.1f} "
-                f"max={s['max']:.0f} sum={s['sum']:.0f}"
-            )
-        return "\n".join(lines)

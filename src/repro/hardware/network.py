@@ -4,8 +4,8 @@
 The requirements call for *large messages*, *irregular communication
 patterns*, extensibility to larger configurations, and reconfigurability
 around faults — so the network model supports several topologies,
-shortest-path routing that recomputes when links or clusters fail, and
-per-link traffic counters.
+shortest-path routing that recomputes when clusters fail, and per-link
+traffic counters.
 
 Cost model: a message of ``size`` words over a route of ``h`` hops costs
 
@@ -160,13 +160,6 @@ class Network:
 
     # -- fault handling --------------------------------------------------
 
-    def fail_link(self, a: int, b: int) -> None:
-        if b not in self.adj.get(a, ()):
-            raise RoutingError(f"no link between clusters {a} and {b}")
-        self._drop_link(a, b)
-        self._route_cache.clear()
-        self.metrics.incr("fault.link_failures")
-
     def fail_cluster(self, cid: int) -> None:
         """Isolate a cluster: all its links go down, routes recompute."""
         if cid not in self.adj:
@@ -174,16 +167,8 @@ class Network:
         self._down_clusters.add(cid)
         self._route_cache.clear()
 
-    def restore_cluster(self, cid: int) -> None:
-        self._down_clusters.discard(cid)
-        self._route_cache.clear()
-
     def is_cluster_up(self, cid: int) -> bool:
         return cid not in self._down_clusters
-
-    def _drop_link(self, a: int, b: int) -> None:
-        self.adj[a].remove(b)
-        self.adj[b].remove(a)
 
     # -- checkpoint/restore ----------------------------------------------
 
@@ -195,13 +180,10 @@ class Network:
         }
 
     def restore(self, state: dict) -> None:
-        """Rebuild the topology, then drop edges lost to link faults.
-        The route cache is left cold — routes recompute deterministically."""
+        """Rebuild the topology (links do not fail, so ``edges`` is the
+        topology's own).  The route cache is left cold — routes recompute
+        deterministically."""
         self.adj = build_topology(self.topology_name, self.n_clusters)
-        kept = {(min(a, b), max(a, b)) for a, b in state["edges"]}
-        for a, nbrs in self.adj.items():
-            for b in [b for b in nbrs if a < b and (a, b) not in kept]:
-                self._drop_link(a, b)
         self._down_clusters = set(state["down_clusters"])
         self._link_traffic = dict(state["link_traffic"])
         self._route_cache.clear()
@@ -230,23 +212,14 @@ class Network:
         self._route_cache[key] = path
         return path
 
-    def hops(self, src: int, dst: int) -> int:
-        return len(self.route(src, dst)) - 1
-
-    def transfer_cost(self, src: int, dst: int, size_words: int) -> int:
-        """Latency in cycles to move *size_words* from src to dst.
-
-        Intra-cluster transfers (src == dst) pay only the size term with
-        no hop latency — shared memory, not the network.
-        """
-        return self._latency(self.hops(src, dst), size_words)
-
     def _latency(self, hops: int, size_words: int) -> int:
+        """Intra-cluster transfers (no hops) pay only the size term —
+        shared memory, not the network."""
         size_cycles = math.ceil(size_words / self.bandwidth) if size_words else 0
         return hops * self.hop_latency + size_cycles
 
     def record_transfer(self, src: int, dst: int, size_words: int) -> int:
-        """Route, account traffic on every link, return :meth:`transfer_cost`."""
+        """Route, account traffic on every link, return the latency."""
         path = self.route(src, dst)
         traffic = self._link_traffic
         for a, b in zip(path, path[1:]):

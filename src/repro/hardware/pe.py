@@ -14,7 +14,7 @@ to a busy PE.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from ..errors import FaultError, SchedulingError
 from .events import EventEngine
@@ -51,10 +51,6 @@ class ProcessingElement:
         # proc.cycles when it ends
         self._bursts = Cells(metrics, {"proc.bursts": 0.0})
         self._cycles = Cells(metrics, {"proc.cycles": 0.0})
-
-    @property
-    def pe_id(self) -> Tuple[int, int]:
-        return (self.cluster_id, self.index)
 
     @property
     def name(self) -> str:
@@ -150,11 +146,6 @@ class ProcessingElement:
                 self._burst_event = None
         self.state = PEState.FAULTY
         self.metrics.incr("fault.pe_failures")
-
-    def repair(self) -> None:
-        if self.state is not PEState.FAULTY:
-            raise FaultError(f"{self.name} is not faulty")
-        self.state = PEState.IDLE
 
     def is_available(self) -> bool:
         return self.state is PEState.IDLE

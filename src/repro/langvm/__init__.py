@@ -7,7 +7,7 @@ calls located by window data (``ctx.call``), and parallel linear algebra.
 """
 
 from .windows import Window, block, col, row, vec, whole
-from .ownership import check_owner, owner_of
+from .ownership import check_owner
 from .program import Fem2Program, TaskContext
 from .parallel import forall, pardo
 from . import linalg
@@ -23,7 +23,6 @@ __all__ = [
     "vec",
     "whole",
     "check_owner",
-    "owner_of",
     "Fem2Program",
     "TaskContext",
     "forall",

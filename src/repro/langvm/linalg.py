@@ -7,7 +7,7 @@ these operations)".
 
 The building blocks are *chunk tasks* — small registered task types
 that read a window partition, do the arithmetic, and write/return —
-plus sub-generator helpers (``inner``, ``axpy``, ``norm2``, ``matvec``)
+plus sub-generator helpers (``inner``, ``norm2``, ``matvec``)
 that partition windows, fan the chunk tasks out with forall-style
 initiation, and combine the partial results.  Call
 :func:`ensure_registered` once per program before using the helpers.
@@ -23,7 +23,7 @@ from ..errors import LangVMError
 from .windows import Window
 
 #: task-type names registered by :func:`ensure_registered`
-LINALG_TASKS = ("la.dot", "la.norm", "la.axpy", "la.matvec", "la.scale")
+LINALG_TASKS = ("la.dot", "la.norm", "la.matvec")
 
 
 # -- chunk task bodies -------------------------------------------------------
@@ -39,22 +39,6 @@ def _la_norm(ctx, xw: Window):
     x = yield ctx.read(xw)
     yield ctx.compute(flops=2 * x.size)
     return float(np.dot(x.ravel(), x.ravel()))
-
-
-def _la_axpy(ctx, alpha: float, xw: Window, yw: Window):
-    """y <- alpha*x + y over one partition."""
-    x = yield ctx.read(xw)
-    y = yield ctx.read(yw)
-    yield ctx.compute(flops=2 * x.size)
-    yield ctx.write(yw, alpha * x + y)
-    return None
-
-
-def _la_scale(ctx, alpha: float, xw: Window):
-    x = yield ctx.read(xw)
-    yield ctx.compute(flops=x.size)
-    yield ctx.write(xw, alpha * x)
-    return None
 
 
 def _la_matvec(ctx, aw: Window, xw: Window, yw: Window):
@@ -73,9 +57,7 @@ def ensure_registered(program) -> None:
     bodies = {
         "la.dot": _la_dot,
         "la.norm": _la_norm,
-        "la.axpy": _la_axpy,
         "la.matvec": _la_matvec,
-        "la.scale": _la_scale,
     }
     for name, body in bodies.items():
         if name not in registry:
@@ -109,22 +91,6 @@ def norm2(ctx, xw: Window, workers: int):
     partials = yield from _fan_out(ctx, "la.norm", [(p,) for p in xs])
     yield ctx.compute(flops=len(partials))
     return float(sum(partials))
-
-
-def axpy(ctx, alpha: float, xw: Window, yw: Window, workers: int):
-    """Parallel y <- alpha*x + y."""
-    if xw.words != yw.words:
-        raise LangVMError(f"axpy: size mismatch {xw.words} vs {yw.words}")
-    xs, ys = xw.split_cols(workers), yw.split_cols(workers)
-    yield from _fan_out(ctx, "la.axpy", [(alpha, a, b) for a, b in zip(xs, ys)])
-    return None
-
-
-def scale(ctx, alpha: float, xw: Window, workers: int):
-    """Parallel x <- alpha*x."""
-    xs = xw.split_cols(workers)
-    yield from _fan_out(ctx, "la.scale", [(alpha, p) for p in xs])
-    return None
 
 
 def matvec(ctx, aw: Window, xw: Window, yw: Window, workers: int):

@@ -12,8 +12,6 @@ run-time then services locally or remotely.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import OwnershipError
 from ..sysvm.storage import ArrayHandle
 
@@ -25,7 +23,3 @@ def check_owner(handle: ArrayHandle, task_id: int) -> None:
             f"task {task_id} touched array #{handle.array_id} owned by task "
             f"{handle.owner_task}; non-local data is reachable only through windows"
         )
-
-
-def owner_of(handle: ArrayHandle) -> Optional[int]:
-    return handle.owner_task

@@ -231,6 +231,3 @@ class Fem2Program:
     def now(self) -> int:
         return self.machine.now
 
-    def data_of(self, handle) -> np.ndarray:
-        """Post-run inspection of a retained array (host-side, free)."""
-        return self.runtime.data.raw(handle).copy()

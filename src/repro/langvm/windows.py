@@ -63,20 +63,6 @@ class Window:
         r, c = self.shape
         return r * c
 
-    @property
-    def kind(self) -> str:
-        """'row', 'column', 'block', or 'whole' — the paper's descriptor
-        taxonomy."""
-        nr, nc = self._array_dims()
-        r, c = self.shape
-        if (r, c) == (nr, nc):
-            return "whole"
-        if r == 1 and c == nc:
-            return "row"
-        if c == 1 and r == nr:
-            return "column"
-        return "block"
-
     def size_words(self) -> int:
         """Wire size of the descriptor itself (windows are small values)."""
         return WINDOW_DESCRIPTOR_WORDS
@@ -100,14 +86,6 @@ class Window:
             view[...] = data
 
     # -- window algebra ------------------------------------------------------------
-
-    def sub(self, rows: Tuple[int, int], cols: Tuple[int, int]) -> "Window":
-        """A window within this window (relative indices)."""
-        return Window(
-            self.handle,
-            (self.rows[0] + rows[0], self.rows[0] + rows[1]),
-            (self.cols[0] + cols[0], self.cols[0] + cols[1]),
-        )
 
     def split_rows(self, n: int) -> List["Window"]:
         """Partition into <= n row-bands of near-equal size ("windows may
@@ -134,20 +112,9 @@ class Window:
             out.append(Window(self.handle, r, c))
         return out
 
-    def overlaps(self, other: "Window") -> bool:
-        if self.handle.array_id != other.handle.array_id:
-            return False
-        return not (
-            self.rows[1] <= other.rows[0]
-            or other.rows[1] <= self.rows[0]
-            or self.cols[1] <= other.cols[0]
-            or other.cols[1] <= self.cols[0]
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Window(#{self.handle.array_id} rows={self.rows} cols={self.cols} "
-            f"[{self.kind}])"
+            f"Window(#{self.handle.array_id} rows={self.rows} cols={self.cols})"
         )
 
 

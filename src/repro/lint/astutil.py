@@ -63,23 +63,13 @@ def keyword_arg(call: ast.Call, name: str) -> Optional[ast.AST]:
 
 
 def contains_yield(fn: ast.FunctionDef) -> bool:
-    """True when *fn* itself (not a nested def) contains yield."""
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
-                and node is not fn:
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            # make sure the yield belongs to fn, not a nested function
-            return _owns(fn, node)
-    return False
-
-
-def _owns(fn: ast.FunctionDef, target: ast.AST) -> bool:
-    """Whether *target* is in *fn*'s own scope (skips nested defs)."""
+    """True when *fn* itself contains yield: the walk stays in *fn*'s own
+    scope, so a nested generator's yield neither counts nor hides one of
+    *fn*'s own further down."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()
-        if node is target:
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
             return True
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue

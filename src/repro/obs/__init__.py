@@ -16,7 +16,7 @@ with tracing on (a :class:`Tracer`) or off (``None``, the default).
 """
 
 from .tracer import Span, SpanStats, Tracer
-from .export import flame, plain, span_tree, to_json, to_record
+from .export import flame, plain, span_tree, to_record
 
 __all__ = [
     "Span",
@@ -25,6 +25,5 @@ __all__ = [
     "flame",
     "plain",
     "span_tree",
-    "to_json",
     "to_record",
 ]

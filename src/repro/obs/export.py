@@ -9,7 +9,6 @@ table displays.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional
 
 from .tracer import Span, Tracer
@@ -44,10 +43,6 @@ def to_record(tracer: Tracer) -> Dict[str, Any]:
     }
 
 
-def to_json(tracer: Tracer, indent: Optional[int] = None) -> str:
-    return json.dumps(to_record(tracer), indent=indent, sort_keys=False)
-
-
 def span_tree(tracer: Tracer) -> List[Dict[str, Any]]:
     """Nested profile: each node is a span record with a ``children`` list."""
     children: Dict[Optional[int], List[Span]] = {}
@@ -63,12 +58,13 @@ def span_tree(tracer: Tracer) -> List[Dict[str, Any]]:
     return [build(s) for s in tracer.spans() if s.parent_sid not in present]
 
 
-def flame(tracer: Tracer, max_children: int = 12, max_depth: int = 8) -> str:
+def flame(tracer: Tracer) -> str:
     """Flame-style text summary of the span tree.
 
     Siblings of one (kind, label) are merged into a single line with a
     replication count; lines report cycles so "where did the cycles go"
-    reads top-down, one indent level per causal hop.
+    reads top-down, one indent level per causal hop.  Each level shows
+    its 12 heaviest groups and the tree stops below depth 8.
     """
     by_parent: Dict[Optional[int], List[Span]] = {}
     for s in tracer.spans():
@@ -77,7 +73,7 @@ def flame(tracer: Tracer, max_children: int = 12, max_depth: int = 8) -> str:
     lines: List[str] = []
 
     def emit(spans: List[Span], depth: int) -> None:
-        if depth > max_depth or not spans:
+        if depth > 8 or not spans:
             return
         groups: Dict[tuple, List[Span]] = {}
         for s in spans:
@@ -86,7 +82,7 @@ def flame(tracer: Tracer, max_children: int = 12, max_depth: int = 8) -> str:
             groups.items(), key=lambda kv: -sum(g.cycles for g in kv[1])
         )
         for i, ((kind, label), group) in enumerate(ordered):
-            if i >= max_children:
+            if i >= 12:
                 rest = sum(len(g) for _, g in ordered[i:])
                 lines.append(f"{'  ' * depth}... {rest} more span(s)")
                 break

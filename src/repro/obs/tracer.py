@@ -56,10 +56,6 @@ class Span:
         """Elapsed simulated cycles (0 while open or for point spans)."""
         return 0 if self.t1 is None else self.t1 - self.t0
 
-    @property
-    def open(self) -> bool:
-        return self.t1 is None
-
     def to_record(self) -> Dict[str, Any]:
         return {
             "sid": self.sid,
@@ -203,20 +199,3 @@ class Tracer:
     def kind_summary(self) -> Dict[str, Dict[str, float]]:
         """``{kind: {count, cycles, min, max, mean}}`` — exact, O(kinds)."""
         return {k: s.summary() for k, s in sorted(self._stats.items())}
-
-    def children_of(self, sid: Optional[int]) -> List[Span]:
-        return [s for s in self._spans if s.parent_sid == sid]
-
-    def roots(self) -> List[Span]:
-        """Spans whose parent is absent from the retained list."""
-        present = {s.sid for s in self._spans}
-        return [s for s in self._spans if s.parent_sid not in present]
-
-    def clear(self) -> None:
-        self._spans.clear()
-        self._stats.clear()
-        self.dropped = 0
-        self.recorded = 0
-
-    def __len__(self) -> int:
-        return len(self._spans)

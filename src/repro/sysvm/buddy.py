@@ -102,12 +102,6 @@ class BuddyHeap:
             self.merge_count += 1
         self._free[order].add(addr)
 
-    def block_size(self, addr: int) -> int:
-        entry = self._allocated.get(addr)
-        if entry is None:
-            raise HeapError(f"address {addr} is not allocated")
-        return self._block_size(entry[0])
-
     # -- statistics -----------------------------------------------------------
 
     def used_words(self) -> int:

@@ -82,9 +82,6 @@ class ClusterCodeStore:
         self.memory.reserve(block.load_words, tag="code")
         self._resident.add(block.task_type)
 
-    def resident_types(self) -> Set[str]:
-        return set(self._resident)
-
     def snapshot(self) -> Dict:
         return {"resident": sorted(self._resident)}
 

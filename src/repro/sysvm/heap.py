@@ -121,12 +121,6 @@ class Heap:
             prev.size += block.size
             self._blocks.pop(idx)
 
-    def block_size(self, addr: int) -> int:
-        block = self._allocated.get(addr)
-        if block is None:
-            raise HeapError(f"address {addr} is not allocated")
-        return block.size
-
     # -- statistics ---------------------------------------------------------
 
     def used_words(self) -> int:
@@ -147,9 +141,6 @@ class Heap:
 
     def block_count(self) -> int:
         return len(self._blocks)
-
-    def utilization(self) -> float:
-        return self.used_words() / self.capacity
 
     def check_invariants(self) -> None:
         """Verify the block list tiles [0, capacity) with no overlap and

@@ -76,7 +76,7 @@ class RemoteFault:
 class SimpleContext:
     """Default first argument handed to task bodies.
 
-    Exposes identity and machine shape; the language layer installs a
+    Exposes identity and the clock; the language layer installs a
     richer context via :attr:`Runtime.ctx_factory`.
     """
 
@@ -93,17 +93,8 @@ class SimpleContext:
         return self._tcb.cluster
 
     @property
-    def n_clusters(self) -> int:
-        return self._runtime.machine.config.n_clusters
-
-    @property
     def now(self) -> int:
         return self._runtime.machine.now
-
-    @property
-    def record(self):
-        """The task's activation record (local data)."""
-        return self._tcb.record
 
     # -- observability ------------------------------------------------------
 
@@ -1060,9 +1051,6 @@ class Runtime:
         if tcb.state is not TaskState.DONE:
             raise SysVMError(f"task {tid} has not completed ({tcb.state.value})")
         return tcb.result
-
-    def live_task_count(self) -> int:
-        return sum(1 for t in self.tasks.values() if t.is_live())
 
     # -- checkpoint/restore --------------------------------------------------------------
 

@@ -174,9 +174,6 @@ class DispatchPolicy:
 
     name = "abstract"
 
-    def pe_for(self, cluster: Cluster, tcb: TCB) -> Optional[ProcessingElement]:
-        raise NotImplementedError
-
 
 class AnyPEDispatch(DispatchPolicy):
     """Any available worker PE serves any ready task (the FEM-2 design)."""

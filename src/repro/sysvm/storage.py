@@ -75,13 +75,6 @@ class ArrayHandle:
     cluster: int
     owner_task: Optional[int]
 
-    @property
-    def size(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
     def size_words(self) -> int:
         """Transmission/storage size of the *handle* (not the data)."""
         return ARRAY_DESCRIPTOR_WORDS
@@ -164,8 +157,3 @@ class DataStore:
             self._arrays[aid] = arr
             self._handles[aid] = ArrayHandle(*hfields)
 
-    def live_handles(self) -> Tuple[ArrayHandle, ...]:
-        return tuple(self._handles.values())
-
-    def __contains__(self, handle: ArrayHandle) -> bool:
-        return handle.array_id in self._arrays

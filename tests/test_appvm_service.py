@@ -39,7 +39,7 @@ class TestMachineService:
                   for i, u in enumerate(("alice", "bob", "carol"))}
         handles = {u: service.submit(spec_for(u, m))
                    for u, m in models.items()}
-        assert service.pending_count == 3
+        assert len(service.machine.jobs) == 3
         service.run()
         for user, model in models.items():
             ref = static_solve(model.mesh, model.material, model.constraints,
@@ -47,7 +47,7 @@ class TestMachineService:
             got = handles[user].result()
             assert np.allclose(got.u, ref.u, atol=1e-6 * abs(ref.u).max())
             assert got.elapsed_cycles > 0
-        assert service.pending_count == 0
+        assert not service.machine.jobs
         assert service.completed_batches == 1
 
     def test_concurrency_beats_serial(self):
@@ -166,11 +166,6 @@ class TestJobLifecycle:
         assert handle.done
         assert handle.result().iterations > 0
 
-    def test_terminal_and_in_flight(self):
-        assert JobState.DONE.terminal and JobState.REJECTED.terminal
-        assert JobState.RUNNING.in_flight and JobState.PREEMPTED.in_flight
-        assert not JobState.REJECTED.in_flight
-
 
 class TestRemovedAPI:
     def test_positional_submit_form_is_gone(self):
@@ -179,7 +174,7 @@ class TestRemovedAPI:
             service.submit("u", make_model("m"), "case")
         with pytest.raises(AppVMError, match="JobSpec"):
             service.submit("u")
-        assert service.pending_count == 0
+        assert not service.machine.jobs
 
     def test_run_batch_is_gone(self):
         assert not hasattr(MachineService, "run_batch")

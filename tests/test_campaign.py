@@ -23,7 +23,6 @@ from repro.campaign import (
     pair_score,
     point_key,
     refine_candidates,
-    run_campaign,
     run_point,
     validate_axes,
 )
@@ -236,15 +235,15 @@ def stub_runner(point, options):
 class TestWaveScheduling:
     def test_wave_zero_is_the_expansion(self):
         space = ParamSpace({"nx": [2, 4]})
-        report = run_campaign(space, runner=stub_runner)
+        report = Campaign(space, runner=stub_runner).run()
         assert [p["point"] for p in report.points] == space.expand()
         assert [p["wave"] for p in report.points] == [0, 0]
         assert [p["index"] for p in report.points] == [0, 1]
 
     def test_refinement_waves_add_midpoints(self):
         space = ParamSpace({"nx": [2, 8]})
-        report = run_campaign(space, runner=stub_runner, waves=2,
-                              refine_per_wave=1)
+        report = Campaign(space, runner=stub_runner, waves=2,
+                              refine_per_wave=1).run()
         assert [p["point"] for p in report.points] == [
             {"nx": 2}, {"nx": 8}, {"nx": 5}]
         assert report.points[-1]["wave"] == 1
@@ -253,15 +252,15 @@ class TestWaveScheduling:
 
     def test_waves_stop_when_refinement_dries_up(self):
         space = ParamSpace({"nx": [2, 3]})  # adjacent ints: no midpoints
-        report = run_campaign(space, runner=stub_runner, waves=5,
-                              refine_per_wave=4)
+        report = Campaign(space, runner=stub_runner, waves=5,
+                              refine_per_wave=4).run()
         assert len(report.waves) == 1
         assert len(report.points) == 2
 
     def test_every_scheduled_point_recorded_once(self):
         space = ParamSpace({"nx": [2, 8], "workers": [1, 2]})
-        report = run_campaign(space, runner=stub_runner, waves=3,
-                              refine_per_wave=2)
+        report = Campaign(space, runner=stub_runner, waves=3,
+                              refine_per_wave=2).run()
         keys = [point_key(p["point"]) for p in report.points]
         assert len(keys) == len(set(keys))
         assert [p["index"] for p in report.points] == list(range(len(keys)))
@@ -282,8 +281,8 @@ class TestWaveScheduling:
             Campaign(ParamSpace({"bogus_axis": [1, 2]}))
 
     def test_unknown_axis_fine_with_custom_runner(self):
-        report = run_campaign(ParamSpace({"bogus_axis": [1, 2]}),
-                              runner=lambda p, o: {"metrics": {}})
+        report = Campaign(ParamSpace({"bogus_axis": [1, 2]}),
+                              runner=lambda p, o: {"metrics": {}}).run()
         assert len(report.points) == 2
 
 
@@ -293,7 +292,7 @@ class TestWaveScheduling:
 
 def small_report():
     space = ParamSpace({"nx": [2, 8]})
-    return run_campaign(space, runner=stub_runner, waves=2, refine_per_wave=1)
+    return Campaign(space, runner=stub_runner, waves=2, refine_per_wave=1).run()
 
 
 class TestReportCodec:
@@ -338,12 +337,6 @@ class TestReportCodec:
         shuffled = CampaignReport.from_record(report.to_record())
         shuffled.points = list(reversed(shuffled.points))
         assert shuffled.aggregate() == report.aggregate()
-
-    def test_point_for(self):
-        report = small_report()
-        assert report.point_for({"nx": 8})["metrics"]["cycles"] == 64000
-        with pytest.raises(CampaignError):
-            report.point_for({"nx": 99})
 
     def test_no_volatile_keys_in_record(self):
         text = json.dumps(small_report().to_record())

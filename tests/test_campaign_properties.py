@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
+    Campaign,
     CampaignReport,
     ParamSpace,
     point_key,
     refine_candidates,
-    run_campaign,
 )
 
 SETTINGS = settings(
@@ -66,8 +66,8 @@ def surface_runner(point, options):
 @given(space=SPACES, waves=st.integers(1, 4), refine=st.integers(0, 4))
 @SETTINGS
 def test_generated_spaces_never_crash_the_scheduler(space, waves, refine):
-    report = run_campaign(space, runner=surface_runner, waves=waves,
-                          refine_per_wave=refine)
+    report = Campaign(space, runner=surface_runner, waves=waves,
+                          refine_per_wave=refine).run()
     # well-formed: codec round-trip preserves canonical bytes
     again = CampaignReport.from_json(report.to_json())
     assert again.canonical_bytes() == report.canonical_bytes()
@@ -77,8 +77,8 @@ def test_generated_spaces_never_crash_the_scheduler(space, waves, refine):
 @given(space=SPACES, waves=st.integers(2, 4), refine=st.integers(1, 4))
 @SETTINGS
 def test_refinement_never_leaves_the_declared_space(space, waves, refine):
-    report = run_campaign(space, runner=surface_runner, waves=waves,
-                          refine_per_wave=refine)
+    report = Campaign(space, runner=surface_runner, waves=waves,
+                          refine_per_wave=refine).run()
     for record in report.points:
         assert space.contains(record["point"])
         if record["wave"] > 0:
@@ -89,8 +89,8 @@ def test_refinement_never_leaves_the_declared_space(space, waves, refine):
 @given(space=SPACES, waves=st.integers(1, 4), refine=st.integers(0, 4))
 @SETTINGS
 def test_every_scheduled_point_appears_exactly_once(space, waves, refine):
-    report = run_campaign(space, runner=surface_runner, waves=waves,
-                          refine_per_wave=refine)
+    report = Campaign(space, runner=surface_runner, waves=waves,
+                          refine_per_wave=refine).run()
     keys = [point_key(p["point"]) for p in report.points]
     assert len(keys) == len(set(keys))
     # wave 0 is the full expansion, in expansion order
@@ -124,8 +124,8 @@ def test_refine_candidates_dedup_and_containment(space, limit):
 @SETTINGS
 def test_reports_are_deterministic_functions_of_the_space(space, waves,
                                                           refine):
-    first = run_campaign(space, runner=surface_runner, waves=waves,
-                         refine_per_wave=refine)
-    second = run_campaign(space, runner=surface_runner, waves=waves,
-                          refine_per_wave=refine)
+    first = Campaign(space, runner=surface_runner, waves=waves,
+                         refine_per_wave=refine).run()
+    second = Campaign(space, runner=surface_runner, waves=waves,
+                          refine_per_wave=refine).run()
     assert first.canonical_bytes() == second.canonical_bytes()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import FEMError
 from repro.fem import Material
-from repro.fem.elements import BAR2D, BEAM2D, QUAD4, TRI3, element_type, known_types
+from repro.fem.elements import BAR2D, QUAD4, TRI3, element_type, known_types
 
 MAT = Material(e=200e9, nu=0.3, area=0.01, inertia=1e-4, thickness=0.02)
 
@@ -24,7 +24,7 @@ def rigid_body_modes_2d(coords):
 
 class TestRegistry:
     def test_known_types(self):
-        assert set(known_types()) >= {"bar2d", "beam2d", "tri3", "quad4"}
+        assert known_types() == ("bar2d", "quad4", "tri3")
 
     def test_unknown_type(self):
         with pytest.raises(FEMError):
@@ -73,49 +73,6 @@ class TestBar2D:
         k = BAR2D.stiffness(coords, MAT)[0]
         for mode in rigid_body_modes_2d(coords[0])[:2]:
             assert np.allclose(k @ mode, 0.0, atol=1e-6)
-
-
-class TestBeam2D:
-    def test_cantilever_single_element_tip_deflection(self):
-        """One Euler beam element reproduces PL^3/3EI exactly."""
-        length, p = 2.0, 1000.0
-        coords = np.array([[[0.0, 0.0], [length, 0.0]]])
-        k = BEAM2D.stiffness(coords, MAT)[0]
-        free = [3, 4, 5]
-        f = np.zeros(3)
-        f[1] = -p
-        u = np.linalg.solve(k[np.ix_(free, free)], f)
-        expected = -p * length**3 / (3 * MAT.e * MAT.inertia)
-        assert u[1] == pytest.approx(expected, rel=1e-9)
-
-    def test_rigid_body_modes_in_nullspace(self):
-        coords = np.array([[[0.5, 1.0], [2.5, 3.0]]])
-        k = BEAM2D.stiffness(coords, MAT)[0]
-        x = coords[0]
-        tx = np.array([1, 0, 0, 1, 0, 0.0])
-        ty = np.array([0, 1, 0, 0, 1, 0.0])
-        rot = np.array([-x[0, 1], x[0, 0], 1, -x[1, 1], x[1, 0], 1.0])
-        for mode in (tx, ty, rot):
-            assert np.allclose(k @ mode, 0.0, atol=1e-3 * np.abs(k).max())
-
-    def test_rotated_beam_symmetric(self):
-        coords = np.array([[[0.0, 0.0], [1.0, 1.0]]])
-        k = BEAM2D.stiffness(coords, MAT)[0]
-        assert np.allclose(k, k.T)
-
-    def test_end_forces_of_tip_loaded_cantilever(self):
-        length, p = 1.0, 500.0
-        coords = np.array([[[0.0, 0.0], [length, 0.0]]])
-        k = BEAM2D.stiffness(coords, MAT)[0]
-        free = [3, 4, 5]
-        f = np.zeros(3)
-        f[1] = -p
-        u6 = np.zeros(6)
-        u6[free] = np.linalg.solve(k[np.ix_(free, free)], f)
-        s = BEAM2D.stress(coords, MAT, u6[None, :])[0]
-        # shear at tip equals the applied load; fixed-end moment = P*L
-        assert s[1] == pytest.approx(-p, rel=1e-6)
-        assert abs(s[2]) == pytest.approx(p * length, rel=1e-6)
 
 
 class TestTri3:

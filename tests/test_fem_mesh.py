@@ -9,8 +9,6 @@ from repro.fem import (
     LoadSet,
     Mesh,
     STEEL,
-    cantilever_frame,
-    portal_frame,
     pratt_truss,
     rect_grid,
 )
@@ -43,11 +41,6 @@ class TestMesh:
         with pytest.raises(MeshError):
             m.add_elements("tri3", [[0, 1]])  # wrong arity
 
-    def test_dofs_per_node_must_match_element(self):
-        m = Mesh(np.zeros((2, 2)), dofs_per_node=2)
-        with pytest.raises(MeshError):
-            m.add_elements("beam2d", [[0, 1]])
-
     def test_element_dofs_map(self):
         m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
         m.add_elements("tri3", [[0, 2, 1]])
@@ -64,10 +57,8 @@ class TestMesh:
         left = m.nodes_on(x=0.0)
         assert len(left) == 3
         assert np.allclose(m.coords[left][:, 0], 0.0)
-        corner = m.nodes_where(lambda x, y: x == 0 and y == 0)
-        assert len(corner) == 1
-        lo, hi = m.bounding_box()
-        assert np.allclose(lo, [0, 0]) and np.allclose(hi, [2, 2])
+        corner = m.nodes_on(x=0.0, y=0.0)
+        assert len(corner) == 1 and np.allclose(m.coords[corner], 0.0)
 
 
 class TestGenerators:
@@ -106,17 +97,6 @@ class TestGenerators:
         with pytest.raises(MeshError):
             pratt_truss(1)
 
-    def test_cantilever_frame(self):
-        m = cantilever_frame(4, 2.0)
-        assert m.n_nodes == 5
-        assert m.dofs_per_node == 3
-        assert m.groups["beam2d"].shape == (4, 2)
-
-    def test_portal_frame(self):
-        m = portal_frame(2, 2)
-        # columns: 3 stacks * 2 stories; girders: 2 levels * 2 bays
-        assert m.groups["beam2d"].shape == (10, 2)
-
 
 class TestLoadSet:
     def test_nodal_loads_accumulate(self):
@@ -124,7 +104,7 @@ class TestLoadSet:
         ls = LoadSet("test").add_nodal(1, 0, 10.0).add_nodal(1, 0, 5.0)
         f = ls.vector(m)
         assert f[m.dof(1, 0)] == 15.0
-        assert ls.n_loads == 1
+        assert np.count_nonzero(f) == 1
 
     def test_add_nodal_many(self):
         m = rect_grid(2, 2)
@@ -141,19 +121,13 @@ class TestLoadSet:
         expected = -9.81 * STEEL.density * 1.0 * 1.0 * STEEL.thickness
         assert total == pytest.approx(expected, rel=1e-9)
 
-    def test_scaled(self):
-        m = rect_grid(1, 1)
-        ls = LoadSet().add_nodal(0, 1, -4.0).scaled(2.5)
-        assert ls.vector(m)[m.dof(0, 1)] == -10.0
-
 
 class TestConstraints:
     def test_fix_and_free_sets(self):
         m = rect_grid(1, 1)
         c = Constraints(m).fix(0).fix(1, comps=[1])
         assert set(c.fixed_dofs) == {0, 1, 3}
-        assert c.n_free == m.n_dofs - 3
-        assert len(c.free_dofs) == c.n_free
+        assert len(c.free_dofs) == m.n_dofs - 3
 
     def test_conflicting_prescription_rejected(self):
         m = rect_grid(1, 1)
@@ -191,5 +165,5 @@ class TestConstraints:
     def test_expand_inserts_prescribed_values(self):
         m = rect_grid(1, 1)
         c = Constraints(m).prescribe(0, 0, 0.5)
-        u = c.expand(np.zeros(c.n_free))
+        u = c.expand(np.zeros(len(c.free_dofs)))
         assert u[0] == 0.5

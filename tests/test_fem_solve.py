@@ -11,8 +11,6 @@ from repro.fem import (
     Material,
     Mesh,
     assemble_stiffness,
-    assembly_flops,
-    cantilever_frame,
     cholesky_factor,
     conjugate_gradient,
     jacobi,
@@ -22,7 +20,6 @@ from repro.fem import (
     solve_sparse_lu,
     sor,
     static_solve,
-    stiffness_stats,
     von_mises_plane,
 )
 
@@ -52,17 +49,6 @@ class TestAssembly:
         ks = assemble_stiffness(m, MAT).toarray()
         assert np.allclose(kd, ks)
 
-    def test_stats(self):
-        m = rect_grid(4, 4)
-        s = stiffness_stats(assemble_stiffness(m, MAT))
-        assert s["n"] == m.n_dofs
-        assert 0 < s["nnz"] <= s["n"] ** 2
-        assert s["words_sparse"] < s["words_dense"]
-        assert s["bandwidth"] > 0
-
-    def test_assembly_flops_positive(self):
-        assert assembly_flops(rect_grid(2, 2)) > 0
-
 
 class TestClosedForm:
     def test_axial_bar(self):
@@ -77,19 +63,9 @@ class TestClosedForm:
         p = 1e6
         loads = LoadSet().add_nodal(2, 0, p)
         r = static_solve(m, MAT, c, loads)
-        assert r.displacement_at(m, 2, 0) == pytest.approx(p * 2.0 / (MAT.e * MAT.area))
+        assert r.u[m.dof(2, 0)] == pytest.approx(p * 2.0 / (MAT.e * MAT.area))
         # reaction balances the applied load
         assert r.reactions.sum() == pytest.approx(-p, rel=1e-9)
-
-    def test_cantilever_beam_tip_deflection(self):
-        """Euler cantilever: v = -PL^3 / 3EI, exact per element."""
-        length, p = 2.0, 1000.0
-        m = cantilever_frame(4, length)
-        c = Constraints(m).fix(0)
-        loads = LoadSet().add_nodal(m.n_nodes - 1, 1, -p)
-        r = static_solve(m, MAT, c, loads)
-        expected = -p * length**3 / (3 * MAT.e * MAT.inertia)
-        assert r.displacement_at(m, m.n_nodes - 1, 1) == pytest.approx(expected, rel=1e-9)
 
     def test_plane_stress_patch_uniform_tension(self):
         """Uniform tension on a quad grid: sxx = sigma everywhere."""
@@ -112,7 +88,7 @@ class TestClosedForm:
         assert np.allclose(sxx, sigma, rtol=1e-6)
         # tip displacement = sigma * L / E
         tip = int(m.nodes_on(x=lx, y=0.0)[0])
-        assert r.displacement_at(m, tip, 0) == pytest.approx(sigma * lx / MAT.e, rel=1e-6)
+        assert r.u[m.dof(tip, 0)] == pytest.approx(sigma * lx / MAT.e, rel=1e-6)
 
     def test_truss_bridge_deflects_downward(self):
         m = pratt_truss(6, panel=2.0, height=2.0)
@@ -120,7 +96,7 @@ class TestClosedForm:
         c.prescribe(6, 1, 0.0)             # roller at far bottom node
         loads = LoadSet().add_nodal(3, 1, -1e5)
         r = static_solve(m, MAT, c, loads, with_stresses=True)
-        assert r.displacement_at(m, 3, 1) < 0
+        assert r.u[m.dof(3, 1)] < 0
         assert np.abs(r.stresses["bar2d"]).max() > 0
 
     def test_von_mises(self):
@@ -184,15 +160,10 @@ class TestSolvers:
         # scale to O(1) so tolerances behave
         scale = abs(k_ff).max()
         rj = jacobi(k_ff / scale, f_f / scale, tol=1e-6, max_iter=50_000)
-        rs = sor(k_ff / scale, f_f / scale, omega=1.6, tol=1e-6, max_iter=50_000)
+        rs = sor(k_ff / scale, f_f / scale, tol=1e-6, max_iter=50_000)
         assert rs.converged
         if rj.converged:
             assert rs.iterations < rj.iterations
-
-    def test_sor_validates_omega(self):
-        a, b = spd_system(5)
-        with pytest.raises(SolverError):
-            sor(a, b, omega=2.5)
 
     def test_static_solve_cg_matches_lu(self):
         m = rect_grid(4, 3)

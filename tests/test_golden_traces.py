@@ -17,6 +17,7 @@ then review the fixture diff like any other code change.
 
 import hashlib
 import json
+import math
 import os
 import pathlib
 
@@ -26,7 +27,7 @@ import pytest
 from repro.hardware.machine import MachineConfig
 from repro.langvm.program import Fem2Program
 from repro.appvm import MachineService
-from repro.obs import Tracer, to_json, to_record
+from repro.obs import Tracer, to_record
 
 from .test_appvm_service import make_model, make_service, spec_for
 
@@ -95,6 +96,24 @@ GOLDEN_PROGRAMS = {
 }
 
 
+def flat_metrics(metrics):
+    """The flat view of a metrics registry the golden pins were recorded
+    in: every counter, then per histogram its count, sum, min, max, mean
+    and std under dotted keys, all read from the registry's snapshot."""
+    state = metrics.snapshot()
+    out = dict(state["counters"])
+    for name, h in state["histograms"].items():
+        n = h["count"]
+        summary = {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
+                   "mean": 0.0, "std": 0.0}
+        if n:
+            summary = {"count": n, "sum": h["total"], "min": h["min"],
+                       "max": h["max"], "mean": h["mean"],
+                       "std": math.sqrt(h["m2"] / n)}
+        out.update((f"{name}.{k}", v) for k, v in summary.items())
+    return out
+
+
 def golden_payload(build):
     """The canonical JSON-able record of one traced run."""
     prog, tracer, result = build()
@@ -104,7 +123,7 @@ def golden_payload(build):
         "result": result,
         "clock": eng.now,
         "events_processed": eng.events_processed,
-        "metrics": dict(prog.metrics.flat()),
+        "metrics": flat_metrics(prog.metrics),
         "trace": to_record(tracer),
     }
 
@@ -156,7 +175,7 @@ def test_fixtures_are_committed_and_canonical():
 
 def service_payload():
     """Everything a two-job ``MachineService(checkpointing=True)`` run
-    shows from outside: the ``to_json`` trace, flat metrics, final
+    shows from outside: the JSON trace, flat metrics, final
     clock, the handles' timelines, the sha256 of a mid-run
     ``checkpoint()`` blob (a digest of pickled, zlib-compressed bytes:
     stable for one python/numpy/zlib, like the campaign fingerprints)
@@ -183,10 +202,10 @@ def service_payload():
     resumed = MachineService.resume(blob)
     resumed.run()
 
-    return to_json(tracer), {
+    return json.dumps(to_record(tracer)), {
         "schema": "fem2-golden/1",
         "clock": service.program.now,
-        "metrics": dict(service.program.metrics.flat()),
+        "metrics": flat_metrics(service.program.metrics),
         "handles": [[h.job_id, h.state.value, h.finish_time,
                      h.result().iterations] for h in handles],
         "completed_batches": service.completed_batches,

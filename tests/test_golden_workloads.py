@@ -33,6 +33,8 @@ from repro.hardware import FaultInjector, MachineConfig
 from repro.langvm import Fem2Program
 from repro.langvm.parallel import pardo
 
+from .test_golden_traces import flat_metrics
+
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "golden_workloads.json"
 REGEN = bool(os.environ.get("FEM2_REGEN_GOLDEN"))
 
@@ -126,7 +128,7 @@ def pins(build):
     """Everything one workload run shows from outside, digest-sized."""
     program, result = build()
     engine = program.machine.engine
-    metrics = json.dumps(dict(program.metrics.flat()), sort_keys=True)
+    metrics = json.dumps(flat_metrics(program.metrics), sort_keys=True)
     return {
         "result": result,
         "clock": engine.now,

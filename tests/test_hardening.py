@@ -62,10 +62,10 @@ class TestRuntimeEdgeCases:
             yield Compute(10)
 
         rt.define_task("t", body)
-        rt.spawn("t")
-        assert rt.live_task_count() == 1
+        tid = rt.spawn("t")
+        assert rt.tasks[tid].is_live()
         rt.run()
-        assert rt.live_task_count() == 0
+        assert not any(t.is_live() for t in rt.tasks.values())
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(SchedulingError):
@@ -203,7 +203,7 @@ class TestMachineEdgeCases:
 
         rt.define_task("t", body)
         tid = rt.spawn("t")
-        rt.machine.run(until=50)
+        rt.machine.engine.run(until=50)
         assert rt.tasks[tid].is_live()
         rt.machine.run_to_completion()
         assert rt.tasks[tid].state is TaskState.DONE
@@ -233,7 +233,7 @@ class TestProgramEdgeCases:
             return h
 
         handle = prog.run("t", retain_data=True)
-        assert np.array_equal(prog.data_of(handle), np.arange(4.0))
+        assert np.array_equal(prog.runtime.data.raw(handle), np.arange(4.0))
 
     def test_forall_preserves_heavy_args(self):
         """Numpy array args survive the initiate message intact."""

@@ -139,7 +139,7 @@ class TestEngineAndPEChecks:
 
     def test_busy_tracker_errors_survive_the_fold(self):
         eng, pe = self.pe()
-        pe.busy.begin(0)  # tracker and PE state disagree
+        pe.busy.busy_since = 0  # tracker and PE state disagree
         with pytest.raises(ValueError, match="already busy"):
             pe.execute(1, lambda: None)
         eng, pe = self.pe()
@@ -153,7 +153,7 @@ class TestEngineAndPEChecks:
         pe.execute(4, pe.execute, 6, lambda: None)
         eng.run()
         assert (pe.busy.busy_cycles, pe.cycles_executed, eng.now) == (10, 10, 10)
-        assert not pe.busy.is_busy() and pe.utilization() == 1.0
+        assert pe.busy.busy_since is None and pe.utilization() == 1.0
 
 
 # -- task state machine --------------------------------------------------------------

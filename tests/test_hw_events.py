@@ -91,7 +91,7 @@ def test_max_events_bound(eng):
     for i in range(10):
         eng.schedule(i + 1, lambda: None)
     assert eng.run(max_events=4) == 4
-    assert eng.pending() == 6
+    assert eng.run() == 6
 
 
 def test_cancel_skips_event(eng):
@@ -102,13 +102,6 @@ def test_cancel_skips_event(eng):
     eng.run()
     assert fired == ["y"]
     assert eng.events_processed == 1
-
-
-def test_pending_counts_live_events(eng):
-    a = eng.schedule(1, lambda: None)
-    eng.schedule(2, lambda: None)
-    a.cancel()
-    assert eng.pending() == 1
 
 
 def test_step_returns_false_when_drained(eng):
@@ -139,7 +132,7 @@ class TestEngineContract:
         assert snap == {"now": 4, "events_processed": 1, "halted": False}
         eng.schedule(10, lambda: None)  # dropped by restore
         eng.restore({"now": 7, "events_processed": 2, "halted": False})
-        assert (eng.now, eng.events_processed, eng.pending()) == (7, 2, 0)
+        assert (eng.now, eng.events_processed) == (7, 2)
         assert eng.idle()
 
 

@@ -70,19 +70,6 @@ class TestProcessingElement:
         assert pe.state is PEState.FAULTY
         assert pe.cycles_executed == 0
 
-    def test_repair_restores_idle(self, pe, eng):
-        pe.fail()
-        pe.repair()
-        assert pe.is_available()
-        done = []
-        pe.execute(5, lambda: done.append(True))
-        eng.run()
-        assert done
-
-    def test_repair_of_healthy_pe_rejected(self, pe):
-        with pytest.raises(FaultError):
-            pe.repair()
-
     def test_utilization(self, pe, eng):
         pe.execute(50, lambda: None)
         eng.run()
@@ -97,9 +84,8 @@ class TestSharedMemory:
         mem.reserve(300, tag="arrays")
         mem.reserve(200, tag="stack")
         assert mem.used_words == 500
-        assert mem.free_words() == 500
         mem.release(100, tag="arrays")
-        assert mem.usage_by_tag() == {"arrays": 200, "stack": 200}
+        assert mem.snapshot()["by_tag"] == {"arrays": 200, "stack": 200}
 
     def test_over_capacity_rejected(self, metrics):
         mem = SharedMemory(metrics, 0, 100)
@@ -131,8 +117,3 @@ class TestSharedMemory:
     def test_invalid_capacity(self, metrics):
         with pytest.raises(MemoryCapacityError):
             SharedMemory(metrics, 0, 0)
-
-    def test_utilization(self, metrics):
-        mem = SharedMemory(metrics, 0, 200)
-        mem.reserve(50)
-        assert mem.utilization() == 0.25

@@ -78,30 +78,6 @@ class TestNormAxpyScale:
 
         assert run_main(prog, main) == pytest.approx(36.0)
 
-    def test_axpy_updates_in_place(self):
-        prog = make_program()
-
-        def main(ctx):
-            hx = yield ctx.create(np.arange(8.0))
-            hy = yield ctx.create(np.ones(8))
-            yield from linalg.axpy(ctx, 2.0, ctx.window(hx), ctx.window(hy), 4)
-            out = yield ctx.read(ctx.window(hy))
-            return list(out.ravel())
-
-        expected = list(2.0 * np.arange(8.0) + 1)
-        assert run_main(prog, main) == expected
-
-    def test_scale(self):
-        prog = make_program()
-
-        def main(ctx):
-            h = yield ctx.create(np.arange(6.0))
-            yield from linalg.scale(ctx, 3.0, ctx.window(h), 2)
-            out = yield ctx.read(ctx.window(h))
-            return list(out.ravel())
-
-        assert run_main(prog, main) == [0, 3, 6, 9, 12, 15]
-
 
 class TestMatvec:
     def test_matvec_correct(self):
@@ -153,7 +129,7 @@ class TestRegistration:
     def test_ensure_registered_idempotent(self):
         prog = make_program()
         ensure_registered(prog)  # second call must not raise
-        for name in ("la.dot", "la.norm", "la.axpy", "la.matvec", "la.scale"):
+        for name in ("la.dot", "la.norm", "la.matvec"):
             assert name in prog.runtime.registry
 
     def test_parallelism_speeds_up_large_dot(self):

@@ -16,7 +16,6 @@ class TestConstruction:
     def test_whole_2d(self):
         w = whole(handle((4, 6)))
         assert w.shape == (4, 6)
-        assert w.kind == "whole"
         assert w.words == 24
 
     def test_whole_1d(self):
@@ -26,9 +25,9 @@ class TestConstruction:
 
     def test_row_col_block_kinds(self):
         h = handle((4, 6))
-        assert row(h, 2).kind == "row"
-        assert col(h, 3).kind == "column"
-        assert block(h, (1, 3), (2, 4)).kind == "block"
+        assert row(h, 2).shape == (1, 6)
+        assert col(h, 3).shape == (4, 1)
+        assert block(h, (1, 3), (2, 4)).shape == (2, 2)
 
     def test_vec_window(self):
         w = vec(handle((10,)), 2, 7)
@@ -98,7 +97,6 @@ class TestAlgebra:
         assert sum(p.shape[0] for p in parts) == 10
         # contiguous, ordered, disjoint
         assert parts[0].rows[1] == parts[1].rows[0]
-        assert not parts[0].overlaps(parts[1])
 
     def test_split_more_parts_than_rows(self):
         w = whole(handle((2, 4)))
@@ -112,24 +110,6 @@ class TestAlgebra:
     def test_split_invalid(self):
         with pytest.raises(WindowError):
             whole(handle((4, 4))).split_rows(0)
-
-    def test_sub_window_relative(self):
-        w = block(handle((10, 10)), (2, 8), (2, 8))
-        s = w.sub((1, 3), (0, 2))
-        assert s.rows == (3, 5) and s.cols == (2, 4)
-
-    def test_overlaps(self):
-        h = handle((10, 10))
-        a = block(h, (0, 5), (0, 5))
-        b = block(h, (4, 6), (4, 6))
-        c = block(h, (5, 10), (5, 10))
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-    def test_no_overlap_across_arrays(self):
-        a = whole(handle((4, 4), aid=1))
-        b = whole(handle((4, 4), aid=2))
-        assert not a.overlaps(b)
 
     def test_windows_are_values(self):
         """Windows are immutable, hashable values — transmissible as

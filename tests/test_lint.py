@@ -535,6 +535,38 @@ def make_model():
     return model
 
 
+class TestTaskRecognition:
+    """A task is a ``ctx``-first function whose own body yields."""
+
+    @staticmethod
+    def fn(source):
+        import ast
+
+        return ast.parse(textwrap.dedent(source)).body[0]
+
+    def test_nested_generator_above_its_own_yield(self):
+        from repro.lint.astutil import is_task_function
+
+        assert is_task_function(self.fn("""
+            def task(ctx):
+                def helper():
+                    yield 1
+                if ctx.cluster:
+                    if ctx.task_id:
+                        yield ctx.compute(flops=1)
+        """))
+
+    def test_only_a_nested_yield_is_not_a_task(self):
+        from repro.lint.astutil import is_task_function
+
+        assert not is_task_function(self.fn("""
+            def task(ctx):
+                def helper():
+                    yield 1
+                return list(helper())
+        """))
+
+
 class TestLintProgram:
     def test_racy_registry_reported_with_location(self, tmp_path):
         from repro.langvm import Fem2Program
@@ -569,7 +601,7 @@ class TestSubmitGate:
             svc.submit(JobSpec(user="alice", model=make_model(),
                                load_set="case", lint="error"))
         assert svc.program.now == 0
-        assert svc.pending_count == 0
+        assert not svc.machine.jobs
 
     def test_warn_mode_proceeds(self, tmp_path):
         from repro.appvm import MachineService
@@ -580,7 +612,7 @@ class TestSubmitGate:
         with pytest.warns(UserWarning, match="static analysis"):
             handle = svc.submit(JobSpec(user="bob", model=make_model(),
                                         load_set="case", lint="warn"))
-        assert svc.pending_count == 1
+        assert len(svc.machine.jobs) == 1
         svc.run()
         assert handle.result().max_displacement() > 0
 
@@ -601,7 +633,7 @@ class TestSubmitGate:
         mod.register(svc.program)
         handle = svc.submit(JobSpec(user="carol", model=make_model(),
                                     load_set="case"))
-        assert svc.pending_count == 1
+        assert len(svc.machine.jobs) == 1
 
     def test_clean_program_passes_error_mode(self):
         from repro.appvm import MachineService

@@ -11,14 +11,26 @@ import pathlib
 
 import pytest
 
-from repro.appvm import JobSpec, ServicePool, Tenant
+from repro.appvm import (
+    CommandInterpreter,
+    JobHandle,
+    JobSpec,
+    ServicePool,
+    Tenant,
+    WorkstationSession,
+)
+from repro.appvm.display import render_displacements, render_stresses
+from repro.appvm.scheduler import fairness_index
+from repro.bench import plane_stress_cantilever
 from repro.campaign import Campaign
 from repro.ckpt import Checkpointer
-from repro.core import DesignProcess
+from repro.core import DesignProcess, LayerStack
+from repro.fem import Mesh, conjugate_gradient, partition_strips, sor
 from repro.hgraph import Interpreter
 from repro.langvm.program import TaskContext
 from repro.lint import lint_paths
 from repro.lint.findings import CODES
+from repro.obs import flame
 from repro.sysvm.runtime import Runtime
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -102,6 +114,14 @@ DELETED = {
     "hgraph_unreached": ("to_dot", "graph_signature", "build_list",
                          "list_grammar", "record_grammar", "call_tree",
                          "RequirementTracker"),
+    "frame_family": ("Beam2D", "beam2d", "cantilever_frame", "portal_frame",
+                     "generate_frame", "_cmd_frame"),
+    "link_failure": ("fail_link", "schedule_link_failure", "repair_pe",
+                     "restore_cluster", "_drop_link", ".transfer_cost("),
+    "job_checkpoint": ("checkpoint_job", "_not_resident", "self._owner",
+                       "owner=self", "owner=service"),
+    "metrics_surface": ("Histogram.merge", ".flat()", ".is_busy(",
+                        "busy.begin(", "metrics.report(", "inj.summary("),
 }
 
 
@@ -124,6 +144,30 @@ IDLE_KNOBS = {
     "Interpreter(max_depth=)": lambda: Interpreter(max_depth=10),
     "DesignProcess(check_artifacts=)":
         lambda: DesignProcess(None, check_artifacts=True),
+    "conjugate_gradient(x0=)": lambda: conjugate_gradient(None, None, x0=None),
+    "conjugate_gradient(callback=)":
+        lambda: conjugate_gradient(None, None, callback=None),
+    "sor(omega=)": lambda: sor(None, None, omega=1.5),
+    "partition_strips(axis=)": lambda: partition_strips(None, 1, axis=0),
+    "render_displacements(top=)":
+        lambda: render_displacements(None, None, top=10),
+    "render_stresses(top=)": lambda: render_stresses(None, top=5),
+    "flame(max_children=)": lambda: flame(None, max_children=12),
+    "flame(max_depth=)": lambda: flame(None, max_depth=8),
+    "fairness_index(active_only=)":
+        lambda: fairness_index(None, active_only=True),
+    "LayerStack(name=)": lambda: LayerStack(name="fem2"),
+    "CommandInterpreter(session=)":
+        lambda: CommandInterpreter(session=None),
+    "WorkstationSession.result(model_name=)":
+        lambda: WorkstationSession().result("l", model_name="m"),
+    "Mesh.nodes_on(tol=)": lambda: Mesh([[0.0, 0.0]]).nodes_on(tol=1e-9),
+    "plane_stress_cantilever(aspect=)":
+        lambda: plane_stress_cantilever(2, aspect=2.0),
+    "Mesh(dofs_per_node=)": lambda: Mesh([[0.0, 0.0]], dofs_per_node=2),
+    "JobHandle(owner=)": lambda: JobHandle(None, owner=None),
+    "ModelDatabase.keys(kind=)":
+        lambda: WorkstationSession().database.keys(kind="model"),
 }
 
 

@@ -150,7 +150,7 @@ class TestGateOnHit:
             mod.register(svc.program)
             with pytest.raises(AppVMError) as err:
                 svc.submit(spec(lint="error"))
-            assert svc.program.now == 0 and svc.pending_count == 0
+            assert svc.program.now == 0 and not svc.machine.jobs
             texts.append(str(err.value))
         assert texts[0] == texts[1]
         assert "program rejected by static analysis" in texts[0]

@@ -11,7 +11,11 @@ from repro.appvm import MachineService, StructureModel
 from repro.fem import LoadSet, Material, rect_grid
 from repro.hardware import MachineConfig
 from repro.langvm import Fem2Program, forall
-from repro.obs import Tracer, flame, plain, span_tree, to_json, to_record
+from repro.obs import Tracer, flame, plain, span_tree, to_record
+
+
+def children(tr, sid):
+    return [s for s in tr.spans() if s.parent_sid == sid]
 
 
 class TestTracer:
@@ -24,9 +28,9 @@ class TestTracer:
         assert inner.parent_sid == outer.sid
         assert outer.parent_sid is None
         assert inner.cycles == 30 and outer.cycles == 100
-        assert not inner.open and not outer.open
-        assert [s.sid for s in tr.children_of(outer.sid)] == [inner.sid]
-        assert [s.sid for s in tr.roots()] == [outer.sid]
+        assert inner.t1 is not None and outer.t1 is not None
+        assert [s.sid for s in children(tr, outer.sid)] == [inner.sid]
+        assert [n["sid"] for n in span_tree(tr)] == [outer.sid]
         assert inner.attrs["tid"] == 7
 
     def test_parent_accepts_span_or_sid(self):
@@ -61,17 +65,15 @@ class TestTracer:
         tr = Tracer(capacity=2)
         for i in range(5):
             tr.point("k", "p", i)
-        assert len(tr) == 2
+        assert len(tr.spans()) == 2
         assert tr.dropped == 3 and tr.recorded == 5
         assert tr.kind_summary()["k"]["count"] == 5  # aggregates stay exact
 
-    def test_end_open_and_clear(self):
+    def test_end_open(self):
         tr = Tracer()
         s = tr.begin("k", "x", 0)
-        assert s.open and s.cycles == 0
+        assert s.t1 is None and s.cycles == 0
         assert tr.end(None, 10) is None  # tolerated: obs_begin may return None
-        tr.clear()
-        assert len(tr) == 0 and tr.recorded == 0 and tr.stats() == {}
 
 
 def sample_tracer():
@@ -87,7 +89,7 @@ def sample_tracer():
 class TestExport:
     def test_json_round_trip(self):
         tr = sample_tracer()
-        doc = json.loads(to_json(tr))
+        doc = json.loads(json.dumps(to_record(tr)))
         assert doc == to_record(tr)
         assert doc["recorded"] == 3 and doc["dropped"] == 0
         kinds = {s["kind"] for s in doc["spans"]}
@@ -158,7 +160,7 @@ class TestInstrumentation:
         root = next(s for s in tasks if s.label == "root")
         children = [s for s in tasks if s.label == "child"]
         assert all(c.parent_sid == root.sid for c in children)
-        assert all(not c.open and c.attrs["outcome"] == "done" for c in children)
+        assert all(c.t1 is not None and c.attrs["outcome"] == "done" for c in children)
         # heap allocation recorded per task, parented under it
         allocs = tr.spans("sysvm.heap.alloc")
         assert len(allocs) == 4
@@ -227,21 +229,21 @@ class TestServiceProfile:
         from repro.appvm import JobSpec
         handle = service.submit(JobSpec(user="alice", model=make_model(),
                                         load_set="case", workers=2))
-        assert handle.span is not None and handle.span.open
+        assert handle.span is not None and handle.span.t1 is None
         service.run()
         assert handle.result().u is not None
 
         (job,) = tr.spans("appvm.job")
         assert job.label == "alice/plate"
-        assert not job.open
+        assert job.t1 is not None
         assert job.attrs["workers"] == 2 and job.attrs["iterations"] >= 1
 
         # the job's root task parents under the job span
-        root_tasks = tr.children_of(job.sid)
+        root_tasks = children(tr, job.sid)
         assert any(s.label.startswith("fem.cg_root") for s in root_tasks)
         root = next(s for s in root_tasks if s.label.startswith("fem.cg_root"))
         workers = [
-            s for s in tr.children_of(root.sid)
+            s for s in children(tr, root.sid)
             if s.kind == "sysvm.task" and s.label.startswith("fem.cg_worker")
         ]
         assert len(workers) == 2
@@ -250,7 +252,7 @@ class TestServiceProfile:
         msgs = [s for s in tr.spans() if s.kind.startswith("sysvm.msg.")]
         assert msgs and any(m.parent_sid in task_sids for m in msgs)
         # the whole profile is valid JSON and the tree roots at the job
-        doc = json.loads(to_json(tr))
+        doc = json.loads(json.dumps(to_record(tr)))
         assert doc["kinds"]["appvm.job"]["count"] == 1
         tree = span_tree(tr)
         assert [n["kind"] for n in tree].count("appvm.job") == 1

@@ -56,13 +56,6 @@ class TestAllocation:
             h.alloc(11)
         assert h.failed_allocs == 1
 
-    def test_block_size_query(self):
-        h = Heap(100)
-        a = h.alloc(13)
-        assert h.block_size(a) == 13
-        with pytest.raises(HeapError):
-            h.block_size(999)
-
 
 class TestCoalescing:
     def test_free_coalesces_with_next(self):

