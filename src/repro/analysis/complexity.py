@@ -14,14 +14,13 @@ exact agreement and traffic to small factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from ..fem.elements import element_type
 from ..fem.mesh import Mesh
 from ..fem.partition import Subdomain
 from ..hardware.machine import MachineConfig
 from ..sysvm.storage import (
-    ACTIVATION_BASE_WORDS,
     ARRAY_DESCRIPTOR_WORDS,
     MESSAGE_HEADER_WORDS,
     WINDOW_DESCRIPTOR_WORDS,

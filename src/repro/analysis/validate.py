@@ -10,7 +10,7 @@ with a :class:`~repro.analysis.complexity.ScenarioEstimate`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from ..errors import AnalysisError
 from ..hardware.metrics import MetricsRegistry

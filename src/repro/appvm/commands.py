@@ -29,7 +29,7 @@ from __future__ import annotations
 import shlex
 from typing import Callable, Dict, List, Tuple
 
-from ..errors import AppVMError, CommandError, Fem2Error
+from ..errors import CommandError, Fem2Error
 from .session import WorkstationSession
 
 _COMP = {"fx": 0, "fy": 1, "ux": 0, "uy": 1}

@@ -7,7 +7,7 @@ and the session tests assert against.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

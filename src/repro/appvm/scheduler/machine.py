@@ -226,12 +226,7 @@ class PoolMachine:
         if global_until is None:
             self.program.runtime.run()
         else:
-            until = global_until - self.offset
-            while not engine.halted:
-                nxt = engine._peek()
-                if nxt is None or nxt.time > until:
-                    break
-                engine.step()
+            engine.run(before=global_until - self.offset + 1)
         return engine.now - before
 
     def collect_finished(self) -> List[JobHandle]:

@@ -20,7 +20,6 @@ from typing import Any, Iterable, Optional
 from ..errors import AppVMError
 
 from ..fem import (
-    Constraints,
     LoadSet,
     Material,
     parallel_cg_solve,

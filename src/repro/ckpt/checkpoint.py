@@ -100,18 +100,18 @@ class Checkpointer:
             self.take()
         next_at = engine.now + self.interval
         processed = 0
-        while processed < max_events and not engine.halted:
-            nxt = engine._peek()
+        while processed < max_events:
+            processed += engine.run(before=next_at,
+                                    max_events=max_events - processed)
+            if engine.halted or processed >= max_events:
+                break
+            nxt = engine.next_time()
             if nxt is None:
                 break
-            if nxt.time >= next_at:
-                self.take()
-                # re-anchor on the upcoming event so idle stretches don't
-                # produce a burst of identical checkpoints
-                next_at = nxt.time + self.interval
-                continue
-            engine.step()
-            processed += 1
+            self.take()
+            # re-anchor on the upcoming event so idle stretches don't
+            # produce a burst of identical checkpoints
+            next_at = nxt + self.interval
         return processed
 
     def latest(self) -> Checkpoint:

@@ -12,7 +12,6 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from ..errors import FEMError
 from .mesh import Mesh
 
 

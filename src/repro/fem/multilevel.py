@@ -14,7 +14,7 @@ multilevel entry in the E2 family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .bc import Constraints
 from .loads import LoadSet
 from .materials import Material
 from .mesh import Mesh
-from .partition import Subdomain, partition_bisection, partition_strips
+from .partition import partition_bisection, partition_strips
 from .substructure import subdomain_stiffness
 
 

@@ -10,7 +10,7 @@ surface-to-volume at the cost of looser hulls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np

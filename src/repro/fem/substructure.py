@@ -12,7 +12,7 @@ the distributed version in :mod:`repro.fem.parallel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -73,9 +73,6 @@ class Cluster:
         if self.on_message is not None:
             self.on_message(self)
 
-    def dequeue(self) -> Any:
-        return self.input_queue.popleft()
-
     def fail(self) -> None:
         """Take the whole cluster down: all PEs fault, queue is dropped."""
         self.failed = True

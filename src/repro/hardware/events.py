@@ -8,15 +8,15 @@ paper's simulation program requires.
 
 Determinism: events at equal times fire in scheduling order (a
 monotonically increasing sequence number breaks ties), so simulations
-are exactly reproducible.  The heap holds ``(time, seq, event)``
-tuples: ``seq`` is unique, so heap comparisons stay in C and never
-reach the :class:`Event`.
+are exactly reproducible.  Each heap entry is the :class:`Event`
+itself, a ``[time, seq, fn, args]`` list: ``seq`` is unique, so heap
+comparisons stay in C and never reach ``fn``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import SimulationError
 
@@ -26,37 +26,39 @@ from ..errors import SimulationError
 ENGINES = ("default", "reference")
 
 
-class Event:
-    """A scheduled callback.  ``cancel()`` is O(1); cancelled events are
-    skipped when popped."""
+class Event(list):
+    """A scheduled callback, stored as its own heap entry
+    ``[time, seq, fn, args]``.  ``seq`` is unique, so heap comparisons
+    stop at it and stay in C.  ``cancel()`` is O(1): it clears ``fn``,
+    and the run loop drops cleared entries when it pops them."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    __slots__ = ()
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+    time = property(lambda self: self[0])
+    seq = property(lambda self: self[1])
+    fn = property(lambda self: self[2])
+    args = property(lambda self: self[3])
+    cancelled = property(lambda self: self[2] is None)
 
     def cancel(self) -> None:
-        self.cancelled = True
+        self[2] = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        name = getattr(self.fn, "__name__", repr(self.fn))
-        return f"Event(t={self.time}, {name})"
+        name = getattr(self[2], "__name__", repr(self[2]))
+        return f"Event(t={self[0]}, {name})"
 
 
 class EventEngine:
     """A priority-queue discrete-event simulator clocked in cycles.
 
     One global heap, one event per pop, no batching — simple enough to
-    audit by eye.  It is the only engine (DESIGN.md §11).
+    audit by eye.  It is the only engine, and :meth:`run` is its only
+    loop (DESIGN.md §11).
     """
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._queue: List[Tuple[int, int, Event]] = []
+        self._queue: List[Event] = []
         self._seq = 0
         self.events_processed = 0
         #: set by :meth:`halt`; run loops drain no further events until
@@ -71,11 +73,10 @@ class EventEngine:
         """Schedule ``fn(*args)`` to run *delay* cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + int(delay)
         seq = self._seq
-        ev = Event(time, seq, fn, args)
         self._seq = seq + 1
-        heapq.heappush(self._queue, (time, seq, ev))
+        ev = Event((self.now + int(delay), seq, fn, args))
+        heapq.heappush(self._queue, ev)
         return ev
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -84,58 +85,63 @@ class EventEngine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
-        # the hop is on this side: bursts (schedule) outnumber arrivals
-        return self.schedule(int(time) - self.now, fn, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event((int(time), seq, fn, args))
+        heapq.heappush(self._queue, ev)
+        return ev
 
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False if none remain."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)[2]
-            if ev.cancelled:
-                continue
-            self.now = ev.time
-            self.events_processed += 1
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.point(
-                    "hw.event",
-                    getattr(ev.fn, "__qualname__", "event"),
-                    ev.time,
-                    aggregate_only=True,
-                )
-            ev.fn(*ev.args)
-            return True
-        return False
+    def run(self, until: Optional[int] = None, max_events: Optional[int] = None,
+            *, before: Optional[int] = None) -> int:
+        """Run events until the queue drains, the engine halts or
+        *max_events* fire; returns the number of events processed.
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, *until* cycles pass, or
-        *max_events* fire.  Returns the number of events processed."""
+        Give at most one bound.  ``until=T`` runs the events at cycles <= T and then advances the
+        clock to T unless the run stopped early (halt or *max_events*
+        with live events left).  ``before=T`` runs the events at cycles
+        < T and leaves the clock at the last event run: the machine
+        stops *between* events, which is where pool slices and
+        checkpoints cut.  The popped entry is dispatched in place; an
+        entry past the bound goes back on the heap unchanged.
+        """
+        if until is not None:
+            before = until + 1
+        queue = self._queue
+        pop = heapq.heappop
+        tracer = self.tracer
         processed = 0
-        while self._queue:
-            if self.halted:
-                break
+        while queue and not self.halted:
             if max_events is not None and processed >= max_events:
                 break
-            nxt = self._peek()
-            if nxt is None:
+            ev = pop(queue)
+            time, _seq, fn, args = ev
+            if fn is None:  # cancelled
+                continue
+            if before is not None and time >= before:
+                heapq.heappush(queue, ev)
+                if until is not None:
+                    self.now = until
                 break
-            if until is not None and nxt.time > until:
-                self.now = until
-                break
-            self.step()
+            self.now = time
+            self.events_processed += 1
             processed += 1
-        if until is not None and self.now < until and not self._queue:
+            if tracer is not None:
+                tracer.point("hw.event", getattr(fn, "__qualname__", "event"),
+                             time, aggregate_only=True)
+            fn(*args)
+        if until is not None and self.now < until and not queue:
             self.now = until
         return processed
 
-    def _peek(self) -> Optional[Event]:
+    def next_time(self) -> Optional[int]:
+        """The cycle of the next live event, or None when none is left."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
-        return queue[0][2] if queue else None
+        return queue[0][0] if queue else None
 
     def idle(self) -> bool:
-        return self._peek() is None
+        return self.next_time() is None
 
     def halt(self) -> None:
         """Stop every run loop after the current event completes."""
@@ -158,7 +164,7 @@ class EventEngine:
         scheduled before restore (e.g. a spawn made while rebuilding the
         program) are dropped — the checkpoint's descriptors are the only
         source of pending work."""
-        self._queue = []
+        self._queue.clear()  # in place: a run loop may hold the list
         self._seq = 0
         self.now = state["now"]
         self.events_processed = state["events_processed"]

@@ -14,9 +14,9 @@ give the standard sizes used across the experiment suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..errors import ConfigurationError, FaultError, RoutingError
+from ..errors import ConfigurationError, RoutingError
 from .cluster import Cluster
 from .events import ENGINES, EventEngine
 from .metrics import Cells, MetricsRegistry
@@ -156,9 +156,10 @@ class Machine:
         if no route exists — callers (the kernel) decide whether that
         is fatal or triggers rerouting to another cluster.
         """
-        if self.clusters[dst].failed or not self.network.is_cluster_up(dst):
+        network = self.network
+        if self.clusters[dst].failed or dst in network._down_clusters:
             raise RoutingError(f"destination cluster {dst} is down")
-        latency = self.network.record_transfer(src, dst, size_words)
+        latency = network.record_transfer(src, dst, size_words)
         cells = self._cells
         if cells.version != self.metrics.version:
             cells.fetch()
@@ -166,9 +167,13 @@ class Machine:
         messages.value += 1
         words.value += size_words
         sizes.observe(size_words)
-        self._schedule_arrival(self.engine.now + latency + extra_delay, dst, payload)
+        key = self._flight_key
+        self._flight_key = key + 1
+        ev = self.engine.schedule(latency + extra_delay, self._arrive, key, dst, payload)
+        self._in_flight[key] = (ev, dst, payload)
 
     def _schedule_arrival(self, at: int, dst: int, payload: Any) -> None:
+        """Re-issue a restored in-flight arrival at its original cycle."""
         key = self._flight_key
         self._flight_key += 1
         ev = self.engine.schedule_at(at, self._arrive, key, dst, payload)

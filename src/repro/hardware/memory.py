@@ -14,7 +14,7 @@ on top of this capacity model.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import MemoryCapacityError
 from .metrics import MetricsRegistry

@@ -167,9 +167,6 @@ class Network:
         self._down_clusters.add(cid)
         self._route_cache.clear()
 
-    def is_cluster_up(self, cid: int) -> bool:
-        return cid not in self._down_clusters
-
     # -- checkpoint/restore ----------------------------------------------
 
     def snapshot(self) -> dict:
@@ -212,15 +209,14 @@ class Network:
         self._route_cache[key] = path
         return path
 
-    def _latency(self, hops: int, size_words: int) -> int:
-        """Intra-cluster transfers (no hops) pay only the size term —
-        shared memory, not the network."""
-        size_cycles = math.ceil(size_words / self.bandwidth) if size_words else 0
-        return hops * self.hop_latency + size_cycles
-
     def record_transfer(self, src: int, dst: int, size_words: int) -> int:
-        """Route, account traffic on every link, return the latency."""
-        path = self.route(src, dst)
+        """Route, account traffic on every link, return the latency.
+        Intra-cluster transfers (no hops) pay only the size term —
+        shared memory, not the network."""
+        # a cached route has both ends up: failing a cluster clears the cache
+        path = self._route_cache.get((src, dst))
+        if path is None:
+            path = self.route(src, dst)
         traffic = self._link_traffic
         for a, b in zip(path, path[1:]):
             link = (a, b) if a < b else (b, a)
@@ -233,7 +229,9 @@ class Network:
         transfers.value += 1
         words.value += size_words
         hop_hist.observe(hops)
-        return self._latency(hops, size_words)
+        if not size_words:
+            return hops * self.hop_latency
+        return hops * self.hop_latency + math.ceil(size_words / self.bandwidth)
 
     def link_traffic(self) -> Dict[Tuple[int, int], int]:
         """Words carried per link, for the E3 network-load table."""

@@ -14,7 +14,7 @@ to a busy PE.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from ..errors import FaultError, SchedulingError
 from .events import EventEngine

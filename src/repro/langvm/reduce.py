@@ -14,7 +14,7 @@ the kind of design question the FEM-2 simulations existed to answer.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 

@@ -11,7 +11,7 @@ JSON exporters as every other measurement in the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..obs.export import plain

@@ -12,8 +12,8 @@ load traffic is realistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, Set
 
 from ..errors import SysVMError
 

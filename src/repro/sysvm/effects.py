@@ -15,8 +15,8 @@ effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 import numpy as np
 

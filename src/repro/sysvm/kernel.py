@@ -46,7 +46,7 @@ class Kernel:
         runtime = self.runtime
         cfg = runtime.machine.config
         if cluster.input_queue:
-            msg = cluster.dequeue()
+            msg = cluster.input_queue.popleft()
             self._active = True
             self._work = ("msg", msg)
             kpe.execute(cfg.message_fixed_cycles, self._finish_msg, msg)
@@ -69,7 +69,7 @@ class Kernel:
         self._work = None
         # the PE was idle when picked and the kernel is serialized, but a
         # fault may have hit it during the dispatch burst
-        if pe.is_available():
+        if pe.state is PEState.IDLE:
             self.runtime.start_on_pe(tcb, pe)
         else:
             self.runtime.requeue(tcb)

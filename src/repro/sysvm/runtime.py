@@ -49,7 +49,7 @@ from .messages import (
     terminate_notify,
 )
 from .scheduler import AnyPEDispatch, DispatchPolicy, ReadyQueue, TaskState, TCB
-from .storage import DataStore, words_of
+from .storage import ArrayHandle, DataStore
 
 PLACEMENTS = ("round_robin", "least_loaded", "local")
 
@@ -58,6 +58,21 @@ _MSG_COUNTERS = {
     kind: {f"comm.messages.{kind.value}": 0.0, f"comm.message_words.{kind.value}": 0.0}
     for kind in MsgKind
 }
+
+
+def journal_copy(value: Any) -> Any:
+    """The journal's copy of a value sent into a task: equal to
+    ``copy.deepcopy(value)`` in value, type, dtype and layout, and never
+    an alias of a mutable one.  ``None``, exact ``int`` and the frozen
+    :class:`ArrayHandle` are kept as they are; a plain numeric array is
+    copied in its own memory order (what ``ndarray.__deepcopy__`` does);
+    everything else goes through ``copy.deepcopy``."""
+    cls = type(value)
+    if value is None or cls is int or cls is ArrayHandle:
+        return value
+    if cls is np.ndarray and not value.dtype.hasobject:
+        return value.copy(order="K")
+    return copy.deepcopy(value)
 
 
 class RemoteFault:
@@ -175,8 +190,8 @@ class Runtime:
         self._rr = 0
         self._msg_id = 1
         #: record every value fed to task coroutines, enabling
-        #: checkpoint/restore via deterministic replay (costs deepcopies,
-        #: so it is opt-in — Fem2Program(journal=True) turns it on)
+        #: checkpoint/restore via deterministic replay (costs a journal_copy
+        #: per value, so it is opt-in — Fem2Program(journal=True) turns it on)
         self.journaling = False
         #: True only while journals are being replayed into recreated
         #: coroutines during restore; suppresses span emission
@@ -340,7 +355,7 @@ class Runtime:
 
     def _step(self, tcb: TCB, value: Any) -> None:
         if self.journaling:
-            tcb.journal.append(("send", copy.deepcopy(value)))
+            tcb.journal.append(("send", journal_copy(value)))
         try:
             effect = tcb.coro.send(value)
         except StopIteration as stop:

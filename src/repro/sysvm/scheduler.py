@@ -16,7 +16,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import SchedulingError
 from ..hardware.cluster import Cluster
-from ..hardware.pe import ProcessingElement
+from ..hardware.pe import PEState, ProcessingElement
 from .activation import ActivationRecord
 
 
@@ -182,7 +182,7 @@ class AnyPEDispatch(DispatchPolicy):
 
     def pe_for(self, cluster: Cluster, tcb: TCB) -> Optional[ProcessingElement]:
         for pe in cluster.worker_pes:
-            if pe.is_available():
+            if pe.state is PEState.IDLE:
                 return pe
         return None
 

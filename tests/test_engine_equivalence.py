@@ -9,6 +9,9 @@ layers above rely on:
 * the clock never decreases, and ends at ``until`` when one is given;
 * ``events_processed`` counts exactly the dispatched events;
 * ``max_events`` is honoured before ``until``;
+* ``before=T`` runs exactly the events at cycles < T and leaves the
+  clock at the last one run (no advance), through cancelled heads,
+  halts and an empty queue;
 * a halted-then-resumed run ends where the unhalted run of the same
   script ends;
 * ``snapshot()`` carries exactly ``now``, ``events_processed`` and
@@ -48,7 +51,7 @@ class Run:
         return self.order, self.eng.now, self.eng.events_processed
 
 
-def interpret(script, until=None, max_events=None, halt_tag=None):
+def interpret(script, until=None, max_events=None, halt_tag=None, before=None):
     """Run a schedule script and keep everything observable."""
     run = Run()
     eng = run.eng
@@ -69,13 +72,15 @@ def interpret(script, until=None, max_events=None, halt_tag=None):
     for (ev, _tag), (_d, _n, cancel) in zip(run.filed, script):
         if cancel:
             ev.cancel()
-    assert eng.run(until=until, max_events=max_events) == len(run.order)
+    assert eng.run(until=until, max_events=max_events,
+                   before=before) == len(run.order)
     return run
 
 
 def pending(eng):
-    """Live (non-cancelled) events still queued."""
-    return sum(1 for _, _, ev in eng._queue if not ev.cancelled)
+    """Live (non-cancelled) events still queued.  Each heap entry is
+    the event itself."""
+    return sum(1 for ev in eng._queue if not ev.cancelled)
 
 
 def check(run):
@@ -142,3 +147,74 @@ class TestScriptedEquivalence:
             assert run.eng.now == (run.order[-1][0] if run.order else 0)
         elif len(bounded) < max_events:
             assert run.eng.now == until
+
+
+def last_clock(order):
+    return order[-1][0] if order else 0
+
+
+class TestStopBefore:
+    """``run(before=T)``: the bound pool slices and checkpoints cut at."""
+
+    @SCRIPTS
+    @given(scripts, st.integers(0, 12))
+    def test_runs_exactly_the_events_before_the_bound(self, script, before):
+        run = interpret(script, before=before)
+        check(run)
+        full = interpret(script)
+        assert run.order == [e for e in full.order if e[0] < before]
+        # no clock advance: the engine stops between events
+        assert run.eng.now == last_clock(run.order)
+        nxt = run.eng.next_time()
+        assert nxt is None or nxt >= before
+        run.eng.run()
+        check(run)
+        assert run.final() == full.final()
+
+    @SCRIPTS
+    @given(scripts, st.integers(0, 12), st.integers(0, 7))
+    def test_halt_mid_slice_then_resume(self, script, before, halt_tag):
+        run = interpret(script, before=before, halt_tag=halt_tag)
+        check(run)
+        assert run.eng.now == last_clock(run.order)
+        if run.eng.halted:
+            assert run.order[-1][1] == halt_tag
+            run.eng.halted = False
+            run.eng.run(before=before)
+            check(run)
+            assert run.eng.now == last_clock(run.order)
+        assert run.order == interpret(script, before=before).order
+
+    @SCRIPTS
+    @given(scripts, st.integers(0, 12), st.integers(0, 6))
+    def test_max_events_inside_the_bound(self, script, before, max_events):
+        run = interpret(script, before=before, max_events=max_events)
+        check(run)
+        assert run.order == interpret(script, before=before).order[:max_events]
+        assert run.eng.now == last_clock(run.order)
+
+    def test_cancelled_head(self):
+        eng = EventEngine()
+        fired = []
+        eng.schedule(5, fired.append, "a").cancel()
+        eng.schedule(10, fired.append, "b")
+        assert eng.run(before=7) == 0
+        assert (fired, eng.now, eng.next_time()) == ([], 0, 10)
+        assert eng.run(before=11) == 1
+        assert (fired, eng.now, eng.next_time()) == (["b"], 10, None)
+
+    def test_cancelled_head_past_the_bound(self):
+        eng = EventEngine()
+        eng.schedule(3, lambda: None)
+        eng.schedule(8, lambda: None).cancel()
+        assert eng.run(before=6) == 1
+        assert eng.now == 3 and eng.idle()
+
+    def test_empty_queue(self):
+        eng = EventEngine()
+        assert eng.run(before=50) == 0
+        assert eng.now == 0 and eng.events_processed == 0
+        eng.schedule(4, lambda: None)
+        assert eng.run(before=50) == 1
+        assert eng.run(before=100) == 0
+        assert eng.now == 4  # until=100 would have advanced it

@@ -104,11 +104,11 @@ def test_cancel_skips_event(eng):
     assert eng.events_processed == 1
 
 
-def test_step_returns_false_when_drained(eng):
-    assert eng.step() is False
+def test_run_one_event_returns_zero_when_drained(eng):
+    assert eng.run(max_events=1) == 0
     eng.schedule(1, lambda: None)
-    assert eng.step() is True
-    assert eng.step() is False
+    assert eng.run(max_events=1) == 1
+    assert eng.run(max_events=1) == 0
 
 
 def test_determinism_across_runs():

@@ -76,7 +76,7 @@ class TestCluster:
         c.enqueue("m2")
         assert seen == [1, 2]
         assert c.queue_high_water == 2
-        assert c.dequeue() == "m1"
+        assert c.input_queue.popleft() == "m1"
 
     def test_failed_cluster_rejects_messages(self, machine):
         c = machine.cluster(1)
@@ -89,7 +89,7 @@ class TestCluster:
 class TestMachine:
     def test_deliver_incurs_network_latency(self, machine):
         got = []
-        machine.cluster(2).on_message = lambda c: got.append((machine.now, c.dequeue()))
+        machine.cluster(2).on_message = lambda c: got.append((machine.now, c.input_queue.popleft()))
         machine.deliver(0, 2, size_words=40, payload="hello")
         machine.run_to_completion()
         # ring 0->2: 2 hops * 10 + ceil(40/4) = 30

@@ -255,7 +255,7 @@ class TestHardwareCellSites:
             pe.execute(5, lambda: None)
             mc.deliver(0, 1, 9, "payload")
             mc.run_to_completion()
-            mc.cluster(1).dequeue()
+            mc.cluster(1).input_queue.popleft()
 
         round_trip()
         state = mc.metrics.snapshot()

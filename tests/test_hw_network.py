@@ -132,7 +132,6 @@ class TestFaults:
     def test_cluster_failure_blocks_endpoints(self):
         net = make(4, "complete")
         net.fail_cluster(2)
-        assert not net.is_cluster_up(2)
         with pytest.raises(RoutingError):
             net.route(0, 2)
         with pytest.raises(RoutingError):
