@@ -36,7 +36,6 @@ class Event(list):
 
     time = property(lambda self: self[0])
     seq = property(lambda self: self[1])
-    fn = property(lambda self: self[2])
     args = property(lambda self: self[3])
     cancelled = property(lambda self: self[2] is None)
 
