@@ -116,7 +116,7 @@ def test_no_unused_module_level_imports():
     assert unused_imports() == []
 
 
-def test_the_scan_sees_an_unused_import(tmp_path):
+def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import List, Dict\nx: 'Dict' = 1\n")
     bound = {name for name, _ in module_imports(tree)}
     assert bound - used_names(tree) == {"os", "List"}
