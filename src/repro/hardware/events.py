@@ -84,19 +84,15 @@ class EventEngine:
             raise SimulationError(
                 f"cannot schedule at t={time}, current time is {self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event((int(time), seq, fn, args))
-        heapq.heappush(self._queue, ev)
-        return ev
+        return self.schedule(int(time) - self.now, fn, *args)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None,
             *, before: Optional[int] = None) -> int:
         """Run events until the queue drains, the engine halts or
         *max_events* fire; returns the number of events processed.
 
-        Give at most one bound.  ``until=T`` runs the events at cycles <= T and then advances the
-        clock to T unless the run stopped early (halt or *max_events*
+        Give at most one bound.  ``until=T`` runs the events at cycles
+        <= T and then advances the clock to T unless the run stopped early (halt or *max_events*
         with live events left).  ``before=T`` runs the events at cycles
         < T and leaves the clock at the last event run: the machine
         stops *between* events, which is where pool slices and
@@ -104,6 +100,8 @@ class EventEngine:
         entry past the bound goes back on the heap unchanged.
         """
         if until is not None:
+            if before is not None:
+                raise SimulationError("give run() until= or before=, not both")
             before = until + 1
         queue = self._queue
         pop = heapq.heappop

@@ -22,26 +22,37 @@ from ..errors import WindowError
 from ..sysvm.storage import ArrayHandle, WINDOW_DESCRIPTOR_WORDS
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Window:
     """A rectangular view onto an array resident in some cluster.
 
     ``rows``/``cols`` are half-open index ranges into the (at most 2-D)
     array.  1-D arrays are treated as single-row matrices.
+
+    The ``__init__`` is written out rather than generated, so a profile
+    tells window construction apart from every other dataclass's (all
+    generated methods share the key ``<string>:2:__init__``).
     """
 
     handle: ArrayHandle
     rows: Tuple[int, int]
     cols: Tuple[int, int]
 
-    def __post_init__(self) -> None:
+    def __init__(self, handle: ArrayHandle, rows: Tuple[int, int],
+                 cols: Tuple[int, int]) -> None:
+        _set(self, "handle", handle)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
         nr, nc = self._array_dims()
-        r0, r1 = self.rows
-        c0, c1 = self.cols
+        r0, r1 = rows
+        c0, c1 = cols
         if not (0 <= r0 < r1 <= nr and 0 <= c0 < c1 <= nc):
             raise WindowError(
-                f"window rows={self.rows} cols={self.cols} out of bounds for "
-                f"array of shape {self.handle.shape}"
+                f"window rows={rows} cols={cols} out of bounds for "
+                f"array of shape {handle.shape}"
             )
 
     def _array_dims(self) -> Tuple[int, int]:

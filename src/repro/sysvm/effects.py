@@ -27,7 +27,15 @@ class Effect:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+# The four effects every task step yields write their own ``__init__``:
+# generated dataclass methods all share one profiler key
+# (``<string>:2:__init__``), so a per-function profile would fold their
+# construction into a single entry.  Fields, order, equality, hashing and
+# frozenness are still the dataclass's.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Compute(Effect):
     """Occupy the task's PE for *cycles* cycles of arithmetic.
 
@@ -37,6 +45,10 @@ class Compute(Effect):
 
     cycles: int
     flops: int = 0
+
+    def __init__(self, cycles: int, flops: int = 0) -> None:
+        _set(self, "cycles", cycles)
+        _set(self, "flops", flops)
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,7 @@ class FreeArray(Effect):
     handle: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReadWindow(Effect):
     """Read the data visible in a window.  Resumes with an ndarray copy.
 
@@ -68,14 +80,22 @@ class ReadWindow(Effect):
 
     window: Any
 
+    def __init__(self, window: Any) -> None:
+        _set(self, "window", window)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class WriteWindow(Effect):
     """Assign the data visible in a window.  Resumes with None."""
 
     window: Any
     data: Any
     accumulate: bool = False  # += instead of =, for FEM assembly
+
+    def __init__(self, window: Any, data: Any, accumulate: bool = False) -> None:
+        _set(self, "window", window)
+        _set(self, "data", data)
+        _set(self, "accumulate", accumulate)
 
 
 @dataclass(frozen=True)
@@ -106,7 +126,7 @@ class WaitChildren(Effect):
     tids: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WaitPause(Effect):
     """Block until the given child notifies that it paused.
 
@@ -114,6 +134,9 @@ class WaitPause(Effect):
     """
 
     tid: int
+
+    def __init__(self, tid: int) -> None:
+        _set(self, "tid", tid)
 
 
 @dataclass(frozen=True)

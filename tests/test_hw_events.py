@@ -111,6 +111,13 @@ def test_run_one_event_returns_zero_when_drained(eng):
     assert eng.run(max_events=1) == 0
 
 
+def test_run_refuses_both_time_bounds(eng):
+    eng.schedule(1, lambda: None)
+    with pytest.raises(SimulationError):
+        eng.run(until=5, before=5)
+    assert eng.now == 0 and eng.events_processed == 0
+
+
 def test_determinism_across_runs():
     def build():
         e = EventEngine()

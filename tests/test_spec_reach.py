@@ -29,7 +29,6 @@ FUNCTIONS = LEDGER["functions"]
 #: list cannot grow silently.
 NO_FUNCTION = {
     "repro.sysvm.effects.Broadcast",
-    "repro.sysvm.effects.Compute",
     "repro.sysvm.effects.CreateArray",
     "repro.sysvm.effects.Initiate",
     "repro.sysvm.effects.RemoteCall",
